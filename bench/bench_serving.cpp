@@ -34,7 +34,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "csd/smartssd.hpp"
-#include "detect/token_ring.hpp"
+#include "detect/window_tracker.hpp"
 #include "kernels/engine.hpp"
 #include "serve/serving.hpp"
 #include "xrt/runtime.hpp"
@@ -61,55 +61,34 @@ detect::ProcessId pid_of(std::size_t process_index) {
 
 struct ReplayVerdict {
   std::uint64_t call_index{0};
-  double probability{0.0};
+  double probability{0.0};  ///< compared bit-exactly: same datapath, no tolerance
   bool alert{false};
+
+  bool operator==(const ReplayVerdict&) const = default;
 };
 /// Per-process verdict streams, in call order.
 using VerdictLog = std::map<detect::ProcessId, std::vector<ReplayVerdict>>;
 
-/// Replays the detector's window/hop/debounce logic inline against
-/// engine.infer, capturing every classification. The `processes` list
-/// names which stream indices this replay owns (so sync-mt threads can
-/// partition the workload without sharing state).
+/// Drives one WindowTracker per process straight against engine.infer,
+/// capturing every classification. The `processes` list names which
+/// stream indices this replay owns (so sync-mt threads can partition the
+/// workload without sharing state).
 VerdictLog sync_replay(kernels::CsdLstmEngine& engine, const Workload& work,
                        const std::vector<std::size_t>& processes) {
-  struct State {
-    detect::TokenRing window;
-    std::uint64_t calls_seen{0};
-    std::uint64_t calls_since_eval{0};
-    std::size_t alert_streak{0};
-  };
-  std::vector<State> states(processes.size());
-  for (State& state : states) {
-    state.window = detect::TokenRing(work.detector.window_length);
-  }
+  std::vector<detect::WindowTracker> trackers(processes.size(),
+                                              detect::WindowTracker(work.detector));
   VerdictLog log;
   for (std::size_t i = 0; i < work.calls_per_process; ++i) {
     for (std::size_t p = 0; p < processes.size(); ++p) {
       const std::vector<nn::TokenId>& stream = work.streams[processes[p]];
       if (i >= stream.size()) continue;
-      State& state = states[p];
-      state.window.push(stream[i]);
-      ++state.calls_seen;
-      ++state.calls_since_eval;
-      if (!state.window.full()) continue;
-      const bool first_full =
-          state.calls_seen == work.detector.window_length;
-      if (!first_full && state.calls_since_eval < work.detector.hop) continue;
-      state.calls_since_eval = 0;
-      const kernels::InferenceResult result =
-          engine.infer(state.window.view());
-      if (result.probability >= work.detector.threshold) {
-        ++state.alert_streak;
-      } else {
-        state.alert_streak = 0;
-      }
-      ReplayVerdict verdict;
-      verdict.call_index = state.calls_seen;
-      verdict.probability = result.probability;
-      verdict.alert =
-          state.alert_streak >= work.detector.consecutive_alerts;
-      log[pid_of(processes[p])].push_back(verdict);
+      detect::WindowTracker& tracker = trackers[p];
+      if (!tracker.on_call(stream[i], work.detector)) continue;
+      tracker.on_enqueued();
+      const double probability = engine.infer(tracker.window()).probability;
+      log[pid_of(processes[p])].push_back(
+          {tracker.calls_seen(), probability,
+           tracker.on_verdict(probability, work.detector).alert});
     }
   }
   return log;
@@ -120,26 +99,6 @@ std::vector<std::vector<std::size_t>> partition(std::size_t processes,
   std::vector<std::vector<std::size_t>> parts(threads);
   for (std::size_t p = 0; p < processes; ++p) parts[p % threads].push_back(p);
   return parts;
-}
-
-bool logs_match(const VerdictLog& oracle, const VerdictLog& observed) {
-  if (oracle.size() != observed.size()) return false;
-  for (const auto& [pid, expected] : oracle) {
-    const auto it = observed.find(pid);
-    if (it == observed.end() || it->second.size() != expected.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      const ReplayVerdict& a = expected[i];
-      const ReplayVerdict& b = it->second[i];
-      // Bit-identical: same datapath, same weights, no tolerance.
-      if (a.call_index != b.call_index || a.probability != b.probability ||
-          a.alert != b.alert) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 double histogram_p99(const std::string& name) {
@@ -211,7 +170,7 @@ AsyncRun run_async(const Workload& work, const nn::LstmParams& params,
       static_cast<double>(work.streams.size() * work.calls_per_process) /
       elapsed;
   run.p99_ingest_to_verdict_us = histogram_p99("serve.ingest_to_verdict_us");
-  run.parity_ok = logs_match(oracle, observed);
+  run.parity_ok = observed == oracle;
   run.stats = pipeline.stats();
   return run;
 }

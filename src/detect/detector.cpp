@@ -21,10 +21,7 @@ const std::vector<double>& occupancy_bounds() {
 StreamingDetector::StreamingDetector(kernels::CsdLstmEngine& engine,
                                      DetectorConfig config)
     : engine_(engine), config_(config) {
-  CSDML_REQUIRE(config_.window_length > 0, "window must be positive");
-  CSDML_REQUIRE(config_.hop > 0, "hop must be positive");
-  CSDML_REQUIRE(config_.consecutive_alerts > 0,
-                "consecutive_alerts must be positive");
+  validate(config_);
 }
 
 std::optional<Detection> StreamingDetector::on_api_call(ProcessId process,
@@ -32,26 +29,13 @@ std::optional<Detection> StreamingDetector::on_api_call(ProcessId process,
   CSDML_REQUIRE(token >= 0 && token < engine_.model_config().vocab_size,
                 "API-call token outside model vocabulary");
   obs::MetricsRegistry& metrics = obs::registry();
-  const bool new_process = !processes_.contains(process);
-  ProcessState& state = processes_[process];
+  const auto [it, new_process] = processes_.try_emplace(process, config_);
   if (new_process) {
-    state.window = TokenRing(config_.window_length);
     metrics.set_gauge("detector.tracked_processes",
                       static_cast<double>(processes_.size()));
   }
-  state.window.push(token);
-  ++state.calls_seen;
-  ++state.calls_since_eval;
-
-  if (!state.window.full()) return std::nullopt;
-  // A classification is due on the call that first fills the window, then
-  // every `hop` calls — including hop > window_length, where consecutive
-  // windows simply skip hop - window_length calls entirely.
-  const bool first_full_window = state.calls_seen == config_.window_length;
-  if (!first_full_window && state.calls_since_eval < config_.hop) {
-    return std::nullopt;
-  }
-  state.calls_since_eval = 0;
+  WindowTracker& tracker = it->second;
+  if (!tracker.on_call(token, config_)) return std::nullopt;
 
   // Request ingress: one trace per classification. Everything the engine,
   // transfers and kernels record until end_trace lands in this tree.
@@ -63,20 +47,17 @@ std::optional<Detection> StreamingDetector::on_api_call(ProcessId process,
     trace_id = spans.begin_trace();
     root = spans.begin_span("detector.classify", engine_.device_now());
     spans.tag(root, "process", std::to_string(process));
-    spans.tag(root, "call_index", std::to_string(state.calls_seen));
+    spans.tag(root, "call_index", std::to_string(tracker.calls_seen()));
   }
 
-  // Zero-copy: the ring's doubled backing store makes the window one
-  // contiguous run, so classification needs no per-call Sequence copy.
+  // Zero-copy: the tracker's window is one contiguous run, so
+  // classification needs no per-call Sequence copy.
   kernels::InferenceResult result;
   try {
-    result = engine_.infer(state.window.view());
+    result = engine_.infer(tracker.window());
   } catch (const faults::CsdUnavailableError&) {
-    // The due classification is deferred, not dropped: prime the hop
-    // counter so the very next call for this process retries it (the
-    // first-full-window condition can never re-trigger).
-    state.calls_since_eval = config_.hop;
-    state.deferred_pending = true;
+    // Deferred, not dropped: the very next call for this process retries.
+    tracker.on_deferred(config_);
     ++degraded_;
     metrics.add_counter("detector.degraded_classifications");
     if (tracing) {
@@ -93,21 +74,17 @@ std::optional<Detection> StreamingDetector::on_api_call(ProcessId process,
     metrics.add_counter("detector.fallback_classifications");
     if (tracing) spans.tag(root, "degraded", "1");
   }
-  state.deferred_pending = false;
+  tracker.on_enqueued();
   ++classifications_;
   device_time_ += result.device_time;
   metrics.add_counter("detector.classifications");
   metrics.observe("detector.inference_us",
                   result.device_time.as_microseconds());
 
-  if (result.probability >= config_.threshold) {
-    ++state.alert_streak;
-  } else {
-    state.alert_streak = 0;
-  }
-  const bool alert = state.alert_streak >= config_.consecutive_alerts;
-  if (!alert && state.alert_streak > 0) {
-    // Over threshold but still inside the debounce window.
+  const WindowTracker::VerdictOutcome outcome =
+      tracker.on_verdict(result.probability, config_);
+  const bool alert = outcome.alert;
+  if (outcome.debounced) {
     metrics.add_counter("detector.debounce_suppressions");
     if (tracing) spans.tag(root, "debounced", "1");
   }
@@ -126,7 +103,7 @@ std::optional<Detection> StreamingDetector::on_api_call(ProcessId process,
   Detection detection;
   detection.process = process;
   detection.probability = result.probability;
-  detection.call_index = state.calls_seen;
+  detection.call_index = tracker.calls_seen();
   detection.inference_time = result.device_time;
   detection.degraded = result.degraded;
   detection.trace_id = trace_id;
@@ -145,19 +122,20 @@ void StreamingDetector::forget(ProcessId process) {
   // long-running fleets don't silently leak stats with process churn.
   obs::MetricsRegistry& metrics = obs::registry();
   metrics.add_counter("detector.processes_forgotten");
-  if (it->second.deferred_pending) {
+  const WindowTracker& tracker = it->second;
+  if (tracker.on_forget().deferral) {
     // The process died with a deferred classification still owed: the
     // retry-on-next-call guarantee can no longer fire, so the deferral is
     // dropped here — the one place "never dropped" has an asterisk, and
     // it gets its own counter.
     metrics.add_counter("detector.forget_pending");
   }
-  if (it->second.alert_streak > 0) {
+  if (tracker.alert_streak() > 0) {
     metrics.add_counter("detector.pending_alert_streaks_flushed",
-                        it->second.alert_streak);
+                        tracker.alert_streak());
   }
   metrics.observe("detector.window_occupancy",
-                  static_cast<double>(it->second.window.size()) /
+                  static_cast<double>(tracker.window().size()) /
                       static_cast<double>(config_.window_length),
                   occupancy_bounds());
   processes_.erase(it);

@@ -10,26 +10,12 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
-#include "detect/token_ring.hpp"
+#include "detect/window_tracker.hpp"
 #include "kernels/engine.hpp"
 #include "nn/dataset.hpp"
 
 namespace csdml::detect {
-
-using ProcessId = std::uint32_t;
-
-struct DetectorConfig {
-  std::size_t window_length{100};
-  /// Calls between consecutive classifications of one process once its
-  /// window is full (1 = classify on every call).
-  std::size_t hop{25};
-  double threshold{0.5};
-  /// Consecutive over-threshold classifications required before alerting
-  /// (debounce against one-off false positives).
-  std::size_t consecutive_alerts{1};
-};
 
 struct Detection {
   ProcessId process{0};
@@ -76,22 +62,9 @@ class StreamingDetector {
   bool csd_healthy() const { return engine_.healthy(); }
 
  private:
-  struct ProcessState {
-    /// Fixed-capacity ring: each hop classification reads the window as a
-    /// contiguous span, with no per-classification allocation or copy.
-    TokenRing window;
-    std::uint64_t calls_seen{0};
-    std::uint64_t calls_since_eval{0};
-    std::size_t alert_streak{0};
-    /// A due classification was deferred (CSD unavailable, no fallback)
-    /// and has not run yet. forget() of such a process drops a pending
-    /// deferral, which operators want to see (`detector.forget_pending`).
-    bool deferred_pending{false};
-  };
-
   kernels::CsdLstmEngine& engine_;
   DetectorConfig config_;
-  std::unordered_map<ProcessId, ProcessState> processes_;
+  std::unordered_map<ProcessId, WindowTracker> processes_;
   std::uint64_t classifications_{0};
   std::uint64_t degraded_{0};
   Duration device_time_{};

@@ -169,14 +169,6 @@ void require_writable(const std::string& path) {
   if (!probe) throw Error("cannot open trace output file: " + path);
 }
 
-std::uint64_t snapshot_counter(const obs::MetricsSnapshot& snapshot,
-                               const std::string& name) {
-  for (const auto& [key, value] : snapshot.counters) {
-    if (key == name) return value;
-  }
-  return 0;
-}
-
 /// The sample workload `stats` and `watch` share: one ransomware process
 /// interleaved with two benign ones through the streaming detector, so
 /// every instrumented layer (engine kernels, detector, xrt syncs) feeds
@@ -634,7 +626,7 @@ int serve_fleet(const kernels::OptimizationLevel level, std::size_t boards,
   // Resolution lap: if any migrated deferral is still owed, feed the
   // stream tails so every carried window gets its re-served verdict.
   serve::BoardFleet::Stats stats = fleet.stats();
-  if (stats.totals.migrated_resolved < stats.migrated_pending) {
+  if (!stats.failover_resolved()) {
     for (std::size_t i = calls; i < calls + kServeResolveTail; ++i) {
       for (const ServeStreamSet& set : per_thread) {
         for (std::size_t p = 0; p < set.streams.size(); ++p) {
@@ -671,6 +663,8 @@ int serve_fleet(const kernels::OptimizationLevel level, std::size_t boards,
   table.add_row({"migrated pending", std::to_string(stats.migrated_pending)});
   table.add_row(
       {"migrated resolved", std::to_string(stats.totals.migrated_resolved)});
+  table.add_row(
+      {"migrated forgotten", std::to_string(stats.totals.migrated_forgotten)});
   table.add_row({"readmissions", std::to_string(stats.readmissions)});
   table.add_row({"boards admitted", std::to_string(stats.boards_admitted)});
   table.add_row({"weight version", std::to_string(stats.weight_version)});

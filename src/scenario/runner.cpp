@@ -170,7 +170,7 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
     // The ledger is only consulted at quiescent points (we just flushed),
     // so the tail length itself is deterministic.
     const serve::BoardFleet::Stats ledger = fleet.stats();
-    if (ledger.totals.migrated_resolved >= ledger.migrated_pending) break;
+    if (ledger.failover_resolved()) break;
     const std::uint64_t chunk =
         std::min<std::uint64_t>(scenario.hop, kResolveTailRounds - tail);
     for (std::uint64_t i = 0; i < chunk; ++i, ++tail) {

@@ -320,10 +320,13 @@ void BoardFleet::failover(std::size_t board) {
   const std::vector<ServingPipeline::ProcessSnapshot> snapshots =
       sick.pipeline->export_processes();
   for (const ServingPipeline::ProcessSnapshot& snapshot : snapshots) {
-    const std::size_t dest = place(snapshot.process);
+    const auto& [process, state] = snapshot;
+    const std::size_t dest = place(process);
     boards_[dest]->pipeline->import_process(snapshot);
-    routing_[snapshot.process] = dest;
-    if (snapshot.deferred_pending) {
+    routing_[process] = dest;
+    // A deferral already carried by an earlier failover is still owed to
+    // the same ledger entry; only a fresh carry opens a new one.
+    if (state.fresh_carry()) {
       migrated_pending_.fetch_add(1, std::memory_order_relaxed);
       obs::registry().add_counter("fleet.migrated_pending");
     }
@@ -458,6 +461,7 @@ BoardFleet::Stats BoardFleet::stats() const {
     stats.totals.batches += p.batches;
     stats.totals.migrated_in += p.migrated_in;
     stats.totals.migrated_resolved += p.migrated_resolved;
+    stats.totals.migrated_forgotten += p.migrated_forgotten;
     if (board->admitted.load(std::memory_order_acquire)) {
       ++stats.boards_admitted;
     }

@@ -22,11 +22,13 @@
 // and test_fleet): summed over boards,
 //
 //   enqueued == verdicts + deferred        and
-//   migrated_pending == migrated_resolved
+//   migrated_pending == migrated_resolved + migrated_forgotten
 //
 // i.e. every window that entered a ring either produced a verdict or was
 // deferred, and every deferral carried across a board failover was later
-// re-served on the destination board (the "migrated-then-resolved" leg).
+// re-served on the destination board (the "migrated-then-resolved" leg)
+// unless its process exited first. A pid that migrates again before its
+// carried deferral resolves is counted once, not per hop.
 //
 // Weight rollout is coordinated: update_weights() flips boards one at a
 // time through the engine's epoch-swap path, gated by a canary — the first
@@ -182,7 +184,7 @@ class BoardFleet {
     ServingPipeline::Stats totals;      ///< summed over boards
     std::uint64_t failovers{0};         ///< boards drained
     std::uint64_t migrations{0};        ///< pid moves between boards
-    std::uint64_t migrated_pending{0};  ///< pids moved owing a deferral
+    std::uint64_t migrated_pending{0};  ///< deferrals carried across a failover
     std::uint64_t readmissions{0};
     std::uint64_t rollouts{0};
     std::uint64_t weight_version{0};
@@ -192,9 +194,11 @@ class BoardFleet {
     bool conservation_ok() const {
       return totals.enqueued == totals.verdicts + totals.deferred;
     }
-    /// Every deferral carried across a failover was re-served.
+    /// Every deferral carried across a failover was re-served, or its
+    /// process was forgotten first.
     bool failover_resolved() const {
-      return totals.migrated_resolved == migrated_pending;
+      return totals.migrated_resolved + totals.migrated_forgotten ==
+             migrated_pending;
     }
   };
   Stats stats() const;

@@ -27,11 +27,7 @@ ServingPipeline::ServingPipeline(kernels::CsdLstmEngine& engine,
   CSDML_REQUIRE(config_.coalesce_max > 0,
                 "serve: coalesce_max must be positive");
   CSDML_REQUIRE(sink_ != nullptr, "serve: verdict sink required");
-  CSDML_REQUIRE(config_.detector.window_length > 0,
-                "serve: window must be positive");
-  CSDML_REQUIRE(config_.detector.hop > 0, "serve: hop must be positive");
-  CSDML_REQUIRE(config_.detector.consecutive_alerts > 0,
-                "serve: consecutive_alerts must be positive");
+  detect::validate(config_.detector);
   CSDML_REQUIRE(!config_.metrics_prefix.empty(),
                 "serve: metrics prefix must be non-empty");
   shards_.reserve(config_.shards);
@@ -51,26 +47,14 @@ void ServingPipeline::ingest(detect::ProcessId process, nn::TokenId token) {
   bool pushed = false;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const bool new_process = !shard.processes.contains(process);
-    ProcessState& state = shard.processes[process];
-    if (new_process) state.window = detect::TokenRing(config_.detector.window_length);
-    state.window.push(token);
-    ++state.calls_seen;
-    ++state.calls_since_eval;
+    detect::WindowTracker& tracker =
+        shard.processes.try_emplace(process, config_.detector).first->second;
+    if (!tracker.on_call(token, config_.detector)) return;
 
-    if (!state.window.full()) return;
-    // Same due-window rule as the synchronous detector: the call that
-    // first fills the window, then every `hop` calls.
-    const bool first_full_window =
-        state.calls_seen == config_.detector.window_length;
-    if (!first_full_window && state.calls_since_eval < config_.detector.hop) {
-      return;
-    }
-
-    const nn::TokenSpan view = state.window.view();
+    const nn::TokenSpan view = tracker.window();
     Request request;
     request.process = process;
-    request.call_index = state.calls_seen;
+    request.call_index = tracker.calls_seen();
     request.window.assign(view.begin(), view.end());
     request.enqueued_at = Clock::now();
     // flush() must never observe a completed request it has not yet seen
@@ -78,17 +62,15 @@ void ServingPipeline::ingest(detect::ProcessId process, nn::TokenId token) {
     // full ring.
     outstanding_.fetch_add(1, std::memory_order_seq_cst);
     if (shard.ring.try_push(std::move(request))) {
-      state.calls_since_eval = 0;
+      tracker.on_enqueued();
       enqueued_.fetch_add(1, std::memory_order_relaxed);
       pending_.fetch_add(1, std::memory_order_release);
       pushed = true;
     } else {
-      // Backpressure: shed to the deferral path, never drop. Priming the
-      // hop counter re-arms the classification on this process's next
-      // call, exactly like the CSD-unavailable deferral.
+      // Backpressure: shed to the deferral path, never drop — exactly like
+      // the CSD-unavailable deferral.
       outstanding_.fetch_sub(1, std::memory_order_seq_cst);
-      state.calls_since_eval = config_.detector.hop;
-      state.deferred_pending = true;
+      tracker.on_deferred(config_.detector);
       shed_.fetch_add(1, std::memory_order_relaxed);
       obs::registry().add_counter(metric("shed"));
     }
@@ -107,8 +89,13 @@ void ServingPipeline::forget(detect::ProcessId process) {
     obs::registry().add_counter(metric("forget_unknown"));
     return;
   }
-  if (it->second.deferred_pending) {
-    obs::registry().add_counter(metric("forget_pending"));
+  const detect::WindowTracker::Owed owed = it->second.on_forget();
+  if (owed.deferral) obs::registry().add_counter(metric("forget_pending"));
+  if (owed.migrated) {
+    // The migrated-then-resolved leg can no longer close; account for it
+    // so the fleet ledger still balances.
+    migrated_forgotten_.fetch_add(1, std::memory_order_relaxed);
+    obs::registry().add_counter(metric("migrated_forgotten"));
   }
   shard.processes.erase(it);
   obs::registry().add_counter(metric("processes_forgotten"));
@@ -119,16 +106,8 @@ ServingPipeline::export_processes() {
   std::vector<ProcessSnapshot> snapshots;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    for (auto& [process, state] : shard->processes) {
-      ProcessSnapshot snapshot;
-      snapshot.process = process;
-      const nn::TokenSpan view = state.window.view();
-      snapshot.window.assign(view.begin(), view.end());
-      snapshot.calls_seen = state.calls_seen;
-      snapshot.calls_since_eval = state.calls_since_eval;
-      snapshot.alert_streak = state.alert_streak;
-      snapshot.deferred_pending = state.deferred_pending;
-      snapshots.push_back(std::move(snapshot));
+    for (const auto& [process, tracker] : shard->processes) {
+      snapshots.emplace_back(process, tracker.snapshot());
     }
     shard->processes.clear();
   }
@@ -137,22 +116,11 @@ ServingPipeline::export_processes() {
 }
 
 void ServingPipeline::import_process(const ProcessSnapshot& snapshot) {
-  Shard& shard = shard_of(snapshot.process);
+  const auto& [process, state] = snapshot;
+  Shard& shard = shard_of(process);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  ProcessState& state = shard.processes[snapshot.process];
-  state.window = detect::TokenRing(config_.detector.window_length);
-  state.window.warm(nn::TokenSpan(snapshot.window.data(),
-                                  snapshot.window.size()));
-  state.calls_seen = snapshot.calls_seen;
-  // A carried deferral re-arms immediately: the next call is due. The
-  // migrated hop phase is otherwise preserved so the destination board
-  // classifies on the same call indices the source board would have.
-  state.calls_since_eval = snapshot.deferred_pending
-                               ? config_.detector.hop
-                               : snapshot.calls_since_eval;
-  state.alert_streak = snapshot.alert_streak;
-  state.deferred_pending = snapshot.deferred_pending;
-  state.migrated_pending = snapshot.deferred_pending;
+  shard.processes.insert_or_assign(
+      process, detect::WindowTracker::restore(state, config_.detector));
   migrated_in_.fetch_add(1, std::memory_order_relaxed);
   obs::registry().add_counter(metric("migrated_in"));
 }
@@ -190,6 +158,7 @@ ServingPipeline::Stats ServingPipeline::stats() const {
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.migrated_in = migrated_in_.load(std::memory_order_relaxed);
   stats.migrated_resolved = migrated_resolved_.load(std::memory_order_relaxed);
+  stats.migrated_forgotten = migrated_forgotten_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -311,23 +280,17 @@ void ServingPipeline::complete(
       // A process forgotten mid-flight still gets its verdict, but there
       // is no streak left to debounce against, so it can never alert.
       if (it != shard.processes.end()) {
-        ProcessState& state = it->second;
-        state.deferred_pending = false;
-        if (state.migrated_pending) {
+        const detect::WindowTracker::VerdictOutcome outcome =
+            it->second.on_verdict(probability, config_.detector);
+        alert = outcome.alert;
+        if (outcome.migrated_resolved) {
           // The deferral this process carried across a board failover has
           // now produced its verdict — the migrated-then-resolved leg of
           // the fleet conservation law.
-          state.migrated_pending = false;
           migrated_resolved_.fetch_add(1, std::memory_order_relaxed);
           metrics.add_counter(metric("migrated_resolved"));
         }
-        if (probability >= config_.detector.threshold) {
-          ++state.alert_streak;
-        } else {
-          state.alert_streak = 0;
-        }
-        alert = state.alert_streak >= config_.detector.consecutive_alerts;
-        if (!alert && state.alert_streak > 0) {
+        if (outcome.debounced) {
           metrics.add_counter(metric("debounce_suppressions"));
         }
       }
@@ -364,12 +327,7 @@ void ServingPipeline::defer_failed(std::vector<Request>& batch) {
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
       const auto it = shard.processes.find(request.process);
-      if (it != shard.processes.end()) {
-        // Re-arm for retry on the next call, the same never-drop contract
-        // as StreamingDetector's CsdUnavailable deferral.
-        it->second.calls_since_eval = config_.detector.hop;
-        it->second.deferred_pending = true;
-      }
+      if (it != shard.processes.end()) it->second.on_deferred(config_.detector);
     }
     deferred_.fetch_add(1, std::memory_order_relaxed);
     metrics.add_counter(metric("deferred"));

@@ -37,10 +37,11 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/spsc_ring.hpp"
-#include "detect/detector.hpp"
+#include "detect/window_tracker.hpp"
 #include "kernels/engine.hpp"
 
 namespace csdml::serve {
@@ -111,23 +112,14 @@ class ServingPipeline {
 
   /// Forgets a terminated process (unknown ids are a no-op). A pending
   /// deferral dies with the process and is counted in
-  /// `serve.forget_pending`; an in-flight window of the process still
+  /// `serve.forget_pending` (and, if it was carried in by a migration, in
+  /// `migrated_forgotten`); an in-flight window of the process still
   /// yields a verdict, with `alert` forced false (no streak to debounce
   /// against).
   void forget(detect::ProcessId process);
 
-  /// Portable copy of one process's sliding-window state — everything a
-  /// destination board needs to continue classifying where the source
-  /// board left off (window tokens oldest→newest, hop phase, debounce
-  /// streak, and whether a deferred classification is still owed).
-  struct ProcessSnapshot {
-    detect::ProcessId process{0};
-    std::vector<nn::TokenId> window;
-    std::uint64_t calls_seen{0};
-    std::uint64_t calls_since_eval{0};
-    std::size_t alert_streak{0};
-    bool deferred_pending{false};
-  };
+  using ProcessSnapshot =
+      std::pair<detect::ProcessId, detect::WindowTracker::Snapshot>;
 
   /// Drains every process's state out of the pipeline (the shard maps end
   /// up empty) for migration to other boards. Call only when quiescent for
@@ -135,9 +127,8 @@ class ServingPipeline {
   /// fleet enforces this by holding its routing lock exclusively.
   std::vector<ProcessSnapshot> export_processes();
 
-  /// Installs a migrated process (its TokenRing re-warmed from the
-  /// snapshot). A carried `deferred_pending` re-arms the owed
-  /// classification on the process's next call, and its eventual verdict
+  /// Installs a migrated process (WindowTracker::restore). A carried
+  /// deferral re-arms on the process's next call, and its eventual verdict
   /// is counted in `migrated_resolved` — the never-drop contract extended
   /// across board failover.
   void import_process(const ProcessSnapshot& snapshot);
@@ -161,6 +152,7 @@ class ServingPipeline {
     std::uint64_t batches{0};    ///< infer_batch calls issued
     std::uint64_t migrated_in{0};        ///< processes imported from other boards
     std::uint64_t migrated_resolved{0};  ///< carried deferrals that verdict'd here
+    std::uint64_t migrated_forgotten{0}; ///< carried deferrals whose pid was forgotten
   };
   Stats stats() const;
 
@@ -178,22 +170,9 @@ class ServingPipeline {
     Clock::time_point enqueued_at{};
   };
 
-  /// Same sliding-window bookkeeping as StreamingDetector::ProcessState,
-  /// owned by exactly one shard.
-  struct ProcessState {
-    detect::TokenRing window;
-    std::uint64_t calls_seen{0};
-    std::uint64_t calls_since_eval{0};
-    std::size_t alert_streak{0};
-    bool deferred_pending{false};
-    /// Imported from another board with a deferral owed; cleared (and
-    /// counted as resolved) by the first verdict delivered here.
-    bool migrated_pending{false};
-  };
-
   struct Shard {
     std::mutex mutex;  ///< process map + ring producer side
-    std::unordered_map<detect::ProcessId, ProcessState> processes;
+    std::unordered_map<detect::ProcessId, detect::WindowTracker> processes;
     SpscRing<Request> ring;
 
     explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
@@ -249,6 +228,7 @@ class ServingPipeline {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> migrated_in_{0};
   std::atomic<std::uint64_t> migrated_resolved_{0};
+  std::atomic<std::uint64_t> migrated_forgotten_{0};
 
   std::thread coalescer_;  ///< last member: started once everything above exists
 };

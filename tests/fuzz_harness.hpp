@@ -9,9 +9,10 @@
 // detector emits:
 //
 //   * parity: the served probability is bit-identical to the matching
-//     oracle recomputed on a shadow copy of the process window — fused vs
-//     infer_reference vs host-baseline, depending on which path served;
-//   * no silent drops: whenever the shadow model says a classification is
+//     oracle recomputed on the reference WindowModel's copy of the process
+//     window (window_oracle.hpp) — fused vs infer_reference vs
+//     host-baseline, depending on which path served;
+//   * no silent drops: whenever the reference model says a classification is
 //     due, the detector either ran it or deferred it (degraded counter),
 //     never neither;
 //   * determinism: the injected-fault log digest and an FNV digest over
@@ -24,7 +25,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,6 +39,7 @@
 #include "kernels/engine.hpp"
 #include "kernels/functional.hpp"
 #include "nn/lstm.hpp"
+#include "window_oracle.hpp"
 
 namespace csdml::testing {
 
@@ -101,11 +102,8 @@ class FuzzStack {
 
     // threshold 0 + no debounce: every classification surfaces as a
     // Detection, so parity is checked on all of them.
-    detector_ = std::make_unique<detect::StreamingDetector>(
-        *engine_, detect::DetectorConfig{.window_length = config_.window_length,
-                                         .hop = config_.hop,
-                                         .threshold = 0.0,
-                                         .consecutive_alerts = 1});
+    detector_ = std::make_unique<detect::StreamingDetector>(*engine_,
+                                                            detector_config());
   }
 
   faults::FaultPlan& plan() { return plan_; }
@@ -147,26 +145,18 @@ class FuzzStack {
   static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
   static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-  struct ShadowProcess {
-    std::deque<nn::TokenId> window;
-    std::uint64_t calls_seen{0};
-    std::uint64_t calls_since_eval{0};
-  };
+  detect::DetectorConfig detector_config() const {
+    return {.window_length = config_.window_length,
+            .hop = config_.hop,
+            .threshold = 0.0,
+            .consecutive_alerts = 1};
+  }
 
   void digest_word(std::uint64_t word) {
     for (int byte = 0; byte < 8; ++byte) {
       outcome_digest_ ^= (word >> (byte * 8)) & 0xffULL;
       outcome_digest_ *= kFnvPrime;
     }
-  }
-
-  /// Mirrors StreamingDetector's scheduling: true when this call triggers
-  /// a classification attempt for the shadow process.
-  static bool classification_due(const ShadowProcess& shadow,
-                                 const FuzzConfig& config) {
-    if (shadow.window.size() < config.window_length) return false;
-    if (shadow.calls_seen == config.window_length) return true;
-    return shadow.calls_since_eval >= config.hop;
   }
 
   double oracle_probability(const std::vector<nn::TokenId>& window,
@@ -197,12 +187,8 @@ class FuzzStack {
     const auto token = static_cast<nn::TokenId>(
         rng.uniform_int(0, model_config_.vocab_size - 1));
 
-    ShadowProcess& shadow = shadows_[pid];
-    shadow.window.push_back(token);
-    if (shadow.window.size() > config_.window_length) shadow.window.pop_front();
-    ++shadow.calls_seen;
-    ++shadow.calls_since_eval;
-    const bool due = classification_due(shadow, config_);
+    WindowModel& shadow = shadows_.try_emplace(pid, detector_config()).first->second;
+    const bool due = shadow.call(token);
 
     const std::uint64_t classified_before = detector_->classifications_run();
     const std::uint64_t deferred_before = detector_->degraded_classifications();
@@ -218,8 +204,12 @@ class FuzzStack {
     }
     if (due) {
       // Keep the shadow scheduler in lockstep with the detector's deferred
-      // retry: a deferred classification re-arms the hop counter.
-      shadow.calls_since_eval = deferred != 0 ? config_.hop : 0;
+      // retry: a deferred classification re-arms the next call.
+      if (deferred != 0) {
+        shadow.deferred();
+      } else {
+        shadow.enqueued();
+      }
     }
 
     if (!detection.has_value()) {
@@ -229,8 +219,7 @@ class FuzzStack {
     ++outcome.detections;
     if (detection->degraded) ++outcome.degraded_serves;
 
-    const std::vector<nn::TokenId> window(shadow.window.begin(),
-                                          shadow.window.end());
+    const std::vector<nn::TokenId> window = shadow.window();
     const double expected = oracle_probability(window, detection->degraded);
     if (detection->probability != expected || !oracle_self_consistent(window)) {
       ++outcome.parity_mismatches;
@@ -290,7 +279,7 @@ class FuzzStack {
   std::unique_ptr<baselines::HostBaseline> host_oracle_;
   std::unique_ptr<kernels::CsdLstmEngine> engine_;
   std::unique_ptr<detect::StreamingDetector> detector_;
-  std::unordered_map<detect::ProcessId, ShadowProcess> shadows_;
+  std::unordered_map<detect::ProcessId, WindowModel> shadows_;
   std::uint64_t outcome_digest_{kFnvOffset};
 };
 

@@ -12,10 +12,10 @@
 
 #include "common/rng.hpp"
 #include "detect/detector.hpp"
-#include "detect/token_ring.hpp"
 #include "kernels/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "window_oracle.hpp"
 
 namespace csdml::serve {
 namespace {
@@ -38,23 +38,10 @@ FleetConfig tiny_fleet_config(std::size_t boards) {
   return config;
 }
 
-std::vector<nn::TokenId> random_stream(std::uint64_t seed, std::size_t calls,
-                                       std::int32_t vocab) {
-  Rng rng(seed);
-  std::vector<nn::TokenId> stream;
-  stream.reserve(calls);
-  for (std::size_t i = 0; i < calls; ++i) {
-    stream.push_back(static_cast<nn::TokenId>(rng.uniform_int(0, vocab - 1)));
-  }
-  return stream;
-}
-
-struct LoggedVerdict {
-  std::uint64_t call_index{0};
-  double probability{0.0};
-  bool alert{false};
-};
-using VerdictLog = std::map<detect::ProcessId, std::vector<LoggedVerdict>>;
+using csdml::testing::random_stream;
+using csdml::testing::Streams;
+using csdml::testing::sync_replay;
+using csdml::testing::VerdictLog;
 
 /// Thread-safe collecting sink shared by every fleet under test.
 struct Collector {
@@ -69,8 +56,6 @@ struct Collector {
     };
   }
 };
-
-using Streams = std::map<detect::ProcessId, std::vector<nn::TokenId>>;
 
 Streams make_streams(std::size_t processes, std::size_t calls,
                      std::int32_t vocab) {
@@ -105,38 +90,6 @@ std::size_t feed_until_latched(BoardFleet& fleet, const Streams& streams,
   }
   EXPECT_FALSE(fleet.engine(victim).healthy());
   return cursor;
-}
-
-/// The synchronous oracle from test_serving, over one shared engine: the
-/// fleet's board-local windows must reproduce it bit-exactly.
-VerdictLog sync_replay(kernels::CsdLstmEngine& engine,
-                       const detect::DetectorConfig& config,
-                       const Streams& streams) {
-  VerdictLog log;
-  for (const auto& [pid, stream] : streams) {
-    detect::TokenRing window(config.window_length);
-    std::uint64_t calls_seen = 0;
-    std::uint64_t since_eval = 0;
-    std::size_t streak = 0;
-    for (const nn::TokenId token : stream) {
-      window.push(token);
-      ++calls_seen;
-      ++since_eval;
-      if (!window.full()) continue;
-      const bool first_full = calls_seen == config.window_length;
-      if (!first_full && since_eval < config.hop) continue;
-      since_eval = 0;
-      const kernels::InferenceResult result = engine.infer(window.view());
-      if (result.probability >= config.threshold) {
-        ++streak;
-      } else {
-        streak = 0;
-      }
-      log[pid].push_back({calls_seen, result.probability,
-                          streak >= config.consecutive_alerts});
-    }
-  }
-  return log;
 }
 
 TEST(Fleet, PlacementDeterministicAndSticky) {
@@ -198,17 +151,7 @@ TEST(Fleet, VerdictsMatchSyncOracleAcrossBoards) {
 
   // Board-local windows: scattering pids across boards must not change a
   // single classification (probability, call index, alert) — bit-exact.
-  ASSERT_EQ(collector.log.size(), oracle.size());
-  for (const auto& [pid, expected] : oracle) {
-    const auto it = collector.log.find(pid);
-    ASSERT_NE(it, collector.log.end());
-    ASSERT_EQ(it->second.size(), expected.size()) << "pid " << pid;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(it->second[i].call_index, expected[i].call_index);
-      EXPECT_EQ(it->second[i].probability, expected[i].probability);
-      EXPECT_EQ(it->second[i].alert, expected[i].alert);
-    }
-  }
+  EXPECT_EQ(collector.log, oracle);
   EXPECT_TRUE(fleet.stats().conservation_ok());
 }
 
@@ -254,6 +197,81 @@ TEST(Fleet, FailoverRemapsOnlyVictimPidsAndConserves) {
   EXPECT_TRUE(stats.conservation_ok());
   EXPECT_TRUE(stats.failover_resolved());
   EXPECT_EQ(stats.totals.migrated_resolved, stats.migrated_pending);
+}
+
+TEST(Fleet, ChainedFailoverCountsCarriedDeferralOnce) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  constexpr std::size_t kCalls = 200;
+  const Streams streams = make_streams(12, kCalls, model.vocab_size);
+  obs::registry().reset();
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(3), collector.sink());
+  feed(fleet, streams, 0, 40);
+  fleet.flush();
+
+  // Kill pid 1's owner, fail over; then kill the board pid 1 landed on
+  // before its carried deferral is re-served, and fail over again.
+  const std::size_t first = fleet.board_of(1);
+  fleet.kill_board(first);
+  std::size_t cursor = feed_until_latched(fleet, streams, 40, first);
+  fleet.check_health();
+  const std::size_t second = fleet.board_of(1);
+  ASSERT_NE(second, first);
+  fleet.kill_board(second);
+  cursor = feed_until_latched(fleet, streams, cursor, second);
+  fleet.check_health();
+  ASSERT_EQ(fleet.stats().failovers, 2u);
+
+  feed(fleet, streams, cursor, kCalls);
+  fleet.flush();
+  fleet.stop();
+  const BoardFleet::Stats stats = fleet.stats();
+  EXPECT_GT(stats.migrated_pending, 0u);
+  EXPECT_TRUE(stats.conservation_ok());
+  EXPECT_EQ(stats.totals.migrated_resolved, stats.migrated_pending);
+  EXPECT_TRUE(stats.failover_resolved());
+  // Every pid kept verdicting to the end of its stream.
+  const std::size_t hop = tiny_fleet_config(3).serve.detector.hop;
+  for (const auto& [pid, stream] : streams) {
+    ASSERT_FALSE(collector.log[pid].empty()) << "pid " << pid;
+    EXPECT_GT(collector.log[pid].back().call_index, kCalls - hop) << "pid " << pid;
+  }
+}
+
+TEST(Fleet, ForgottenMigratedDeferralBalancesLedger) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  const Streams streams = make_streams(8, 120, model.vocab_size);
+  obs::registry().reset();
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(2), collector.sink());
+  feed(fleet, streams, 0, 40);
+  fleet.flush();
+  const std::size_t victim = fleet.board_of(1);
+  std::vector<detect::ProcessId> moved;
+  for (const auto& [pid, stream] : streams) {
+    if (fleet.board_of(pid) == victim) moved.push_back(pid);
+  }
+  fleet.kill_board(victim);
+  feed_until_latched(fleet, streams, 40, victim);
+  fleet.check_health();
+  ASSERT_EQ(fleet.stats().failovers, 1u);
+  ASSERT_GT(fleet.stats().migrated_pending, 0u);
+
+  // Every migrated pid exits before its carried window is re-served.
+  for (const detect::ProcessId pid : moved) fleet.forget(pid);
+  fleet.flush();
+  fleet.stop();
+  const BoardFleet::Stats stats = fleet.stats();
+  EXPECT_EQ(stats.totals.migrated_resolved, 0u);
+  EXPECT_EQ(stats.totals.migrated_forgotten, stats.migrated_pending);
+  EXPECT_TRUE(stats.failover_resolved());
+  EXPECT_EQ(obs::registry().counter_value("fleet.b" + std::to_string(1 - victim) +
+                                          ".migrated_forgotten"),
+            stats.migrated_pending);
 }
 
 TEST(Fleet, SloBurnDrainsBoardAndProbeReadmits) {

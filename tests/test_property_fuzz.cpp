@@ -1,13 +1,16 @@
-// Property-based fuzzing of the two data structures whose correctness the
+// Property-based fuzzing of the data structures whose correctness the
 // serving path leans on hardest:
 //
 //   * TokenRing — the zero-copy sliding window — against a naive
 //     std::deque model, over randomized push/clear streams and capacities;
+//   * WindowTracker — the per-process due/deferral/migration state machine —
+//     against the reference WindowModel (window_oracle.hpp), over random
+//     call/enqueue/shed/verdict/defer/forget/migrate lifecycles;
 //   * InvariantScale::mul — the reciprocal-estimate fast path — against
 //     ScaledFixed::mul_raw, the exact 128-bit oracle, over adversarial
 //     ±2^k±1 operands that straddle the double-exact window.
 //
-// Both run ≥10k seeded iterations (scalable via CSDML_FUZZ_ITERS).
+// Each runs ≥10k seeded iterations (scalable via CSDML_FUZZ_ITERS).
 #include "detect/token_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +21,9 @@
 
 #include "common/rng.hpp"
 #include "fixed/scaled_fixed.hpp"
+#include "detect/window_tracker.hpp"
 #include "fuzz_harness.hpp"
+#include "window_oracle.hpp"
 
 namespace csdml {
 namespace {
@@ -51,6 +56,78 @@ TEST(TokenRingProperty, MatchesDequeModelOverRandomOperations) {
       ASSERT_TRUE(std::equal(window.begin(), window.end(), model.begin()))
           << "capacity " << capacity << " after op " << op;
     }
+  }
+}
+
+TEST(WindowTrackerProperty, MatchesReferenceModelOverRandomLifecycles) {
+  Rng rng(0x7AC4E2);
+  const std::size_t iterations = testing::fuzz_iterations(10'000);
+  std::size_t operations = 0;
+  while (operations < iterations) {
+    // hop up to 12 over windows up to 8: hop > window is covered.
+    const detect::DetectorConfig config{
+        .window_length = static_cast<std::size_t>(rng.uniform_int(1, 8)),
+        .hop = static_cast<std::size_t>(rng.uniform_int(1, 12)),
+        .threshold = 0.5,
+        .consecutive_alerts = static_cast<std::size_t>(rng.uniform_int(1, 3))};
+    detect::WindowTracker tracker(config);
+    testing::WindowModel model(config);
+    std::size_t in_flight = 0;  // accepted windows awaiting verdict/deferral
+    // Migration ledger, as the fleet keeps it.
+    std::uint64_t carried = 0;
+    std::uint64_t resolved = 0;
+    std::uint64_t forgotten = 0;
+    const auto episode = static_cast<std::size_t>(rng.uniform_int(1, 96));
+    for (std::size_t op = 0; op < episode; ++op, ++operations) {
+      const double roll = rng.uniform();
+      if (roll < 0.6) {
+        const auto token = static_cast<nn::TokenId>(rng.uniform_int(0, 1'000));
+        const bool due = tracker.on_call(token, config);
+        ASSERT_EQ(due, model.call(token)) << "call " << model.calls();
+        if (due && rng.chance(0.25)) {  // ring full / CSD down: shed
+          tracker.on_deferred(config);
+          model.deferred();
+        } else if (due) {
+          tracker.on_enqueued();
+          model.enqueued();
+          ++in_flight;
+        }
+      } else if (roll < 0.78 && in_flight > 0) {
+        --in_flight;
+        const double probability = rng.uniform();
+        const bool carried_in = model.migrated();
+        const detect::WindowTracker::VerdictOutcome outcome =
+            tracker.on_verdict(probability, config);
+        ASSERT_EQ(outcome.alert, model.verdict(probability));
+        ASSERT_EQ(outcome.migrated_resolved, carried_in);
+        resolved += outcome.migrated_resolved ? 1 : 0;
+      } else if (roll < 0.86 && in_flight > 0) {  // the batch failed
+        --in_flight;
+        tracker.on_deferred(config);
+        model.deferred();
+      } else if (roll < 0.95 && in_flight == 0) {
+        // Migration happens only when quiescent (the fleet flushes first).
+        const detect::WindowTracker::Snapshot snapshot = tracker.snapshot();
+        ASSERT_EQ(snapshot.fresh_carry(), model.migrate());
+        carried += snapshot.fresh_carry() ? 1 : 0;
+        tracker = detect::WindowTracker::restore(snapshot, config);
+      } else if (roll >= 0.95) {
+        // Forget, then the pid comes back as a fresh process; verdicts
+        // still in flight land on no tracker.
+        forgotten += tracker.on_forget().migrated ? 1 : 0;
+        tracker = detect::WindowTracker(config);
+        model = testing::WindowModel(config);
+        in_flight = 0;
+      }
+      ASSERT_EQ(tracker.calls_seen(), model.calls());
+      const nn::TokenSpan view = tracker.window();
+      ASSERT_EQ(std::vector<nn::TokenId>(view.begin(), view.end()), model.window());
+      ASSERT_EQ(tracker.on_forget().deferral, model.owed()) << "op " << op;
+      ASSERT_EQ(tracker.on_forget().migrated, model.migrated()) << "op " << op;
+    }
+    forgotten += tracker.on_forget().migrated ? 1 : 0;
+    ASSERT_EQ(resolved + forgotten, carried)
+        << "window " << config.window_length << " hop " << config.hop;
   }
 }
 

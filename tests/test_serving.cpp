@@ -15,10 +15,10 @@
 #include "common/rng.hpp"
 #include "common/spsc_ring.hpp"
 #include "detect/detector.hpp"
-#include "detect/token_ring.hpp"
 #include "faults/fault_plan.hpp"
 #include "kernels/engine.hpp"
 #include "obs/metrics.hpp"
+#include "window_oracle.hpp"
 
 namespace csdml::serve {
 namespace {
@@ -27,56 +27,10 @@ nn::LstmConfig tiny_model() {
   return nn::LstmConfig{.vocab_size = 32, .embed_dim = 4, .hidden_dim = 8};
 }
 
-std::vector<nn::TokenId> random_stream(std::uint64_t seed, std::size_t calls,
-                                       std::int32_t vocab) {
-  Rng rng(seed);
-  std::vector<nn::TokenId> stream;
-  stream.reserve(calls);
-  for (std::size_t i = 0; i < calls; ++i) {
-    stream.push_back(static_cast<nn::TokenId>(rng.uniform_int(0, vocab - 1)));
-  }
-  return stream;
-}
-
-struct LoggedVerdict {
-  std::uint64_t call_index{0};
-  double probability{0.0};
-  bool alert{false};
-};
-using VerdictLog = std::map<detect::ProcessId, std::vector<LoggedVerdict>>;
-
-/// The synchronous oracle: detector window/hop/debounce semantics replayed
-/// inline against engine.infer, every classification captured.
-VerdictLog sync_replay(kernels::CsdLstmEngine& engine,
-                       const detect::DetectorConfig& config,
-                       const std::map<detect::ProcessId,
-                                      std::vector<nn::TokenId>>& streams) {
-  VerdictLog log;
-  for (const auto& [pid, stream] : streams) {
-    detect::TokenRing window(config.window_length);
-    std::uint64_t calls_seen = 0;
-    std::uint64_t since_eval = 0;
-    std::size_t streak = 0;
-    for (const nn::TokenId token : stream) {
-      window.push(token);
-      ++calls_seen;
-      ++since_eval;
-      if (!window.full()) continue;
-      const bool first_full = calls_seen == config.window_length;
-      if (!first_full && since_eval < config.hop) continue;
-      since_eval = 0;
-      const kernels::InferenceResult result = engine.infer(window.view());
-      if (result.probability >= config.threshold) {
-        ++streak;
-      } else {
-        streak = 0;
-      }
-      log[pid].push_back({calls_seen, result.probability,
-                          streak >= config.consecutive_alerts});
-    }
-  }
-  return log;
-}
+using csdml::testing::LoggedVerdict;
+using csdml::testing::random_stream;
+using csdml::testing::sync_replay;
+using csdml::testing::VerdictLog;
 
 TEST(SpscRing, FifoAcrossWraparound) {
   SpscRing<int> ring(4);
@@ -178,18 +132,8 @@ TEST(Serving, MatchesSynchronousReplayBitExactly) {
   EXPECT_EQ(stats.deferred, 0u);
   EXPECT_EQ(stats.verdicts, stats.enqueued);
 
-  ASSERT_EQ(observed.size(), oracle.size());
-  for (const auto& [pid, expected] : oracle) {
-    ASSERT_TRUE(observed.contains(pid)) << "pid " << pid;
-    const auto& actual = observed[pid];
-    ASSERT_EQ(actual.size(), expected.size()) << "pid " << pid;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i].call_index, expected[i].call_index);
-      // Bit-identical: the async batch path runs the same datapath.
-      EXPECT_EQ(actual[i].probability, expected[i].probability);
-      EXPECT_EQ(actual[i].alert, expected[i].alert);
-    }
-  }
+  // Bit-identical: the async batch path runs the same datapath.
+  EXPECT_EQ(observed, oracle);
 }
 
 TEST(Serving, DebouncesAlertsLikeTheDetector) {
@@ -388,6 +332,55 @@ TEST(Serving, ForgetIsANoOpForUnknownProcesses) {
   pipeline.forget(404);
   EXPECT_EQ(obs::registry().counter_value("serve.forget_unknown"),
             unknown_before + 1);
+  pipeline.stop();
+}
+
+TEST(Serving, StaleVerdictDoesNotSettleNewerShed) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(53);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  csd::SmartSsd board{csd::SmartSsdConfig{}};
+  xrt::Device device{board};
+  kernels::CsdLstmEngine engine(device, model, params, {});
+
+  ServeConfig config;
+  config.shards = 1;
+  config.ring_capacity = 1;
+  config.coalesce_max = 1;
+  config.detector = detect::DetectorConfig{.window_length = 4, .hop = 4};
+  config.metrics_prefix = "stale";
+  // The sink wedges on the first verdict: window 4 is in flight, window 8
+  // fills the one-slot ring, and window 12 must shed.
+  std::mutex sink_mutex;
+  std::condition_variable sink_cv;
+  bool in_flight = false;
+  bool released = false;
+  ServingPipeline pipeline(engine, config, [&](const Verdict&) {
+    std::unique_lock<std::mutex> lock(sink_mutex);
+    in_flight = true;
+    sink_cv.notify_all();
+    sink_cv.wait(lock, [&] { return released; });
+  });
+  const std::vector<nn::TokenId> stream = random_stream(59, 12, model.vocab_size);
+  for (std::size_t i = 0; i < 4; ++i) pipeline.ingest(3, stream[i]);
+  {
+    std::unique_lock<std::mutex> lock(sink_mutex);
+    sink_cv.wait(lock, [&] { return in_flight; });
+  }
+  for (std::size_t i = 4; i < 12; ++i) pipeline.ingest(3, stream[i]);
+  EXPECT_EQ(pipeline.stats().shed, 1u);
+  {
+    std::lock_guard<std::mutex> lock(sink_mutex);
+    released = true;
+  }
+  sink_cv.notify_all();
+  pipeline.flush();
+  EXPECT_EQ(pipeline.stats().verdicts, 2u);
+
+  // Both verdicts were for windows enqueued before the shed: the
+  // classification of call 12 is still owed when the process exits.
+  pipeline.forget(3);
+  EXPECT_EQ(obs::registry().counter_value("stale.forget_pending"), 1u);
   pipeline.stop();
 }
 

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -21,10 +20,10 @@
 
 #include "baselines/host_baseline.hpp"
 #include "common/thread_pool.hpp"
-#include "detect/token_ring.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/metrics.hpp"
 #include "serve/serving.hpp"
+#include "window_oracle.hpp"
 
 namespace csdml::kernels {
 namespace {
@@ -134,48 +133,18 @@ TEST(StressThreads, ServingParityUnderEightThreadIngest) {
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kCalls = 200;
 
-  std::map<detect::ProcessId, std::vector<nn::TokenId>> streams;
+  csdml::testing::Streams streams;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    Rng token_rng(100 + t);
-    std::vector<nn::TokenId>& stream = streams[t + 1];
-    for (std::size_t i = 0; i < kCalls; ++i) {
-      stream.push_back(static_cast<nn::TokenId>(
-          token_rng.uniform_int(0, model_config.vocab_size - 1)));
-    }
+    streams[t + 1] =
+        csdml::testing::random_stream(100 + t, kCalls, model_config.vocab_size);
   }
 
-  // Synchronous oracle: hand-rolled window/hop/debounce replay.
-  struct Expected {
-    std::uint64_t call_index;
-    double probability;
-    bool alert;
-  };
-  std::map<detect::ProcessId, std::vector<Expected>> oracle;
+  csdml::testing::VerdictLog oracle;
   {
     csd::SmartSsd board{csd::SmartSsdConfig{}};
     xrt::Device device{board};
     CsdLstmEngine engine(device, model_config, params, {});
-    for (const auto& [pid, stream] : streams) {
-      detect::TokenRing window(detector.window_length);
-      std::uint64_t calls_seen = 0;
-      std::uint64_t since_eval = 0;
-      std::size_t streak = 0;
-      for (const nn::TokenId token : stream) {
-        window.push(token);
-        ++calls_seen;
-        ++since_eval;
-        if (!window.full()) continue;
-        if (calls_seen != detector.window_length &&
-            since_eval < detector.hop) {
-          continue;
-        }
-        since_eval = 0;
-        const InferenceResult result = engine.infer(window.view());
-        streak = result.probability >= detector.threshold ? streak + 1 : 0;
-        oracle[pid].push_back({calls_seen, result.probability,
-                               streak >= detector.consecutive_alerts});
-      }
-    }
+    oracle = csdml::testing::sync_replay(engine, detector, streams);
   }
 
   csd::SmartSsd board{csd::SmartSsdConfig{}};
@@ -186,7 +155,7 @@ TEST(StressThreads, ServingParityUnderEightThreadIngest) {
   config.ring_capacity = 1024;
   config.detector = detector;
   std::mutex log_mutex;
-  std::map<detect::ProcessId, std::vector<Expected>> observed;
+  csdml::testing::VerdictLog observed;
   serve::ServingPipeline pipeline(
       engine, config, [&](const serve::Verdict& verdict) {
         std::lock_guard<std::mutex> lock(log_mutex);
@@ -211,17 +180,7 @@ TEST(StressThreads, ServingParityUnderEightThreadIngest) {
   const serve::ServingPipeline::Stats stats = pipeline.stats();
   EXPECT_EQ(stats.shed, 0u);
   EXPECT_EQ(stats.verdicts, stats.enqueued);
-  ASSERT_EQ(observed.size(), oracle.size());
-  for (const auto& [pid, expected] : oracle) {
-    const auto& actual = observed[pid];
-    ASSERT_EQ(actual.size(), expected.size()) << "pid " << pid;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(actual[i].call_index, expected[i].call_index);
-      ASSERT_EQ(actual[i].probability, expected[i].probability)
-          << "pid " << pid << " verdict " << i;
-      ASSERT_EQ(actual[i].alert, expected[i].alert);
-    }
-  }
+  EXPECT_EQ(observed, oracle);
 }
 
 TEST(StressThreads, ServingIngestRacesHotSwapsAndFaults) {
@@ -254,14 +213,10 @@ TEST(StressThreads, ServingIngestRacesHotSwapsAndFaults) {
   const detect::DetectorConfig detector{.window_length = 16, .hop = 8};
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kCalls = 160;
-  std::map<detect::ProcessId, std::vector<nn::TokenId>> streams;
+  csdml::testing::Streams streams;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    Rng token_rng(200 + t);
-    std::vector<nn::TokenId>& stream = streams[t + 1];
-    for (std::size_t i = 0; i < kCalls; ++i) {
-      stream.push_back(static_cast<nn::TokenId>(
-          token_rng.uniform_int(0, model_config.vocab_size - 1)));
-    }
+    streams[t + 1] =
+        csdml::testing::random_stream(200 + t, kCalls, model_config.vocab_size);
   }
 
   serve::ServeConfig config;
@@ -348,14 +303,10 @@ TEST(StressThreads, ShutdownRacesIngestBacklogWithoutDroppingWork) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kCalls = 96;
   constexpr int kRounds = 12;
-  std::map<detect::ProcessId, std::vector<nn::TokenId>> streams;
+  csdml::testing::Streams streams;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    Rng token_rng(300 + t);
-    std::vector<nn::TokenId>& stream = streams[t + 1];
-    for (std::size_t i = 0; i < kCalls; ++i) {
-      stream.push_back(static_cast<nn::TokenId>(
-          token_rng.uniform_int(0, model_config.vocab_size - 1)));
-    }
+    streams[t + 1] =
+        csdml::testing::random_stream(300 + t, kCalls, model_config.vocab_size);
   }
 
   int rounds_with_backlog = 0;
