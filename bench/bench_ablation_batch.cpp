@@ -7,7 +7,7 @@
 
 #include "baselines/host_baseline.hpp"
 #include "bench_util.hpp"
-#include "host/node.hpp"
+#include "serve/fleet.hpp"
 
 int main() {
   using namespace csdml;
@@ -54,8 +54,9 @@ int main() {
   TextTable throughput({"platform", "batch", "windows_per_s"});
   const double fpga_tp = engine.infer_batch(windows).windows_per_second;
   throughput.add_row({"FPGA (one CSD)", "streamed", TextTable::num(fpga_tp, 0)});
-  host::StorageNode node(snapshot, host::NodeConfig{.drive_count = 4});
-  const host::ScanReport scan = node.scan(windows);
+  serve::BoardFleet fleet(config, snapshot.params, serve::FleetConfig{.boards = 4},
+                          [](const serve::Verdict&) {});
+  const serve::ScanReport scan = fleet.scan(windows);
   const double node_tp = static_cast<double>(scan.scanned) /
                          (static_cast<double>(scan.makespan.picos) * 1e-12);
   throughput.add_row({"FPGA (4-drive node)", "streamed",

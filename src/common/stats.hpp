@@ -1,11 +1,14 @@
-// Descriptive statistics and confidence intervals.
+// Descriptive statistics, confidence intervals and distribution drift.
 //
 // Table I of the paper reports execution-time means with 95% confidence
 // intervals; ConfidenceInterval reproduces that computation (Student-t,
-// two-sided) exactly.
+// two-sided) exactly. The PSI and KS statistics are the one drift
+// primitive shared by the API-category monitor (detect::DriftMonitor) and
+// the verdict-score monitor (obs::ScoreDrift).
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace csdml {
@@ -52,5 +55,19 @@ ConfidenceInterval confidence_interval(const std::vector<double>& samples,
 
 /// p in [0,1]; linear interpolation between order statistics.
 double percentile(std::vector<double> samples, double p);
+
+/// Population Stability Index of `observed` against `expected`: two
+/// equal-length histograms (counts or masses), each normalised by its own
+/// total. Every normalised bin is floored at 1e-6, so a bin empty on one
+/// side stays finite. 0 = identical; common bands are < 0.10 stable,
+/// 0.10-0.25 moderate shift, > 0.25 major shift. Both sides need
+/// positive mass.
+double population_stability_index(std::span<const double> expected,
+                                  std::span<const double> observed);
+
+/// Kolmogorov-Smirnov statistic: the largest gap between the two
+/// histograms' CDFs, under the same preconditions as the PSI.
+double ks_statistic(std::span<const double> expected,
+                    std::span<const double> observed);
 
 }  // namespace csdml

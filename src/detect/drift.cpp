@@ -1,14 +1,11 @@
 #include "detect/drift.hpp"
 
-#include <cmath>
+#include <numeric>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 
 namespace csdml::detect {
-
-namespace {
-constexpr double kSmoothing = 1e-4;  // avoids log(0) on empty categories
-}
 
 CategoryDistribution category_distribution(const std::vector<nn::TokenId>& tokens) {
   CSDML_REQUIRE(!tokens.empty(), "empty token stream");
@@ -30,56 +27,36 @@ CategoryDistribution category_distribution(const nn::SequenceDataset& dataset) {
   return category_distribution(all);
 }
 
-double population_stability_index(const CategoryDistribution& reference,
-                                  const CategoryDistribution& observed) {
-  double psi = 0.0;
-  for (std::size_t c = 0; c < kCategoryCount; ++c) {
-    const double r = reference[c] + kSmoothing;
-    const double o = observed[c] + kSmoothing;
-    psi += (o - r) * std::log(o / r);
-  }
-  return psi;
+obs::AlertRule category_drift_rule() {
+  obs::AlertRule rule;
+  rule.id = "detect.category_drift";
+  rule.series = kCategoryPsiSeries;
+  rule.kind = obs::AlertRuleKind::AboveThreshold;
+  rule.threshold = 0.25;
+  rule.min_samples = 1;  // every window counts, the first one included
+  rule.fire_for = 2;
+  return rule;
 }
 
-DriftMonitor::DriftMonitor(CategoryDistribution reference, DriftConfig config)
-    : reference_(reference), config_(config) {
-  CSDML_REQUIRE(config_.window_tokens > 0, "window must be positive");
-  CSDML_REQUIRE(config_.consecutive_windows > 0,
-                "consecutive_windows must be positive");
-  CSDML_REQUIRE(config_.psi_threshold > 0.0, "threshold must be positive");
+DriftMonitor::DriftMonitor(CategoryDistribution reference,
+                           std::size_t window_tokens)
+    : reference_(reference), window_tokens_(window_tokens) {
+  CSDML_REQUIRE(window_tokens_ > 0, "window must be positive");
+  CSDML_REQUIRE(std::accumulate(reference_.begin(), reference_.end(), 0.0) > 0.0,
+                "reference distribution needs positive mass");
 }
 
-bool DriftMonitor::observe(nn::TokenId token) {
+std::optional<double> DriftMonitor::observe(nn::TokenId token) {
   const auto& vocab = ransomware::ApiVocabulary::instance();
-  counts_[static_cast<std::size_t>(vocab.call(token).category)] += 1;
-  if (++tokens_in_window_ < config_.window_tokens) return false;
+  counts_[static_cast<std::size_t>(vocab.call(token).category)] += 1.0;
+  if (++tokens_in_window_ < window_tokens_) return std::nullopt;
 
   // Window complete: evaluate and reset the accumulator.
-  CategoryDistribution observed{};
-  for (std::size_t c = 0; c < kCategoryCount; ++c) {
-    observed[c] = static_cast<double>(counts_[c]) /
-                  static_cast<double>(config_.window_tokens);
-  }
-  counts_.fill(0);
+  const double psi = population_stability_index(reference_, counts_);
+  counts_.fill(0.0);
   tokens_in_window_ = 0;
   ++windows_;
-
-  last_psi_ = population_stability_index(reference_, observed);
-  if (last_psi_ >= config_.psi_threshold) {
-    ++over_threshold_streak_;
-  } else {
-    over_threshold_streak_ = 0;
-  }
-  if (!drifted_ && over_threshold_streak_ >= config_.consecutive_windows) {
-    drifted_ = true;
-    return true;
-  }
-  return false;
-}
-
-void DriftMonitor::reset() {
-  drifted_ = false;
-  over_threshold_streak_ = 0;
+  return psi;
 }
 
 }  // namespace csdml::detect

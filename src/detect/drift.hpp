@@ -4,18 +4,21 @@
 // uncovered" (paper Section III-A); in practice the first signal is often
 // not a CTI feed but the drive's own traffic drifting away from what the
 // model was trained on. The monitor keeps a reference API-category
-// distribution (from the training corpus) and computes the Population
-// Stability Index of recent traffic against it; sustained PSI above
-// threshold raises a drift alarm that an operator (or the SOC workflow
-// example) answers with a retraining cycle.
+// distribution (from the training corpus) and reports the Population
+// Stability Index (common/stats) of each completed traffic window against
+// it. Thresholding and debouncing belong to the alert engine: record each
+// window's PSI into a time series and latch it with category_drift_rule(),
+// whose alarm an operator (or the SOC workflow example) answers with a
+// retraining cycle.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "nn/dataset.hpp"
+#include "obs/anomaly.hpp"
 #include "ransomware/api_vocab.hpp"
 
 namespace csdml::detect {
@@ -29,42 +32,28 @@ using CategoryDistribution = std::array<double, kCategoryCount>;
 CategoryDistribution category_distribution(const std::vector<nn::TokenId>& tokens);
 CategoryDistribution category_distribution(const nn::SequenceDataset& dataset);
 
-/// Population Stability Index between two distributions (smoothed; 0 =
-/// identical). Common operating bands: < 0.10 stable, 0.10-0.25 moderate
-/// shift, > 0.25 major shift.
-double population_stability_index(const CategoryDistribution& reference,
-                                  const CategoryDistribution& observed);
+/// Time series carrying one PSI sample per completed monitor window.
+inline constexpr const char* kCategoryPsiSeries = "detect.category_psi";
 
-struct DriftConfig {
-  std::size_t window_tokens{2'000};   ///< tokens per observation window
-  double psi_threshold{0.25};
-  std::size_t consecutive_windows{2}; ///< debounce
-};
+/// Latches on a major category shift (PSI > 0.25) sustained for two
+/// consecutive windows of kCategoryPsiSeries.
+obs::AlertRule category_drift_rule();
 
 class DriftMonitor {
  public:
-  DriftMonitor(CategoryDistribution reference, DriftConfig config);
+  DriftMonitor(CategoryDistribution reference, std::size_t window_tokens);
 
-  /// Feeds one observed API call; returns true when this call completed a
-  /// window that pushed the monitor into the drifted state.
-  bool observe(nn::TokenId token);
+  /// Feeds one observed API call; when this call completes a window,
+  /// returns that window's PSI against the reference.
+  std::optional<double> observe(nn::TokenId token);
 
-  bool drifted() const { return drifted_; }
-  /// PSI of the last completed window (0 before the first).
-  double last_psi() const { return last_psi_; }
   std::uint64_t windows_evaluated() const { return windows_; }
-
-  /// Operator acknowledged (e.g. after retraining): reset the alarm.
-  void reset();
 
  private:
   CategoryDistribution reference_;
-  DriftConfig config_;
-  std::array<std::uint64_t, kCategoryCount> counts_{};
+  std::size_t window_tokens_;
+  CategoryDistribution counts_{};
   std::size_t tokens_in_window_{0};
-  std::size_t over_threshold_streak_{0};
-  bool drifted_{false};
-  double last_psi_{0.0};
   std::uint64_t windows_{0};
 };
 

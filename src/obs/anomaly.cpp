@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
+#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "obs/flight_recorder.hpp"
 
@@ -38,83 +40,49 @@ const char* alert_rule_kind_name(AlertRuleKind kind) {
 ScoreDrift::ScoreDrift(DriftConfig config) : config_(config) {
   config_.bins = std::max<std::size_t>(config_.bins, 2);
   config_.window = std::max<std::size_t>(config_.window, config_.bins);
-  counts_.assign(config_.bins, 0);
+  counts_.assign(config_.bins, 0.0);
+}
+
+std::size_t ScoreDrift::bin_of(double score) const {
+  return std::min(config_.bins - 1,
+                  static_cast<std::size_t>(score * config_.bins));
 }
 
 void ScoreDrift::observe(double score) {
   score = std::clamp(score, 0.0, 1.0);
-  const std::size_t bin = std::min(
-      config_.bins - 1, static_cast<std::size_t>(score * config_.bins));
   window_.push_back(score);
-  ++counts_[bin];
+  ++counts_[bin_of(score)];
   ++observed_;
   if (window_.size() > config_.window) {
-    const double evicted = window_.front();
+    --counts_[bin_of(window_.front())];
     window_.pop_front();
-    const std::size_t old_bin = std::min(
-        config_.bins - 1, static_cast<std::size_t>(evicted * config_.bins));
-    --counts_[old_bin];
   }
 }
 
 void ScoreDrift::calibrate() { baseline_ = counts_; }
 
 void ScoreDrift::set_baseline(const std::vector<double>& scores) {
-  baseline_.assign(config_.bins, 0);
-  for (double score : scores) {
-    score = std::clamp(score, 0.0, 1.0);
-    const std::size_t bin = std::min(
-        config_.bins - 1, static_cast<std::size_t>(score * config_.bins));
-    ++baseline_[bin];
+  baseline_.assign(config_.bins, 0.0);
+  for (const double score : scores) {
+    ++baseline_[bin_of(std::clamp(score, 0.0, 1.0))];
   }
 }
 
-std::vector<double> ScoreDrift::normalized(
-    const std::vector<std::uint64_t>& counts) const {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  std::vector<double> out(counts.size(), 0.0);
-  if (total == 0) return out;
-  // Laplace-style floor keeps log(p/q) finite when a bin is empty on one
-  // side only — standard practice for PSI on sparse histograms.
-  const double floor = 1e-6;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    out[i] = std::max(static_cast<double>(counts[i]) /
-                          static_cast<double>(total),
-                      floor);
-  }
-  return out;
+bool ScoreDrift::calibrated() const {
+  return std::accumulate(baseline_.begin(), baseline_.end(), 0.0) > 0.0;
+}
+
+bool ScoreDrift::comparable() const {
+  return calibrated() && !window_.empty() &&
+         window_.size() >= config_.min_scores;
 }
 
 double ScoreDrift::psi() const {
-  if (baseline_.empty() || window_.size() < config_.min_scores) return 0.0;
-  const std::vector<double> expected = normalized(baseline_);
-  const std::vector<double> actual = normalized(counts_);
-  double psi = 0.0;
-  for (std::size_t i = 0; i < config_.bins; ++i) {
-    psi += (actual[i] - expected[i]) * std::log(actual[i] / expected[i]);
-  }
-  return psi;
+  return comparable() ? population_stability_index(baseline_, counts_) : 0.0;
 }
 
 double ScoreDrift::ks() const {
-  if (baseline_.empty() || window_.size() < config_.min_scores) return 0.0;
-  std::uint64_t base_total = 0;
-  std::uint64_t roll_total = 0;
-  for (std::uint64_t c : baseline_) base_total += c;
-  for (std::uint64_t c : counts_) roll_total += c;
-  if (base_total == 0 || roll_total == 0) return 0.0;
-  double base_cdf = 0.0;
-  double roll_cdf = 0.0;
-  double gap = 0.0;
-  for (std::size_t i = 0; i < config_.bins; ++i) {
-    base_cdf += static_cast<double>(baseline_[i]) /
-                static_cast<double>(base_total);
-    roll_cdf +=
-        static_cast<double>(counts_[i]) / static_cast<double>(roll_total);
-    gap = std::max(gap, std::abs(base_cdf - roll_cdf));
-  }
-  return gap;
+  return comparable() ? ks_statistic(baseline_, counts_) : 0.0;
 }
 
 AlertEngine::AlertEngine(FlightRecorder* recorder)

@@ -93,7 +93,8 @@ struct DriftConfig {
 };
 
 /// Rolling verdict-score histogram compared against a frozen calibration
-/// baseline. Not thread-safe; the engine serialises access.
+/// baseline with the shared PSI/KS primitive (common/stats). Not
+/// thread-safe; the engine serialises access.
 class ScoreDrift {
  public:
   explicit ScoreDrift(DriftConfig config = {});
@@ -103,11 +104,14 @@ class ScoreDrift {
   void calibrate();
   /// Installs an explicit baseline (e.g. from a validation set).
   void set_baseline(const std::vector<double>& scores);
-  bool calibrated() const { return !baseline_.empty(); }
+  /// True once the baseline holds at least one score: calibrating on an
+  /// empty window (or an empty explicit baseline) leaves drift
+  /// uncalibrated instead of comparing against a zero-mass histogram.
+  bool calibrated() const;
   std::uint64_t observed() const { return observed_; }
 
   /// Population Stability Index of the rolling window vs the baseline
-  /// (0 when either side is empty or below min_scores).
+  /// (0 when uncalibrated or below min_scores).
   double psi() const;
   /// Kolmogorov–Smirnov statistic (max CDF gap) vs the baseline.
   double ks() const;
@@ -115,12 +119,14 @@ class ScoreDrift {
   const DriftConfig& config() const { return config_; }
 
  private:
-  std::vector<double> normalized(const std::vector<std::uint64_t>& counts) const;
+  /// Both histograms hold enough mass to compare.
+  bool comparable() const;
+  std::size_t bin_of(double score) const;
 
   DriftConfig config_;
   std::deque<double> window_;
-  std::vector<std::uint64_t> counts_;    ///< rolling histogram
-  std::vector<std::uint64_t> baseline_;  ///< frozen calibration histogram
+  std::vector<double> counts_;    ///< rolling histogram
+  std::vector<double> baseline_;  ///< frozen calibration histogram
   std::uint64_t observed_{0};
 };
 

@@ -394,6 +394,45 @@ bool BoardFleet::golden_parity(kernels::CsdLstmEngine& engine,
   return true;
 }
 
+ScanReport BoardFleet::scan(const std::vector<nn::Sequence>& sequences) {
+  CSDML_REQUIRE(!sequences.empty(), "fleet: nothing to scan");
+  std::vector<std::size_t> targets;
+  for (std::size_t k = 0; k < boards_.size(); ++k) {
+    if (boards_[k]->admitted.load(std::memory_order_acquire)) {
+      targets.push_back(k);
+    }
+  }
+  CSDML_REQUIRE(!targets.empty(), "fleet: no admitted board to scan on");
+
+  std::vector<std::vector<nn::Sequence>> shards(targets.size());
+  std::vector<std::vector<std::size_t>> shard_indices(targets.size());
+  for (std::size_t i = 0; i < sequences.size(); ++i) {
+    shards[i % targets.size()].push_back(sequences[i]);
+    shard_indices[i % targets.size()].push_back(i);
+  }
+
+  ScanReport report;
+  report.per_board.resize(boards_.size());
+  report.labels.resize(sequences.size());
+  for (std::size_t s = 0; s < targets.size(); ++s) {
+    if (shards[s].empty()) continue;
+    const kernels::CsdLstmEngine::BatchResult batch =
+        boards_[targets[s]]->engine.infer_batch(shards[s]);
+    BoardScan& stats = report.per_board[targets[s]];
+    stats.scanned = shards[s].size();
+    stats.busy = batch.device_time;
+    for (std::size_t k = 0; k < batch.labels.size(); ++k) {
+      report.labels[shard_indices[s][k]] = batch.labels[k];
+      stats.flagged += batch.labels[k] == 1;
+    }
+    report.scanned += stats.scanned;
+    report.flagged += stats.flagged;
+    report.serial_time += stats.busy;
+    report.makespan = std::max(report.makespan, stats.busy);
+  }
+  return report;
+}
+
 RolloutReport BoardFleet::update_weights(const nn::LstmParams& params) {
   const std::lock_guard<std::mutex> rollout_lock(rollout_mutex_);
   RolloutReport report;

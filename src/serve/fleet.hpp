@@ -36,6 +36,10 @@
 // before any other board flips — and stamped with a fleet-wide version
 // counter, so a torn rollout can be detected (and a failed canary is
 // rolled back, leaving the fleet serving the old version everywhere).
+//
+// Besides streaming ingest, scan() classifies a batch of windows directly:
+// round-robin shards over the admitted boards, one infer_batch per shard,
+// with the node's makespan and scale-out speedup in simulated time.
 #pragma once
 
 #include <atomic>
@@ -119,6 +123,32 @@ struct RolloutReport {
   std::vector<double> per_board_us; ///< flip wall time, rollout order
 };
 
+/// One board's share of a scan().
+struct BoardScan {
+  std::size_t scanned{0};
+  std::size_t flagged{0};
+  Duration busy{};  ///< simulated device time for the board's shard
+};
+
+struct ScanReport {
+  std::vector<BoardScan> per_board;  ///< indexed by board; drained = zeros
+  std::size_t scanned{0};
+  std::size_t flagged{0};
+  /// Slowest board's busy time — node-level completion latency.
+  Duration makespan{};
+  /// Sum of board busy times — what one board alone would have taken.
+  Duration serial_time{};
+  /// Labels aligned with the scanned sequences.
+  std::vector<int> labels;
+
+  double scale_out_speedup() const {
+    return makespan.picos > 0
+               ? static_cast<double>(serial_time.picos) /
+                     static_cast<double>(makespan.picos)
+               : 0.0;
+  }
+};
+
 class BoardFleet {
  public:
   /// Builds `config.boards` full board stacks sharing one model; every
@@ -172,6 +202,11 @@ class BoardFleet {
   /// fault clears. Also runs automatically from ingest every
   /// health_check_interval calls.
   void check_health();
+
+  /// Classifies every sequence, sharding round-robin over the admitted
+  /// boards (a drained board gets no work); each shard runs as one
+  /// infer_batch, and node latency is the slowest shard.
+  ScanReport scan(const std::vector<nn::Sequence>& sequences);
 
   /// Canary-gated coordinated rollout (see file header). Serialised;
   /// boards out of the ring are skipped and catch up at re-admission.

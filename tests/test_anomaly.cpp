@@ -338,6 +338,50 @@ TEST(ScoreDrift, ScoresClampedIntoUnitInterval) {
   EXPECT_DOUBLE_EQ(drift.psi(), 0.0);  // window == baseline
 }
 
+TEST(ScoreDrift, EmptyBaselineLeavesDriftUncalibrated) {
+  ScoreDrift drift(DriftConfig{.bins = 10, .window = 64, .min_scores = 16});
+  drift.set_baseline({});
+  EXPECT_FALSE(drift.calibrated());
+  drift.calibrate();  // the rolling window is still empty too
+  EXPECT_FALSE(drift.calibrated());
+  for (int i = 0; i < 32; ++i) drift.observe(0.1);
+  EXPECT_DOUBLE_EQ(drift.psi(), 0.0);
+  EXPECT_DOUBLE_EQ(drift.ks(), 0.0);
+}
+
+// A zero-mass calibration baseline must not read as infinite drift: the
+// engine stays uncalibrated, so no critical alert latches and nothing is
+// auto-dumped.
+TEST(AlertEngine, CalibrationWithoutScoresNeverLatchesDrift) {
+  registry().reset();
+  const std::string dump_path =
+      (std::filesystem::temp_directory_path() / "csdml_empty_baseline.json")
+          .string();
+  std::remove(dump_path.c_str());
+  ::setenv("CSDML_FLIGHT_DUMP", dump_path.c_str(), 1);
+
+  FlightRecorder recorder(64);
+  AlertEngine engine(&recorder);
+  engine.enable_drift(DriftConfig{.bins = 10, .window = 64, .min_scores = 16});
+  engine.calibrate_drift();  // before any score arrived
+  for (int i = 0; i < 32; ++i) engine.observe_score(0.1);
+
+  TimeSeriesStore store;
+  std::int64_t now_us = 0;
+  for (int i = 0; i < 4; ++i) {
+    now_us += 100'000;
+    EXPECT_TRUE(engine.evaluate(store, now_us).empty());
+  }
+  EXPECT_DOUBLE_EQ(engine.drift_psi(), 0.0);
+  EXPECT_DOUBLE_EQ(engine.drift_ks(), 0.0);
+  EXPECT_EQ(engine.active_count(), 0u);
+  EXPECT_EQ(count_events(recorder, "model.score_drift"), 0u);
+  EXPECT_FALSE(std::filesystem::exists(dump_path));
+
+  ::unsetenv("CSDML_FLIGHT_DUMP");
+  std::remove(dump_path.c_str());
+}
+
 TEST(AlertEngine, RateOfChangeCatchesCliffsBelowStaticLines) {
   FlightRecorder recorder(64);
   AlertEngine engine(&recorder);

@@ -1,7 +1,8 @@
 // BoardFleet unit tests: consistent-hash placement (deterministic,
 // sticky, minimal disruption), latch- and SLO-driven failover with the
 // extended conservation law, canary-gated weight rollout, re-admission
-// probes, and the per-board observability surface.
+// probes, the per-board observability surface, and the round-robin batch
+// scan.
 #include "serve/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "detect/detector.hpp"
 #include "kernels/engine.hpp"
@@ -593,6 +595,149 @@ TEST(Fleet, TelemetryCollectorSamplesBoardSeries) {
   fleet.check_health();  // no rules: the sweep must not drain anything
   EXPECT_EQ(fleet.boards_admitted(), 2u);
   EXPECT_EQ(fleet.alert_engine()->active_count(), 0u);
+  fleet.stop();
+}
+
+// Batch scan: a storage node's boards as one fleet, scanned round-robin.
+
+/// `count` random windows of `length` calls.
+std::vector<nn::Sequence> scan_windows(std::size_t count, std::size_t length,
+                                       std::int32_t vocab) {
+  std::vector<nn::Sequence> windows;
+  for (std::size_t i = 0; i < count; ++i) {
+    windows.push_back(random_stream(500 + i, length, vocab));
+  }
+  return windows;
+}
+
+/// Labels a standalone engine assigns to each window, one at a time.
+std::vector<int> reference_labels(const nn::LstmConfig& model,
+                                  const nn::LstmParams& params,
+                                  const std::vector<nn::Sequence>& windows) {
+  csd::SmartSsd board{csd::SmartSsdConfig{}};
+  xrt::Device device{board};
+  kernels::CsdLstmEngine reference(device, model, params,
+                                   tiny_fleet_config(1).engine);
+  std::vector<int> labels;
+  for (const nn::Sequence& window : windows) {
+    labels.push_back(reference.infer(window).label);
+  }
+  return labels;
+}
+
+TEST(Node, ScanCoversEverySequenceOnce) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  Collector collector;
+  BoardFleet fleet(model, nn::LstmParams::glorot(model, rng),
+                   tiny_fleet_config(4), collector.sink());
+  const ScanReport report = fleet.scan(scan_windows(37, 20, model.vocab_size));
+  EXPECT_EQ(report.scanned, 37u);
+  EXPECT_EQ(report.labels.size(), 37u);
+  ASSERT_EQ(report.per_board.size(), 4u);
+  std::size_t per_board_total = 0;
+  std::size_t flagged_total = 0;
+  for (const BoardScan& board : report.per_board) {
+    EXPECT_GE(board.scanned, 9u);  // round-robin: 37 = 10 + 9 + 9 + 9
+    per_board_total += board.scanned;
+    flagged_total += board.flagged;
+  }
+  EXPECT_EQ(per_board_total, 37u);
+  EXPECT_EQ(flagged_total, report.flagged);
+  // Scans bypass the streaming pipelines entirely.
+  EXPECT_EQ(fleet.stats().totals.verdicts, 0u);
+  fleet.stop();
+}
+
+TEST(Node, LabelsMatchSingleEngineResults) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(3), collector.sink());
+  const std::vector<nn::Sequence> work = scan_windows(12, 20, model.vocab_size);
+  EXPECT_EQ(fleet.scan(work).labels, reference_labels(model, params, work));
+  fleet.stop();
+}
+
+TEST(Node, ScaleOutSpeedupApproachesDriveCount) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  Collector collector;
+  BoardFleet four(model, params, tiny_fleet_config(4), collector.sink());
+  const ScanReport report = four.scan(scan_windows(64, 20, model.vocab_size));
+  EXPECT_GT(report.scale_out_speedup(), 3.5);
+  EXPECT_LE(report.scale_out_speedup(), 4.01);
+  EXPECT_GT(report.makespan.picos, 0);
+  EXPECT_GT(report.serial_time.picos, report.makespan.picos);
+  four.stop();
+}
+
+TEST(Node, SingleDriveNodeWorks) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  Collector collector;
+  BoardFleet one(model, params, tiny_fleet_config(1), collector.sink());
+  const ScanReport single = one.scan(scan_windows(5, 20, model.vocab_size));
+  EXPECT_EQ(single.scanned, 5u);
+  EXPECT_NEAR(single.scale_out_speedup(), 1.0, 1e-9);
+  one.stop();
+}
+
+TEST(Node, FleetWeightUpdateKeepsVersionsInSync) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(3), collector.sink());
+  Rng next_rng(99);
+  const nn::LstmParams fresh = nn::LstmParams::glorot(model, next_rng);
+  ASSERT_TRUE(fleet.update_weights(fresh).ok);
+  EXPECT_EQ(fleet.weight_version(), 2u);
+
+  // Every board serves the new model.
+  const std::vector<nn::Sequence> work = scan_windows(9, 20, model.vocab_size);
+  EXPECT_EQ(fleet.scan(work).labels, reference_labels(model, fresh, work));
+  fleet.stop();
+}
+
+TEST(Node, DrainedBoardGetsNoWork) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  const Streams streams = make_streams(12, 120, model.vocab_size);
+  obs::registry().reset();
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(3), collector.sink());
+
+  const std::size_t victim = fleet.board_of(1);
+  fleet.kill_board(victim);
+  feed_until_latched(fleet, streams, 0, victim);
+  fleet.check_health();
+  ASSERT_FALSE(fleet.board_healthy(victim));
+  ASSERT_EQ(fleet.boards_admitted(), 2u);
+
+  const std::vector<nn::Sequence> work = scan_windows(10, 20, model.vocab_size);
+  const ScanReport report = fleet.scan(work);
+  EXPECT_EQ(report.per_board[victim].scanned, 0u);
+  EXPECT_EQ(report.per_board[victim].busy.picos, 0);
+  EXPECT_EQ(report.scanned, work.size());
+  EXPECT_EQ(report.labels, reference_labels(model, params, work));
+  fleet.stop();
+}
+
+TEST(Node, Guards) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  Collector collector;
+  EXPECT_THROW(BoardFleet(model, params, tiny_fleet_config(0), collector.sink()),
+               PreconditionError);
+  BoardFleet fleet(model, params, tiny_fleet_config(2), collector.sink());
+  EXPECT_THROW(fleet.scan({}), PreconditionError);
+  EXPECT_THROW(fleet.engine(2), PreconditionError);
   fleet.stop();
 }
 

@@ -83,6 +83,57 @@ TEST(Percentile, Guards) {
   EXPECT_THROW(percentile({1.0}, 1.5), PreconditionError);
 }
 
+using Histogram = std::vector<double>;
+
+TEST(DriftStats, PsiZeroAgainstItself) {
+  const Histogram histogram = {3.0, 0.0, 5.0, 2.0};
+  EXPECT_DOUBLE_EQ(population_stability_index(histogram, histogram), 0.0);
+  // Counts and masses normalise alike.
+  const Histogram masses = {0.3, 0.0, 0.5, 0.2};
+  EXPECT_NEAR(population_stability_index(histogram, masses), 0.0, 1e-12);
+}
+
+TEST(DriftStats, PsiSymmetricOnSwappedInputs) {
+  const Histogram a = {8.0, 2.0, 0.0};
+  const Histogram b = {2.0, 7.0, 1.0};
+  const double ab = population_stability_index(a, b);
+  EXPECT_GT(ab, 0.25);  // a major shift
+  EXPECT_NEAR(ab, population_stability_index(b, a), 1e-12);
+}
+
+TEST(DriftStats, PsiFloorsEmptyBinsAtOneInAMillion) {
+  // A bin empty in the reference that holds 5% of traffic contributes
+  // (0.05 - 1e-6) * ln(0.05 / 1e-6), about 0.54, instead of infinity.
+  const double psi = population_stability_index(Histogram{1.0, 0.0},
+                                                Histogram{0.95, 0.05});
+  const double expected = (0.95 - 1.0) * std::log(0.95) +
+                          (0.05 - 1e-6) * std::log(0.05 / 1e-6);
+  EXPECT_NEAR(psi, expected, 1e-12);
+  EXPECT_NEAR(psi, 0.5435, 1e-3);
+}
+
+TEST(DriftStats, KsIsLargestCdfGap) {
+  // CDFs 0.25/0.50/0.75/1 vs 0/0/0.5/1: the gap peaks at 0.5 in bin 1.
+  EXPECT_DOUBLE_EQ(ks_statistic(Histogram{1, 1, 1, 1}, Histogram{0, 0, 2, 2}),
+                   0.5);
+  EXPECT_DOUBLE_EQ(ks_statistic(Histogram{2, 2}, Histogram{0.5, 0.5}), 0.0);
+  EXPECT_DOUBLE_EQ(ks_statistic(Histogram{1, 0}, Histogram{0, 3}), 1.0);
+}
+
+TEST(DriftStats, RejectsSizeMismatchAndZeroMass) {
+  const Histogram two = {1.0, 1.0};
+  const Histogram three = {1.0, 1.0, 1.0};
+  const Histogram empty_mass = {0.0, 0.0};
+  EXPECT_THROW(population_stability_index(two, three), PreconditionError);
+  EXPECT_THROW(ks_statistic(two, three), PreconditionError);
+  EXPECT_THROW(population_stability_index(empty_mass, two), PreconditionError);
+  EXPECT_THROW(population_stability_index(two, empty_mass), PreconditionError);
+  EXPECT_THROW(ks_statistic(empty_mass, two), PreconditionError);
+  EXPECT_THROW(ks_statistic(two, empty_mass), PreconditionError);
+  EXPECT_THROW(population_stability_index(Histogram{}, Histogram{}),
+               PreconditionError);
+}
+
 /// Property sweep: CI shrinks as confidence drops and as n grows.
 class CiWidthTest : public ::testing::TestWithParam<std::size_t> {};
 
