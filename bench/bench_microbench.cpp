@@ -7,6 +7,7 @@
 
 #include "fixed/activations.hpp"
 #include "kernels/functional.hpp"
+#include "kernels/gru_functional.hpp"
 #include "nn/train.hpp"
 
 namespace {
@@ -16,11 +17,14 @@ using namespace csdml;
 struct Shared {
   nn::LstmConfig config;
   nn::LstmParams params;
+  nn::GruConfig gru_config;
+  nn::GruParams gru_params;
   nn::Sequence sequence;
 
   Shared() {
     Rng rng(3);
     params = nn::LstmParams::glorot(config, rng);
+    gru_params = nn::GruParams::glorot(gru_config, rng);
     Rng token_rng(5);
     for (int i = 0; i < 100; ++i) {
       sequence.push_back(static_cast<nn::TokenId>(
@@ -53,6 +57,24 @@ void BM_FixedDatapathInfer(benchmark::State& state) {
                           static_cast<std::int64_t>(shared().sequence.size()));
 }
 BENCHMARK(BM_FixedDatapathInfer);
+
+// Weight staging: pre-scaling plus the fused-table build, paid once per
+// engine construction and once per hot swap.
+void BM_FixedDatapathBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    const kernels::FixedDatapath path(shared().config, shared().params);
+    benchmark::DoNotOptimize(&path);
+  }
+}
+BENCHMARK(BM_FixedDatapathBuild)->Unit(benchmark::kMicrosecond);
+
+void BM_FixedGruDatapathBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    const kernels::FixedGruDatapath path(shared().gru_config, shared().gru_params);
+    benchmark::DoNotOptimize(&path);
+  }
+}
+BENCHMARK(BM_FixedGruDatapathBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_ClassifierForward(benchmark::State& state) {
   const nn::LstmClassifier model(shared().config, shared().params);

@@ -295,9 +295,7 @@ void CsdLstmEngine::update_weights(const nn::LstmParams& params) {
   // expensive part — rebuilding the datapath and its token table — happens
   // in the inactive slot with no lock shared with the inference hot path.
   std::lock_guard<std::mutex> update_guard(update_mutex_);
-  CSDML_REQUIRE(params.embedding.rows() == params_.embedding.rows() &&
-                    params.embedding.cols() == params_.embedding.cols() &&
-                    params.dense_w.size() == params_.dense_w.size(),
+  CSDML_REQUIRE(params_match_config(model_config_, params),
                 "update_weights: model architecture changed");
   params_ = params;
   const std::uint64_t epoch = epoch_.load(std::memory_order_seq_cst);

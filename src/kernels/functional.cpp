@@ -12,9 +12,7 @@ FloatDatapath::FloatDatapath(const nn::LstmConfig& config,
                              const nn::LstmParams& params)
     : config_(config), owned_(params) {
   params_ = &owned_;
-  CSDML_REQUIRE(owned_.embedding.rows() ==
-                    static_cast<std::size_t>(config.vocab_size),
-                "params do not match config");
+  CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
   build_tables();
 }
 
@@ -176,76 +174,85 @@ FixedDatapath::FixedDatapath(const nn::LstmConfig& config,
                              const nn::LstmParams& params, std::int64_t scale)
     : config_(config), scale_(scale) {
   CSDML_REQUIRE(scale > 0, "scale must be positive");
-  const std::size_t hidden = config.hidden_dim;
-  const std::size_t embed = config.embed_dim;
-
-  embedding_rows_.resize(static_cast<std::size_t>(config.vocab_size));
-  for (std::size_t r = 0; r < embedding_rows_.size(); ++r) {
-    embedding_rows_[r].reserve(embed);
-    for (std::size_t c = 0; c < embed; ++c) {
-      embedding_rows_[r].push_back(fx(params.embedding(r, c)));
-    }
+  CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
+  embedding_rows_.reserve(static_cast<std::size_t>(config.vocab_size));
+  for (std::size_t r = 0; r < params.embedding.rows(); ++r) {
+    embedding_rows_.push_back(scaled({params.embedding.row(r), config.embed_dim}, scale));
   }
   for (std::size_t g = 0; g < nn::kNumGates; ++g) {
-    w_x_cols_[g].resize(hidden);
-    w_h_cols_[g].resize(hidden);
-    for (std::size_t j = 0; j < hidden; ++j) {
-      w_x_cols_[g][j].reserve(embed);
-      for (std::size_t i = 0; i < embed; ++i) {
-        w_x_cols_[g][j].push_back(fx(params.w_x[g](i, j)));
-      }
-      w_h_cols_[g][j].reserve(hidden);
-      for (std::size_t i = 0; i < hidden; ++i) {
-        w_h_cols_[g][j].push_back(fx(params.w_h[g](i, j)));
-      }
-    }
-    bias_[g].reserve(hidden);
-    for (std::size_t j = 0; j < hidden; ++j) bias_[g].push_back(fx(params.bias[g][j]));
+    w_x_cols_[g] = scaled_columns(params.w_x[g], scale);
+    w_h_cols_[g] = scaled_columns(params.w_h[g], scale);
+    bias_[g] = scaled(params.bias[g], scale);
   }
-  dense_w_.reserve(hidden);
-  for (std::size_t j = 0; j < hidden; ++j) dense_w_.push_back(fx(params.dense_w[j]));
-  dense_b_ = fx(params.dense_b);
-  build_tables();
+  dense_w_ = scaled(params.dense_w, scale);
+  dense_b_ = fixedpt::ScaledFixed::from_double(params.dense_b, scale);
+  tables_ = build_fixed_tables(embedding_rows_, w_x_cols_, w_h_cols_, bias_,
+                               dense_w_, scale_);
 }
 
-void FixedDatapath::build_tables() {
-  const std::size_t hidden = config_.hidden_dim;
-  const std::size_t embed = config_.embed_dim;
-  const std::size_t vocab = static_cast<std::size_t>(config_.vocab_size);
-  const std::size_t gate_width = nn::kNumGates * hidden;
+FixedVector scaled(std::span<const double> values, std::int64_t scale) {
+  FixedVector out;
+  out.reserve(values.size());
+  for (const double v : values) {
+    out.push_back(fixedpt::ScaledFixed::from_double(v, scale));
+  }
+  return out;
+}
+
+std::vector<FixedVector> scaled_columns(const nn::Matrix& m, std::int64_t scale) {
+  std::vector<FixedVector> cols(m.cols());
+  for (std::size_t j = 0; j < m.cols(); ++j) {
+    cols[j].reserve(m.rows());
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      cols[j].push_back(fixedpt::ScaledFixed::from_double(m(i, j), scale));
+    }
+  }
+  return cols;
+}
+
+FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
+                               std::span<const std::vector<FixedVector>> w_x_cols,
+                               std::span<const std::vector<FixedVector>> w_h_cols,
+                               std::span<const FixedVector> bias,
+                               const FixedVector& dense_w, std::int64_t scale) {
+  const std::size_t gates = w_x_cols.size();
+  const std::size_t hidden = dense_w.size();
+  const std::size_t gate_width = gates * hidden;
+  const fixedpt::InvariantScale div(scale);
+  FixedTables tables;
 
   // Raw-integer `bias + W_x·x_t` per token. Integer addition is exact, so
   // folding the x half here leaves the fused result bit-identical to the
   // reference accumulation order.
-  token_table_raw_.assign(vocab * gate_width, 0);
-  for (std::size_t t = 0; t < vocab; ++t) {
-    std::int64_t* row = token_table_raw_.data() + t * gate_width;
-    const FixedVector& x = embedding_rows_[t];
-    for (std::size_t g = 0; g < nn::kNumGates; ++g) {
-      std::int64_t* seg = row + g * hidden;
+  tables.token_table.resize(embedding_rows.size() * gate_width);
+  for (std::size_t t = 0; t < embedding_rows.size(); ++t) {
+    std::int64_t* row = tables.token_table.data() + t * gate_width;
+    const FixedVector& x = embedding_rows[t];
+    for (std::size_t g = 0; g < gates; ++g) {
       for (std::size_t j = 0; j < hidden; ++j) {
-        std::int64_t acc = bias_[g][j].raw();
-        const FixedVector& wx = w_x_cols_[g][j];
-        for (std::size_t i = 0; i < embed; ++i) {
-          acc += fixedpt::ScaledFixed::mul_raw(wx[i].raw(), x[i].raw(), scale_);
+        std::int64_t acc = bias[g][j].raw();
+        const FixedVector& wx = w_x_cols[g][j];
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          acc += div.mul(wx[i].raw(), x[i].raw());
         }
-        seg[j] = acc;
+        row[g * hidden + j] = acc;
       }
     }
   }
 
-  w_h_packed_raw_.assign(hidden * gate_width, 0);
-  for (std::size_t g = 0; g < nn::kNumGates; ++g) {
+  tables.w_h_packed.resize(hidden * gate_width);
+  for (std::size_t g = 0; g < gates; ++g) {
     for (std::size_t j = 0; j < hidden; ++j) {
-      const FixedVector& wh = w_h_cols_[g][j];
+      const FixedVector& wh = w_h_cols[g][j];
       for (std::size_t i = 0; i < hidden; ++i) {
-        w_h_packed_raw_[i * gate_width + g * hidden + j] = wh[i].raw();
+        tables.w_h_packed[i * gate_width + g * hidden + j] = wh[i].raw();
       }
     }
   }
 
-  dense_w_raw_.resize(hidden);
-  for (std::size_t j = 0; j < hidden; ++j) dense_w_raw_[j] = dense_w_[j].raw();
+  tables.dense_w.reserve(hidden);
+  for (const fixedpt::ScaledFixed w : dense_w) tables.dense_w.push_back(w.raw());
+  return tables;
 }
 
 FixedVector FixedDatapath::preprocess(nn::TokenId token) const {
@@ -330,12 +337,12 @@ double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const
   for (const nn::TokenId token : sequence) {
     CSDML_REQUIRE(token >= 0 && token < config_.vocab_size, "token out of range");
     const std::int64_t* row =
-        token_table_raw_.data() + static_cast<std::size_t>(token) * gate_width;
+        tables_.token_table.data() + static_cast<std::size_t>(token) * gate_width;
     std::copy(row, row + gate_width, pre);
     for (std::size_t i = 0; i < hidden; ++i) {
       const std::int64_t hi = h[i];
       if (hi == 0) continue;  // exact: skipped products are exactly zero
-      const std::int64_t* wrow = w_h_packed_raw_.data() + i * gate_width;
+      const std::int64_t* wrow = tables_.w_h_packed.data() + i * gate_width;
       for (std::size_t col = 0; col < gate_width; ++col) {
         pre[col] += div.mul(wrow[col], hi);
       }
@@ -365,7 +372,7 @@ double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const
 
   std::int64_t logit = dense_b_.raw();
   for (std::size_t j = 0; j < hidden; ++j) {
-    logit += div.mul(dense_w_raw_[j], h[j]);
+    logit += div.mul(tables_.dense_w[j], h[j]);
   }
   return fixedpt::sigmoid_fixed(Fx::from_raw(logit, scale)).to_double();
 }

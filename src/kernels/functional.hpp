@@ -25,12 +25,32 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fixed/scaled_fixed.hpp"
 #include "nn/lstm.hpp"
 
 namespace csdml::kernels {
+
+/// True when every parameter tensor has the shape `config` implies:
+/// embedding vocab × embed, each w_x embed × hidden, each w_h
+/// hidden × hidden, each bias and dense_w hidden. Serves nn::LstmParams
+/// and nn::GruParams alike; the datapaths index these tensors unchecked.
+template <class Config, class Params>
+bool params_match_config(const Config& config, const Params& params) {
+  const std::size_t embed = config.embed_dim;
+  const std::size_t hidden = config.hidden_dim;
+  bool ok = config.vocab_size >= 0 &&
+            params.embedding.rows() == static_cast<std::size_t>(config.vocab_size) &&
+            params.embedding.cols() == embed && params.dense_w.size() == hidden;
+  for (std::size_t g = 0; g < params.w_x.size(); ++g) {
+    ok = ok && params.w_x[g].rows() == embed && params.w_x[g].cols() == hidden &&
+         params.w_h[g].rows() == hidden && params.w_h[g].cols() == hidden &&
+         params.bias[g].size() == hidden;
+  }
+  return ok;
+}
 
 /// Output of the four parallel kernel_gates CUs for one item.
 struct GateVectors {
@@ -90,6 +110,31 @@ struct FixedGateVectors {
   std::array<FixedVector, nn::kNumGates> act;
 };
 
+/// `values` pre-scaled to `scale` (rounded like ScaledFixed::from_double).
+FixedVector scaled(std::span<const double> values, std::int64_t scale);
+/// `m` pre-scaled and stored by column: entry j is column j of `m`.
+std::vector<FixedVector> scaled_columns(const nn::Matrix& m, std::int64_t scale);
+
+/// Raw-integer layouts of a fused fixed-point forward pass, every element
+/// at the datapath's one scale. Shared by the LSTM and GRU datapaths.
+struct FixedTables {
+  std::vector<std::int64_t> token_table;  ///< vocab × gates·hidden: bias + W_x·x_t
+  std::vector<std::int64_t> w_h_packed;   ///< w_h[g](i,j) at row i, col g·hidden+j
+  std::vector<std::int64_t> dense_w;      ///< hidden
+};
+
+/// Weight staging for both fixed datapaths: builds the fused tables from
+/// pre-scaled parameters. `w_x_cols[g][j]` / `w_h_cols[g][j]` hold column
+/// j of gate g's input / recurrent matrix, one span entry per gate (4 for
+/// the LSTM, 3 for the GRU). Every `w_x·x` product goes through one
+/// fixedpt::InvariantScale, so the table is bit-identical to the reference
+/// operators' `bias + Σ w·x` while doing no 128-bit division in range.
+FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
+                               std::span<const std::vector<FixedVector>> w_x_cols,
+                               std::span<const std::vector<FixedVector>> w_h_cols,
+                               std::span<const FixedVector> bias,
+                               const FixedVector& dense_w, std::int64_t scale);
+
 /// Reusable per-thread scratch for FixedDatapath::infer (raw-integer
 /// domain; every element carries the datapath's single scale implicitly).
 struct FixedScratch {
@@ -122,10 +167,6 @@ class FixedDatapath {
   double infer_reference(nn::TokenSpan sequence) const;
 
  private:
-  fixedpt::ScaledFixed fx(double v) const {
-    return fixedpt::ScaledFixed::from_double(v, scale_);
-  }
-  void build_tables();
   void ensure_scratch(FixedScratch& scratch) const;
 
   nn::LstmConfig config_;
@@ -137,10 +178,7 @@ class FixedDatapath {
   std::array<FixedVector, nn::kNumGates> bias_;
   FixedVector dense_w_;
   fixedpt::ScaledFixed dense_b_;
-  // Fused-path layouts (raw integers at scale_).
-  std::vector<std::int64_t> token_table_raw_;  ///< vocab × 4·hidden
-  std::vector<std::int64_t> w_h_packed_raw_;   ///< hidden × 4·hidden
-  std::vector<std::int64_t> dense_w_raw_;      ///< hidden
+  FixedTables tables_;  ///< fused-path layouts, 4 gates
 };
 
 }  // namespace csdml::kernels

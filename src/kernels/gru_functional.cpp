@@ -12,73 +12,20 @@ FixedGruDatapath::FixedGruDatapath(const nn::GruConfig& config,
                                    std::int64_t scale)
     : config_(config), scale_(scale) {
   CSDML_REQUIRE(scale > 0, "scale must be positive");
-  const std::size_t hidden = config.hidden_dim;
-  const std::size_t embed = config.embed_dim;
-
-  embedding_rows_.resize(static_cast<std::size_t>(config.vocab_size));
-  for (std::size_t r = 0; r < embedding_rows_.size(); ++r) {
-    embedding_rows_[r].reserve(embed);
-    for (std::size_t c = 0; c < embed; ++c) {
-      embedding_rows_[r].push_back(fx(params.embedding(r, c)));
-    }
+  CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
+  embedding_rows_.reserve(static_cast<std::size_t>(config.vocab_size));
+  for (std::size_t r = 0; r < params.embedding.rows(); ++r) {
+    embedding_rows_.push_back(scaled({params.embedding.row(r), config.embed_dim}, scale));
   }
   for (std::size_t g = 0; g < nn::kNumGruGates; ++g) {
-    w_x_cols_[g].resize(hidden);
-    w_h_cols_[g].resize(hidden);
-    bias_[g].reserve(hidden);
-    for (std::size_t j = 0; j < hidden; ++j) {
-      w_x_cols_[g][j].reserve(embed);
-      for (std::size_t i = 0; i < embed; ++i) {
-        w_x_cols_[g][j].push_back(fx(params.w_x[g](i, j)));
-      }
-      w_h_cols_[g][j].reserve(hidden);
-      for (std::size_t i = 0; i < hidden; ++i) {
-        w_h_cols_[g][j].push_back(fx(params.w_h[g](i, j)));
-      }
-      bias_[g].push_back(fx(params.bias[g][j]));
-    }
+    w_x_cols_[g] = scaled_columns(params.w_x[g], scale);
+    w_h_cols_[g] = scaled_columns(params.w_h[g], scale);
+    bias_[g] = scaled(params.bias[g], scale);
   }
-  dense_w_.reserve(hidden);
-  for (std::size_t j = 0; j < hidden; ++j) dense_w_.push_back(fx(params.dense_w[j]));
+  dense_w_ = scaled(params.dense_w, scale);
   dense_b_ = fx(params.dense_b);
-  build_tables();
-}
-
-void FixedGruDatapath::build_tables() {
-  const std::size_t hidden = config_.hidden_dim;
-  const std::size_t embed = config_.embed_dim;
-  const std::size_t vocab = static_cast<std::size_t>(config_.vocab_size);
-  const std::size_t gate_width = nn::kNumGruGates * hidden;
-
-  token_table_raw_.assign(vocab * gate_width, 0);
-  for (std::size_t t = 0; t < vocab; ++t) {
-    std::int64_t* row = token_table_raw_.data() + t * gate_width;
-    const std::vector<Fx>& x = embedding_rows_[t];
-    for (std::size_t g = 0; g < nn::kNumGruGates; ++g) {
-      std::int64_t* seg = row + g * hidden;
-      for (std::size_t j = 0; j < hidden; ++j) {
-        std::int64_t acc = bias_[g][j].raw();
-        const std::vector<Fx>& wx = w_x_cols_[g][j];
-        for (std::size_t i = 0; i < embed; ++i) {
-          acc += Fx::mul_raw(wx[i].raw(), x[i].raw(), scale_);
-        }
-        seg[j] = acc;
-      }
-    }
-  }
-
-  w_h_packed_raw_.assign(hidden * gate_width, 0);
-  for (std::size_t g = 0; g < nn::kNumGruGates; ++g) {
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const std::vector<Fx>& wh = w_h_cols_[g][j];
-      for (std::size_t i = 0; i < hidden; ++i) {
-        w_h_packed_raw_[i * gate_width + g * hidden + j] = wh[i].raw();
-      }
-    }
-  }
-
-  dense_w_raw_.resize(hidden);
-  for (std::size_t j = 0; j < hidden; ++j) dense_w_raw_[j] = dense_w_[j].raw();
+  tables_ = build_fixed_tables(embedding_rows_, w_x_cols_, w_h_cols_, bias_,
+                               dense_w_, scale_);
 }
 
 double FixedGruDatapath::infer_reference(nn::TokenSpan sequence) const {
@@ -152,7 +99,7 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
   for (const nn::TokenId token : sequence) {
     CSDML_REQUIRE(token >= 0 && token < config_.vocab_size, "token range");
     const std::int64_t* row =
-        token_table_raw_.data() + static_cast<std::size_t>(token) * gate_width;
+        tables_.token_table.data() + static_cast<std::size_t>(token) * gate_width;
     std::copy(row, row + gate_width, pre);
 
     // Recurrent half for z and r (the candidate's recurrent term needs r,
@@ -161,7 +108,7 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
     for (std::size_t i = 0; i < hidden; ++i) {
       const std::int64_t hi = h[i];
       if (hi == 0) continue;  // exact: skipped products are exactly zero
-      const std::int64_t* wrow = w_h_packed_raw_.data() + i * gate_width;
+      const std::int64_t* wrow = tables_.w_h_packed.data() + i * gate_width;
       for (std::size_t col = 0; col < zr_width; ++col) {
         pre[col] += div.mul(wrow[col], hi);
       }
@@ -180,7 +127,7 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
       const std::int64_t rh = div.mul(r[i], h[i]);
       if (rh == 0) continue;
       const std::int64_t* wrow =
-          w_h_packed_raw_.data() + i * gate_width + nn::kCandidateGate * hidden;
+          tables_.w_h_packed.data() + i * gate_width + nn::kCandidateGate * hidden;
       for (std::size_t j = 0; j < hidden; ++j) {
         cand[j] += div.mul(wrow[j], rh);
       }
@@ -195,7 +142,7 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
 
   std::int64_t logit = dense_b_.raw();
   for (std::size_t j = 0; j < hidden; ++j) {
-    logit += div.mul(dense_w_raw_[j], h[j]);
+    logit += div.mul(tables_.dense_w[j], h[j]);
   }
   return fixedpt::sigmoid_fixed(Fx::from_raw(logit, scale)).to_double();
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fixed/scaled_fixed.hpp"
+#include "kernels/functional.hpp"
 #include "nn/gru.hpp"
 
 namespace csdml::kernels {
@@ -46,7 +47,6 @@ class FixedGruDatapath {
  private:
   using Fx = fixedpt::ScaledFixed;
   Fx fx(double v) const { return Fx::from_double(v, scale_); }
-  void build_tables();
 
   nn::GruConfig config_;
   std::int64_t scale_;
@@ -56,10 +56,7 @@ class FixedGruDatapath {
   std::array<std::vector<Fx>, nn::kNumGruGates> bias_;
   std::vector<Fx> dense_w_;
   Fx dense_b_;
-  // Fused-path layouts (raw integers at scale_).
-  std::vector<std::int64_t> token_table_raw_;  ///< vocab × 3·hidden
-  std::vector<std::int64_t> w_h_packed_raw_;   ///< hidden × 3·hidden
-  std::vector<std::int64_t> dense_w_raw_;
+  FixedTables tables_;  ///< fused-path layouts, 3 gates
 };
 
 }  // namespace csdml::kernels

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace csdml::kernels {
@@ -191,6 +193,28 @@ TEST(Engine, UpdateWeightsRejectsArchitectureChange) {
   Rng rng(1);
   EXPECT_THROW(engine.update_weights(nn::LstmParams::glorot(other, rng)),
                PreconditionError);
+}
+
+TEST(Engine, UpdateWeightsRejectsMisshapedGateTensors) {
+  // Embedding and dense shapes match, so only a check on every gate tensor
+  // stops staging from reading past the end of these buffers.
+  EngineFixture f;
+  CsdLstmEngine engine(f.device, f.model_config, f.params,
+                       EngineConfig{.level = OptimizationLevel::FixedPoint});
+  const nn::Sequence seq = f.sequence(5);
+  const double before = engine.infer(seq).probability;
+  const std::size_t embed = f.model_config.embed_dim;
+  const std::size_t hidden = f.model_config.hidden_dim;
+  std::vector<nn::LstmParams> bad(3, f.params);
+  bad[0].w_x[nn::kOutput] = nn::Matrix(embed, hidden / 2);
+  bad[1].w_h[nn::kForget] = nn::Matrix(hidden / 2, hidden);
+  bad[2].bias[nn::kInput].resize(hidden / 2);
+  for (const nn::LstmParams& params : bad) {
+    EXPECT_THROW(engine.update_weights(params), PreconditionError);
+  }
+  // A refused update leaves the engine serving the weights it had.
+  EXPECT_EQ(engine.weight_updates(), 1u);
+  EXPECT_EQ(engine.infer(seq).probability, before);
 }
 
 TEST(Engine, UpdateWeightsDoesNotReloadXclbin) {

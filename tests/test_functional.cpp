@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -153,6 +154,37 @@ TEST(Datapaths, EmptySequenceThrows) {
   const Models m;
   EXPECT_THROW(FloatDatapath(m.config, m.params).infer({}), PreconditionError);
   EXPECT_THROW(FixedDatapath(m.config, m.params).infer({}), PreconditionError);
+}
+
+TEST(Datapaths, RejectParamsShapedForAnotherConfig) {
+  // The datapaths index parameter tensors unchecked, so a shape that does
+  // not match the config must be refused before staging reads it.
+  const Models m;
+  nn::LstmConfig narrow = m.config;
+  narrow.hidden_dim = 16;
+  Rng rng(4);
+  std::vector<nn::LstmParams> bad{nn::LstmParams::glorot(narrow, rng)};
+  const auto with = [&](auto mutate) {
+    nn::LstmParams p = m.params;
+    mutate(p);
+    bad.push_back(std::move(p));
+  };
+  with([](nn::LstmParams& p) { p.embedding = nn::Matrix(p.embedding.rows(), 7); });
+  with([](nn::LstmParams& p) { p.embedding = nn::Matrix(9, p.embedding.cols()); });
+  with([](nn::LstmParams& p) { p.dense_w.pop_back(); });
+  const std::size_t embed = m.config.embed_dim;
+  const std::size_t hidden = m.config.hidden_dim;
+  for (std::size_t g = 0; g < nn::kNumGates; ++g) {
+    with([=](nn::LstmParams& p) { p.w_x[g] = nn::Matrix(embed - 1, hidden); });
+    with([=](nn::LstmParams& p) { p.w_x[g] = nn::Matrix(embed, hidden - 1); });
+    with([=](nn::LstmParams& p) { p.w_h[g] = nn::Matrix(hidden, hidden / 2); });
+    with([=](nn::LstmParams& p) { p.w_h[g] = nn::Matrix(hidden / 2, hidden); });
+    with([=](nn::LstmParams& p) { p.bias[g].resize(hidden - 1); });
+  }
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(FloatDatapath(m.config, bad[i]), PreconditionError) << "case " << i;
+    EXPECT_THROW(FixedDatapath(m.config, bad[i]), PreconditionError) << "case " << i;
+  }
 }
 
 }  // namespace

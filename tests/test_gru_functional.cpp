@@ -91,5 +91,25 @@ TEST(FixedGru, Guards) {
   EXPECT_THROW(FixedGruDatapath(f.config, f.params, 0), PreconditionError);
 }
 
+TEST(FixedGru, RejectsParamsShapedForAnotherConfig) {
+  const Fixture f;
+  nn::GruConfig narrow = f.config;
+  narrow.hidden_dim = 16;
+  Rng rng(4);
+  EXPECT_THROW(FixedGruDatapath(f.config, nn::GruParams::glorot(narrow, rng)),
+               PreconditionError);
+  for (std::size_t g = 0; g < nn::kNumGruGates; ++g) {
+    nn::GruParams wide_x = f.params;
+    wide_x.w_x[g] = nn::Matrix(f.config.embed_dim + 1, f.config.hidden_dim);
+    EXPECT_THROW(FixedGruDatapath(f.config, wide_x), PreconditionError) << g;
+    nn::GruParams short_h = f.params;
+    short_h.w_h[g] = nn::Matrix(f.config.hidden_dim - 1, f.config.hidden_dim);
+    EXPECT_THROW(FixedGruDatapath(f.config, short_h), PreconditionError) << g;
+    nn::GruParams short_bias = f.params;
+    short_bias.bias[g].pop_back();
+    EXPECT_THROW(FixedGruDatapath(f.config, short_bias), PreconditionError) << g;
+  }
+}
+
 }  // namespace
 }  // namespace csdml::kernels

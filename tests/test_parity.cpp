@@ -5,6 +5,7 @@
 // accumulation order, so it too must match to the last bit.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -82,26 +83,34 @@ TEST(FusedParity, FloatBitIdenticalToReference) {
       const nn::Sequence seq =
           random_sequence(seed, config.vocab_size, 40 + static_cast<int>(seed));
       const double reference = path.infer_reference(seq);
-      EXPECT_DOUBLE_EQ(path.infer(seq), reference);
+      EXPECT_EQ(path.infer(seq), reference);
       // Scratch reuse across differently-sized calls must not change bits.
-      EXPECT_DOUBLE_EQ(path.infer(seq, scratch), reference);
+      EXPECT_EQ(path.infer(seq, scratch), reference);
     }
   }
 }
+
+/// Staging scales for the fixed parity tests: degenerate (1, 3), a prime
+/// near the paper's, the paper's 10^6, and 10^9, where staging products
+/// pass 2^52 and the table build takes InvariantScale's wide fallback.
+constexpr std::array<std::int64_t, 5> kStagingScales{1, 3, 999'983, 1'000'000,
+                                                     1'000'000'000};
 
 TEST(FusedParity, FixedBitIdenticalToReference) {
   std::uint64_t model_seed = 200;
   for (const nn::LstmConfig& config : lstm_shapes()) {
     Rng rng(model_seed++);
     const nn::LstmParams params = nn::LstmParams::glorot(config, rng);
-    const FixedDatapath path(config, params);
-    FixedScratch scratch;
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      const nn::Sequence seq =
-          random_sequence(seed, config.vocab_size, 40 + static_cast<int>(seed));
-      const double reference = path.infer_reference(seq);
-      EXPECT_DOUBLE_EQ(path.infer(seq), reference);
-      EXPECT_DOUBLE_EQ(path.infer(seq, scratch), reference);
+    for (const std::int64_t scale : kStagingScales) {
+      const FixedDatapath path(config, params, scale);
+      FixedScratch scratch;
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        const nn::Sequence seq =
+            random_sequence(seed, config.vocab_size, 40 + static_cast<int>(seed));
+        const double reference = path.infer_reference(seq);
+        EXPECT_EQ(path.infer(seq), reference) << "scale " << scale;
+        EXPECT_EQ(path.infer(seq, scratch), reference) << "scale " << scale;
+      }
     }
   }
 }
@@ -116,14 +125,16 @@ TEST(FusedParity, GruFixedBitIdenticalToReference) {
     }
     Rng rng(model_seed);
     const nn::GruParams params = nn::GruParams::glorot(config, rng);
-    const FixedGruDatapath path(config, params);
-    GruFixedScratch scratch;
-    for (std::uint64_t seed = 0; seed < 8; ++seed) {
-      const nn::Sequence seq =
-          random_sequence(seed, config.vocab_size, 35 + static_cast<int>(seed));
-      const double reference = path.infer_reference(seq);
-      EXPECT_DOUBLE_EQ(path.infer(seq), reference);
-      EXPECT_DOUBLE_EQ(path.infer(seq, scratch), reference);
+    for (const std::int64_t scale : kStagingScales) {
+      const FixedGruDatapath path(config, params, scale);
+      GruFixedScratch scratch;
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        const nn::Sequence seq =
+            random_sequence(seed, config.vocab_size, 35 + static_cast<int>(seed));
+        const double reference = path.infer_reference(seq);
+        EXPECT_EQ(path.infer(seq), reference) << "scale " << scale;
+        EXPECT_EQ(path.infer(seq, scratch), reference) << "scale " << scale;
+      }
     }
   }
 }
@@ -151,7 +162,7 @@ TEST(FusedParity, EngineMatchesReferenceAtEveryOptimizationLevel) {
       const double expected = level == OptimizationLevel::FixedPoint
                                   ? fixed_ref.infer_reference(seq)
                                   : float_ref.infer_reference(seq);
-      EXPECT_DOUBLE_EQ(engine.infer(seq).probability, expected)
+      EXPECT_EQ(engine.infer(seq).probability, expected)
           << "level " << static_cast<int>(level) << " seed " << seed;
     }
   }
@@ -184,12 +195,12 @@ TEST(FusedParity, EngineStaysBitExactAfterWeightHotSwap) {
         level == OptimizationLevel::FixedPoint
             ? FixedDatapath(config, params_b).infer_reference(seq)
             : FloatDatapath(config, params_b).infer_reference(seq);
-    EXPECT_DOUBLE_EQ(engine.infer(seq).probability, expected_b);
+    EXPECT_EQ(engine.infer(seq).probability, expected_b);
     EXPECT_NE(engine.infer(seq).probability, before);
 
     // And swapping back restores the original answer bit-for-bit.
     engine.update_weights(params_a);
-    EXPECT_DOUBLE_EQ(engine.infer(seq).probability, before);
+    EXPECT_EQ(engine.infer(seq).probability, before);
   }
 }
 
@@ -216,7 +227,7 @@ TEST(FusedParity, BatchAgreesWithSingleStreamAcrossThreadCounts) {
     const auto result = engine.infer_batch(batch);
     ASSERT_EQ(result.probabilities.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_DOUBLE_EQ(result.probabilities[i],
+      EXPECT_EQ(result.probabilities[i],
                        engine.infer(batch[i]).probability)
           << "threads " << threads << " window " << i;
     }
