@@ -5,7 +5,12 @@
 // device times the other benches report.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "fixed/activations.hpp"
+#include "fixed/scaled_fixed.hpp"
 #include "kernels/functional.hpp"
 #include "kernels/gru_functional.hpp"
 #include "nn/train.hpp"
@@ -101,6 +106,39 @@ void BM_ScaledFixedMultiply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScaledFixedMultiply);
+
+// The fused datapaths' one arithmetic primitive, at the paper's scale on
+// LSTM-range raws (|value| ≲ 1). Arg 0 is the shape of the forward's
+// recurrent pass and of the table build: a unit-stride weight row against
+// one fixed operand, accumulated in place. Arg 1 varies both operands and
+// sums them as a dot product, so neither is loop-invariant.
+void BM_InvariantScaleMul(benchmark::State& state) {
+  const fixedpt::InvariantScale div(fixedpt::kPaperScale);
+  const std::size_t width = nn::kNumGates * shared().config.hidden_dim;
+  Rng rng(7);
+  std::vector<std::int64_t> a(width);
+  std::vector<std::int64_t> b(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    a[i] = rng.uniform_int(-fixedpt::kPaperScale, fixedpt::kPaperScale);
+    b[i] = rng.uniform_int(-fixedpt::kPaperScale, fixedpt::kPaperScale);
+  }
+  std::vector<std::int64_t> acc(width, 0);
+  const bool both_vary = state.range(0) != 0;
+  for (auto _ : state) {
+    if (both_vary) {
+      std::int64_t sum = 0;
+      for (std::size_t i = 0; i < width; ++i) sum += div.mul(a[i], b[i]);
+      benchmark::DoNotOptimize(sum);
+    } else {
+      const std::int64_t x = b[0];
+      for (std::size_t i = 0; i < width; ++i) acc[i] += div.mul(a[i], x);
+      benchmark::DoNotOptimize(acc.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(width));
+}
+BENCHMARK(BM_InvariantScaleMul)->ArgName("both_vary")->Arg(0)->Arg(1);
 
 void BM_SigmoidFixed(benchmark::State& state) {
   const auto x = fixedpt::ScaledFixed::from_double(1.5);

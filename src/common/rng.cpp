@@ -67,7 +67,10 @@ double Rng::uniform(double lo, double hi) {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   CSDML_REQUIRE(lo <= hi, "uniform_int(lo, hi) needs lo <= hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic: hi - lo overflows int64 when the span exceeds
+  // INT64_MAX, and the two's-complement bits are the same either way.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) {  // full 64-bit range
     return static_cast<std::int64_t>(next());
   }
@@ -83,7 +86,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
       low = static_cast<std::uint64_t>(m);
     }
   }
-  return lo + static_cast<std::int64_t>(m >> 64);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   static_cast<std::uint64_t>(m >> 64));
 }
 
 double Rng::normal() {

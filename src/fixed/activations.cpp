@@ -25,9 +25,8 @@ ScaledFixed softsign_fixed(ScaledFixed x) {
   // x/(|x|+1) at scale s: result_raw = raw * s / (|raw| + s), rounded.
   const std::int64_t s = x.scale();
   const std::int64_t raw = x.raw();
-  const std::int64_t mag = raw < 0 ? -raw : raw;
   const __int128 numerator = static_cast<__int128>(raw) * s;
-  const __int128 denominator = static_cast<__int128>(mag) + s;
+  const __int128 denominator = static_cast<__int128>(magnitude(raw)) + s;
   const __int128 half = denominator / 2;
   const __int128 adjusted = numerator >= 0 ? numerator + half : numerator - half;
   return ScaledFixed::from_raw(static_cast<std::int64_t>(adjusted / denominator), s);
@@ -55,22 +54,24 @@ double sigmoid_plan(double x) {
 ScaledFixed sigmoid_fixed(ScaledFixed x) {
   const std::int64_t s = x.scale();
   const std::int64_t raw = x.raw();
-  const std::int64_t mag = raw < 0 ? -raw : raw;
+  const std::uint64_t mag = magnitude(raw);
 
   // Segment boundaries and coefficients, scaled to the working scale.
   // All multiplications by the PLAN slopes are power-of-two divisions,
   // mirroring the shift-only datapath the scheme was designed for.
   const std::int64_t five = 5 * s;
   const std::int64_t two_375 = (19 * s) / 8;  // 2.375
-  std::int64_t half_raw;                      // PLAN(|x|), scaled
-  if (mag >= five) {
-    half_raw = s;
-  } else if (mag >= two_375) {
-    half_raw = mag / 32 + (27 * s) / 32;  // 0.03125|x| + 0.84375
-  } else if (mag >= s) {
-    half_raw = mag / 8 + (5 * s) / 8;     // 0.125|x| + 0.625
+  if (mag >= static_cast<std::uint64_t>(five)) {
+    return ScaledFixed::from_raw(raw >= 0 ? s : 0, s);
+  }
+  const std::int64_t m = static_cast<std::int64_t>(mag);  // < 5·scale
+  std::int64_t half_raw;  // PLAN(|x|), scaled
+  if (m >= two_375) {
+    half_raw = m / 32 + (27 * s) / 32;  // 0.03125|x| + 0.84375
+  } else if (m >= s) {
+    half_raw = m / 8 + (5 * s) / 8;     // 0.125|x| + 0.625
   } else {
-    half_raw = mag / 4 + s / 2;           // 0.25|x| + 0.5
+    half_raw = m / 4 + s / 2;           // 0.25|x| + 0.5
   }
   const std::int64_t result = raw >= 0 ? half_raw : s - half_raw;
   return ScaledFixed::from_raw(result, s);

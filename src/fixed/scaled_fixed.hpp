@@ -10,6 +10,7 @@
 // LSTM (|x| ≲ 10^3) never overflow.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -20,6 +21,13 @@ namespace csdml::fixedpt {
 
 /// The paper's scaling factor.
 inline constexpr std::int64_t kPaperScale = 1'000'000;
+
+/// |v| in unsigned arithmetic, so INT64_MIN yields 2^63 instead of
+/// overflowing.
+constexpr std::uint64_t magnitude(std::int64_t v) {
+  const std::uint64_t neg = static_cast<std::uint64_t>(v >> 63);
+  return (static_cast<std::uint64_t>(v) ^ neg) - neg;
+}
 
 class ScaledFixed {
  public:
@@ -92,7 +100,11 @@ class ScaledFixed {
     return a.raw_ < b.raw_;
   }
 
-  ScaledFixed abs() const { return ScaledFixed(raw_ < 0 ? -raw_ : raw_, scale_); }
+  ScaledFixed abs() const {
+    CSDML_REQUIRE(raw_ != std::numeric_limits<std::int64_t>::min(),
+                  "fixed-point overflow");
+    return ScaledFixed(raw_ < 0 ? -raw_ : raw_, scale_);
+  }
 
   /// Raw-domain product with the paper's post-product correction —
   /// bit-identical to `from_raw(a) * from_raw(b)` at the same scale. The
@@ -130,52 +142,53 @@ class ScaledFixed {
 /// loops. A datapath's scale never changes after construction, so the
 /// post-product correction — a 128-bit division in `round_div`, the single
 /// most expensive operation in the fixed hot loops — can be replaced by a
-/// double-precision reciprocal estimate repaired to the exact integer
-/// quotient. `mul(a, b)` is bit-identical to `mul_raw(a, b, scale())` for
-/// all inputs: the repair loops establish `0 <= r < scale` without
-/// assuming anything about the estimate's rounding, and products too big
-/// for the double-exact window fall back to the wide path.
+/// multiply with a precomputed integer reciprocal (Granlund & Montgomery,
+/// "Division by Invariant Integers using Multiplication", PLDI 1994).
+///
+/// For a scale s >= 2 let l = ceil(log2 s) and m = ceil(2^(63+l) / s).
+/// Because 2^(l-1) < s, m < 2^64, and m·s - 2^(63+l) < s <= 2^l, so by
+/// their Theorem 4.2 (N = 63) floor(n / s) == floor(n·m / 2^(63+l)) for
+/// every 0 <= n < 2^63. `mul(a, b)` is therefore bit-identical to
+/// `mul_raw(a, b, scale())` for all inputs: round_div's ties-away rounding
+/// is floor((|a·b| + s/2) / s) with the sign re-applied, and every input
+/// outside that window (a·b overflows int64, |a·b| + s/2 >= 2^63, or
+/// s == 1) takes mul_raw itself, so its overflow check still fires.
 class InvariantScale {
  public:
   explicit InvariantScale(std::int64_t scale)
-      : scale_(scale),
-        half_(scale / 2),
-        inv_(1.0 / static_cast<double>(scale)) {
+      : scale_(scale), half_(static_cast<std::uint64_t>(scale / 2)) {
     CSDML_REQUIRE(scale > 0, "scale must be positive");
+    if (scale == 1) return;  // limit_ stays 0: every product takes mul_raw
+    const int l = std::bit_width(static_cast<std::uint64_t>(scale - 1));
+    const unsigned __int128 s = static_cast<std::uint64_t>(scale);
+    const unsigned __int128 two_pow = static_cast<unsigned __int128>(1) << (63 + l);
+    magic_ = static_cast<std::uint64_t>((two_pow + s - 1) / s);
+    shift_ = l - 1;
+    limit_ = std::uint64_t{1} << 63;
   }
 
   std::int64_t scale() const { return scale_; }
 
   std::int64_t mul(std::int64_t a, std::int64_t b) const {
-    const __int128 wide = static_cast<__int128>(a) * b;
-    // Need |product| + scale/2 exactly representable as a double (< 2^53);
-    // LSTM-range operands never leave this window.
-    constexpr std::int64_t kExact = std::int64_t{1} << 52;
-    if (wide >= kExact || wide <= -kExact) {
-      return ScaledFixed::mul_raw(a, b, scale_);
-    }
-    const std::int64_t narrow = static_cast<std::int64_t>(wide);
-    const std::int64_t mag = narrow < 0 ? -narrow : narrow;
-    // round_div's ties-away rounding on the signed product is floor
-    // division of |product| + scale/2 with the sign re-applied.
-    const std::int64_t nh = mag + half_;
-    std::int64_t q = static_cast<std::int64_t>(static_cast<double>(nh) * inv_);
-    std::int64_t r = nh - q * scale_;
-    while (r < 0) {
-      --q;
-      r += scale_;
-    }
-    while (r >= scale_) {
-      ++q;
-      r -= scale_;
-    }
-    return narrow < 0 ? -q : q;
+    std::int64_t product = 0;
+    const bool overflow = __builtin_mul_overflow(a, b, &product);
+    // A product of INT64_MIN has magnitude 2^63, so it falls back too.
+    const std::uint64_t n = magnitude(product) + half_;
+    if (overflow || n >= limit_) return ScaledFixed::mul_raw(a, b, scale_);
+    const std::uint64_t q =
+        static_cast<std::uint64_t>((static_cast<unsigned __int128>(n) * magic_) >> 64) >>
+        shift_;
+    // Re-apply the sign branch-free: neg is all ones for a negative product.
+    const std::uint64_t neg = static_cast<std::uint64_t>(product >> 63);
+    return static_cast<std::int64_t>((q ^ neg) - neg);
   }
 
  private:
   std::int64_t scale_;
-  std::int64_t half_;
-  double inv_;
+  std::uint64_t half_;
+  std::uint64_t magic_{0};  ///< m = ceil(2^(63+l) / scale)
+  int shift_{0};            ///< l - 1: hi64(n·m) >> shift_ == n / scale
+  std::uint64_t limit_{0};  ///< fast path needs |a·b| + scale/2 < limit_
 };
 
 }  // namespace csdml::fixedpt

@@ -172,7 +172,7 @@ double FloatDatapath::infer(nn::TokenSpan sequence, FloatScratch& scratch) const
 
 FixedDatapath::FixedDatapath(const nn::LstmConfig& config,
                              const nn::LstmParams& params, std::int64_t scale)
-    : config_(config), scale_(scale) {
+    : config_(config), div_(scale) {
   CSDML_REQUIRE(scale > 0, "scale must be positive");
   CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
   embedding_rows_.reserve(static_cast<std::size_t>(config.vocab_size));
@@ -187,7 +187,7 @@ FixedDatapath::FixedDatapath(const nn::LstmConfig& config,
   dense_w_ = scaled(params.dense_w, scale);
   dense_b_ = fixedpt::ScaledFixed::from_double(params.dense_b, scale);
   tables_ = build_fixed_tables(embedding_rows_, w_x_cols_, w_h_cols_, bias_,
-                               dense_w_, scale_);
+                               dense_w_, div_);
 }
 
 FixedVector scaled(std::span<const double> values, std::int64_t scale) {
@@ -210,46 +210,62 @@ std::vector<FixedVector> scaled_columns(const nn::Matrix& m, std::int64_t scale)
   return cols;
 }
 
+namespace {
+
+/// Per-gate columns packed row-major: entry (i, g·hidden + j) is element i
+/// of column j of gate g, so one row spans every gate with unit stride.
+std::vector<std::int64_t> pack_rows(std::span<const std::vector<FixedVector>> cols,
+                                    std::size_t rows, std::size_t hidden) {
+  const std::size_t width = cols.size() * hidden;
+  std::vector<std::int64_t> packed(rows * width);
+  for (std::size_t g = 0; g < cols.size(); ++g) {
+    for (std::size_t j = 0; j < hidden; ++j) {
+      const FixedVector& col = cols[g][j];
+      for (std::size_t i = 0; i < rows; ++i) {
+        packed[i * width + g * hidden + j] = col[i].raw();
+      }
+    }
+  }
+  return packed;
+}
+
+}  // namespace
+
 FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
                                std::span<const std::vector<FixedVector>> w_x_cols,
                                std::span<const std::vector<FixedVector>> w_h_cols,
                                std::span<const FixedVector> bias,
-                               const FixedVector& dense_w, std::int64_t scale) {
+                               const FixedVector& dense_w,
+                               const fixedpt::InvariantScale& div) {
   const std::size_t gates = w_x_cols.size();
   const std::size_t hidden = dense_w.size();
   const std::size_t gate_width = gates * hidden;
-  const fixedpt::InvariantScale div(scale);
+  const std::size_t embed = gate_width == 0 ? 0 : w_x_cols[0][0].size();
   FixedTables tables;
 
   // Raw-integer `bias + W_x·x_t` per token. Integer addition is exact, so
-  // folding the x half here leaves the fused result bit-identical to the
-  // reference accumulation order.
+  // folding the x half here, one embedding element at a time over a
+  // packed W_x row (the forward's unit-stride shape), leaves the fused
+  // result bit-identical to the reference accumulation order.
+  std::vector<std::int64_t> bias_row(gate_width);
+  for (std::size_t g = 0; g < gates; ++g) {
+    for (std::size_t j = 0; j < hidden; ++j) bias_row[g * hidden + j] = bias[g][j].raw();
+  }
+  const std::vector<std::int64_t> w_x_packed = pack_rows(w_x_cols, embed, hidden);
   tables.token_table.resize(embedding_rows.size() * gate_width);
   for (std::size_t t = 0; t < embedding_rows.size(); ++t) {
     std::int64_t* row = tables.token_table.data() + t * gate_width;
-    const FixedVector& x = embedding_rows[t];
-    for (std::size_t g = 0; g < gates; ++g) {
-      for (std::size_t j = 0; j < hidden; ++j) {
-        std::int64_t acc = bias[g][j].raw();
-        const FixedVector& wx = w_x_cols[g][j];
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          acc += div.mul(wx[i].raw(), x[i].raw());
-        }
-        row[g * hidden + j] = acc;
+    std::copy(bias_row.begin(), bias_row.end(), row);
+    for (std::size_t i = 0; i < embed; ++i) {
+      const std::int64_t x = embedding_rows[t][i].raw();
+      const std::int64_t* wrow = w_x_packed.data() + i * gate_width;
+      for (std::size_t col = 0; col < gate_width; ++col) {
+        row[col] += div.mul(wrow[col], x);
       }
     }
   }
 
-  tables.w_h_packed.resize(hidden * gate_width);
-  for (std::size_t g = 0; g < gates; ++g) {
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const FixedVector& wh = w_h_cols[g][j];
-      for (std::size_t i = 0; i < hidden; ++i) {
-        tables.w_h_packed[i * gate_width + g * hidden + j] = wh[i].raw();
-      }
-    }
-  }
-
+  tables.w_h_packed = pack_rows(w_h_cols, hidden, hidden);
   tables.dense_w.reserve(hidden);
   for (const fixedpt::ScaledFixed w : dense_w) tables.dense_w.push_back(w.raw());
   return tables;
@@ -300,8 +316,8 @@ double FixedDatapath::dense(const FixedVector& h) const {
 
 double FixedDatapath::infer_reference(nn::TokenSpan sequence) const {
   CSDML_REQUIRE(!sequence.empty(), "empty sequence");
-  FixedVector h(config_.hidden_dim, fixedpt::ScaledFixed::from_raw(0, scale_));
-  FixedVector c(config_.hidden_dim, fixedpt::ScaledFixed::from_raw(0, scale_));
+  FixedVector h(config_.hidden_dim, fixedpt::ScaledFixed::from_raw(0, scale()));
+  FixedVector c(config_.hidden_dim, fixedpt::ScaledFixed::from_raw(0, scale()));
   for (const nn::TokenId token : sequence) {
     const FixedVector x = preprocess(token);
     const FixedGateVectors g = gates(x, h);
@@ -325,8 +341,7 @@ double FixedDatapath::infer(nn::TokenSpan sequence) const {
 double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const {
   CSDML_REQUIRE(!sequence.empty(), "empty sequence");
   const std::size_t hidden = config_.hidden_dim;
-  const std::int64_t scale = scale_;
-  const fixedpt::InvariantScale div(scale);
+  const std::int64_t scale = div_.scale();
   ensure_scratch(scratch);
   std::int64_t* pre = scratch.pre.data();
   std::int64_t* c = scratch.c.data();
@@ -344,7 +359,7 @@ double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const
       if (hi == 0) continue;  // exact: skipped products are exactly zero
       const std::int64_t* wrow = tables_.w_h_packed.data() + i * gate_width;
       for (std::size_t col = 0; col < gate_width; ++col) {
-        pre[col] += div.mul(wrow[col], hi);
+        pre[col] += div_.mul(wrow[col], hi);
       }
     }
     for (std::size_t g = 0; g < nn::kNumGates; ++g) {
@@ -364,15 +379,15 @@ double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const
     const std::int64_t* gc = pre + nn::kCandidate * hidden;
     const std::int64_t* go = pre + nn::kOutput * hidden;
     for (std::size_t j = 0; j < hidden; ++j) {
-      c[j] = div.mul(gf[j], c[j]) + div.mul(gi[j], gc[j]);
-      h[j] = div.mul(go[j],
-                     fixedpt::softsign_fixed(Fx::from_raw(c[j], scale)).raw());
+      c[j] = div_.mul(gf[j], c[j]) + div_.mul(gi[j], gc[j]);
+      h[j] = div_.mul(go[j],
+                      fixedpt::softsign_fixed(Fx::from_raw(c[j], scale)).raw());
     }
   }
 
   std::int64_t logit = dense_b_.raw();
   for (std::size_t j = 0; j < hidden; ++j) {
-    logit += div.mul(tables_.dense_w[j], h[j]);
+    logit += div_.mul(tables_.dense_w[j], h[j]);
   }
   return fixedpt::sigmoid_fixed(Fx::from_raw(logit, scale)).to_double();
 }

@@ -126,14 +126,16 @@ struct FixedTables {
 /// Weight staging for both fixed datapaths: builds the fused tables from
 /// pre-scaled parameters. `w_x_cols[g][j]` / `w_h_cols[g][j]` hold column
 /// j of gate g's input / recurrent matrix, one span entry per gate (4 for
-/// the LSTM, 3 for the GRU). Every `w_x·x` product goes through one
-/// fixedpt::InvariantScale, so the table is bit-identical to the reference
-/// operators' `bias + Σ w·x` while doing no 128-bit division in range.
+/// the LSTM, 3 for the GRU). Every `w_x·x` product goes through the
+/// datapath's fixedpt::InvariantScale, so the table is bit-identical to the
+/// reference operators' `bias + Σ w·x` while doing no 128-bit division in
+/// range.
 FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
                                std::span<const std::vector<FixedVector>> w_x_cols,
                                std::span<const std::vector<FixedVector>> w_h_cols,
                                std::span<const FixedVector> bias,
-                               const FixedVector& dense_w, std::int64_t scale);
+                               const FixedVector& dense_w,
+                               const fixedpt::InvariantScale& div);
 
 /// Reusable per-thread scratch for FixedDatapath::infer (raw-integer
 /// domain; every element carries the datapath's single scale implicitly).
@@ -151,7 +153,7 @@ class FixedDatapath {
                 std::int64_t scale = fixedpt::kPaperScale);
 
   const nn::LstmConfig& config() const { return config_; }
-  std::int64_t scale() const { return scale_; }
+  std::int64_t scale() const { return div_.scale(); }
 
   FixedVector preprocess(nn::TokenId token) const;
   FixedGateVectors gates(const FixedVector& x, const FixedVector& h) const;
@@ -170,7 +172,7 @@ class FixedDatapath {
   void ensure_scratch(FixedScratch& scratch) const;
 
   nn::LstmConfig config_;
-  std::int64_t scale_;
+  const fixedpt::InvariantScale div_;  ///< the scale and its product correction
   // Pre-scaled parameters, laid out like LstmParams.
   std::vector<FixedVector> embedding_rows_;
   std::array<std::vector<FixedVector>, nn::kNumGates> w_x_cols_;  // [gate][col]=column

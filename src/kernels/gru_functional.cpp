@@ -10,7 +10,7 @@ namespace csdml::kernels {
 FixedGruDatapath::FixedGruDatapath(const nn::GruConfig& config,
                                    const nn::GruParams& params,
                                    std::int64_t scale)
-    : config_(config), scale_(scale) {
+    : config_(config), div_(scale) {
   CSDML_REQUIRE(scale > 0, "scale must be positive");
   CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
   embedding_rows_.reserve(static_cast<std::size_t>(config.vocab_size));
@@ -25,13 +25,13 @@ FixedGruDatapath::FixedGruDatapath(const nn::GruConfig& config,
   dense_w_ = scaled(params.dense_w, scale);
   dense_b_ = fx(params.dense_b);
   tables_ = build_fixed_tables(embedding_rows_, w_x_cols_, w_h_cols_, bias_,
-                               dense_w_, scale_);
+                               dense_w_, div_);
 }
 
 double FixedGruDatapath::infer_reference(nn::TokenSpan sequence) const {
   CSDML_REQUIRE(!sequence.empty(), "empty sequence");
   const std::size_t hidden = config_.hidden_dim;
-  const Fx zero = Fx::from_raw(0, scale_);
+  const Fx zero = Fx::from_raw(0, scale());
   const Fx one = fx(1.0);
   std::vector<Fx> h(hidden, zero);
   std::vector<Fx> z(hidden, zero);
@@ -83,8 +83,7 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
                                GruFixedScratch& scratch) const {
   CSDML_REQUIRE(!sequence.empty(), "empty sequence");
   const std::size_t hidden = config_.hidden_dim;
-  const std::int64_t scale = scale_;
-  const fixedpt::InvariantScale div(scale);
+  const std::int64_t scale = div_.scale();
   const std::int64_t one_raw = fx(1.0).raw();
   const std::size_t gate_width = nn::kNumGruGates * hidden;
   scratch.pre.resize(gate_width);
@@ -110,7 +109,7 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
       if (hi == 0) continue;  // exact: skipped products are exactly zero
       const std::int64_t* wrow = tables_.w_h_packed.data() + i * gate_width;
       for (std::size_t col = 0; col < zr_width; ++col) {
-        pre[col] += div.mul(wrow[col], hi);
+        pre[col] += div_.mul(wrow[col], hi);
       }
     }
     for (std::size_t j = 0; j < hidden; ++j) {
@@ -124,25 +123,25 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
     // Candidate recurrent half over r ⊙ h.
     std::int64_t* cand = pre + nn::kCandidateGate * hidden;
     for (std::size_t i = 0; i < hidden; ++i) {
-      const std::int64_t rh = div.mul(r[i], h[i]);
+      const std::int64_t rh = div_.mul(r[i], h[i]);
       if (rh == 0) continue;
       const std::int64_t* wrow =
           tables_.w_h_packed.data() + i * gate_width + nn::kCandidateGate * hidden;
       for (std::size_t j = 0; j < hidden; ++j) {
-        cand[j] += div.mul(wrow[j], rh);
+        cand[j] += div_.mul(wrow[j], rh);
       }
     }
     // h' = (1 - z) h + z g.
     for (std::size_t j = 0; j < hidden; ++j) {
       const std::int64_t g_act =
           fixedpt::softsign_fixed(Fx::from_raw(cand[j], scale)).raw();
-      h[j] = div.mul(one_raw - z[j], h[j]) + div.mul(z[j], g_act);
+      h[j] = div_.mul(one_raw - z[j], h[j]) + div_.mul(z[j], g_act);
     }
   }
 
   std::int64_t logit = dense_b_.raw();
   for (std::size_t j = 0; j < hidden; ++j) {
-    logit += div.mul(tables_.dense_w[j], h[j]);
+    logit += div_.mul(tables_.dense_w[j], h[j]);
   }
   return fixedpt::sigmoid_fixed(Fx::from_raw(logit, scale)).to_double();
 }

@@ -33,7 +33,7 @@ class FixedGruDatapath {
                    std::int64_t scale = fixedpt::kPaperScale);
 
   const nn::GruConfig& config() const { return config_; }
-  std::int64_t scale() const { return scale_; }
+  std::int64_t scale() const { return div_.scale(); }
 
   /// Forward pass -> ransomware probability (fused table-driven path).
   double infer(nn::TokenSpan sequence) const;
@@ -46,10 +46,10 @@ class FixedGruDatapath {
 
  private:
   using Fx = fixedpt::ScaledFixed;
-  Fx fx(double v) const { return Fx::from_double(v, scale_); }
+  Fx fx(double v) const { return Fx::from_double(v, div_.scale()); }
 
   nn::GruConfig config_;
-  std::int64_t scale_;
+  const fixedpt::InvariantScale div_;  ///< the scale and its product correction
   std::vector<std::vector<Fx>> embedding_rows_;
   std::array<std::vector<std::vector<Fx>>, nn::kNumGruGates> w_x_cols_;
   std::array<std::vector<std::vector<Fx>>, nn::kNumGruGates> w_h_cols_;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <vector>
 
 #include "common/error.hpp"
 #include "fixed/qfixed.hpp"
+#include "fixed/scaled_fixed.hpp"
 
 namespace csdml::kernels {
 
@@ -32,11 +32,13 @@ QTo convert(QFrom value) {
 template <typename Q>
 Q sigmoid_plan_q(Q x) {
   const std::int64_t one = Q::kOne;
-  const std::int64_t mag = std::abs(x.raw());
+  const std::uint64_t umag = fixedpt::magnitude(x.raw());
+  if (umag >= static_cast<std::uint64_t>(5 * one)) {
+    return Q::from_raw(x.raw() >= 0 ? one : 0);
+  }
+  const std::int64_t mag = static_cast<std::int64_t>(umag);  // < 5·one
   std::int64_t half;
-  if (mag >= 5 * one) {
-    half = one;
-  } else if (8 * mag >= 19 * one) {  // |x| >= 2.375
+  if (8 * mag >= 19 * one) {  // |x| >= 2.375
     half = mag / 32 + (27 * one) / 32;
   } else if (mag >= one) {
     half = mag / 8 + (5 * one) / 8;
@@ -51,9 +53,8 @@ template <typename Q>
 Q softsign_q(Q x) {
   const std::int64_t one = Q::kOne;
   const std::int64_t raw = x.raw();
-  const std::int64_t mag = raw < 0 ? -raw : raw;
   const __int128 numerator = static_cast<__int128>(raw) * one;
-  const __int128 denominator = static_cast<__int128>(mag) + one;
+  const __int128 denominator = static_cast<__int128>(fixedpt::magnitude(raw)) + one;
   const __int128 half = denominator / 2;
   const __int128 adjusted = numerator >= 0 ? numerator + half : numerator - half;
   return Q::from_raw(static_cast<std::int64_t>(adjusted / denominator));

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace csdml::fixedpt {
 namespace {
@@ -103,6 +105,26 @@ TEST(Activations, SigmoidFixedSaturates) {
   EXPECT_DOUBLE_EQ(sigmoid_fixed(ScaledFixed::from_double(5.0)).to_double(), 1.0);
   EXPECT_DOUBLE_EQ(sigmoid_fixed(ScaledFixed::from_double(100.0)).to_double(), 1.0);
   EXPECT_DOUBLE_EQ(sigmoid_fixed(ScaledFixed::from_double(-5.0)).to_double(), 0.0);
+}
+
+TEST(Activations, FixedActivationsKeepSignAndRangeAtInt64Extremes) {
+  // |raw| is taken without negating INT64_MIN, which would overflow and
+  // flip the sign.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kTwo62 = std::int64_t{1} << 62;
+  for (const std::int64_t s : {kPaperScale, std::int64_t{1} << 20}) {
+    for (const std::int64_t raw : {kMin, kMax, kTwo62, -kTwo62}) {
+      const ScaledFixed x = ScaledFixed::from_raw(raw, s);
+      const std::int64_t soft = softsign_fixed(x).raw();
+      EXPECT_GE(soft, -s) << raw;
+      EXPECT_LE(soft, s) << raw;
+      EXPECT_EQ(soft < 0, raw < 0) << raw;
+      EXPECT_NE(soft, 0) << raw;
+      // Far past 5, PLAN saturates to 0 or 1.
+      EXPECT_EQ(sigmoid_fixed(x).raw(), raw < 0 ? 0 : s) << raw;
+    }
+  }
 }
 
 TEST(Activations, SoftsignTanhGapIsBoundedOnTypicalRange) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -96,6 +98,11 @@ TEST(ScaledFixed, CoarserScaleIsLessAccurate) {
 TEST(ScaledFixed, AbsAndComparisons) {
   const auto a = ScaledFixed::from_double(-2.5);
   EXPECT_DOUBLE_EQ(a.abs().to_double(), 2.5);
+  // |INT64_MIN| has no int64 representation: an overflow error, not a
+  // negative "magnitude".
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(ScaledFixed::from_raw(-kMax).abs().raw(), kMax);
+  EXPECT_THROW(ScaledFixed::from_raw(-kMax - 1).abs(), PreconditionError);
   EXPECT_TRUE(ScaledFixed::from_double(1.0) < ScaledFixed::from_double(2.0));
   EXPECT_EQ(ScaledFixed::from_double(1.0), ScaledFixed::from_double(1.0));
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +17,7 @@
 #include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "xrt/runtime.hpp"
+#include "invariant_scale_oracle.hpp"
 
 namespace csdml::kernels {
 namespace {
@@ -49,22 +51,25 @@ std::vector<nn::LstmConfig> lstm_shapes() {
 
 TEST(FusedParity, InvariantScaleDividerMatchesMulRaw) {
   using fixedpt::InvariantScale;
-  using fixedpt::ScaledFixed;
-  for (const std::int64_t scale :
-       {std::int64_t{1}, std::int64_t{3}, std::int64_t{1'000'000},
-        std::int64_t{999'983}}) {
+  for (const std::int64_t scale : testing::invariant_scale_divisors()) {
     const InvariantScale div(scale);
     Rng rng(static_cast<std::uint64_t>(scale));
     for (int trial = 0; trial < 20000; ++trial) {
-      // Mix magnitudes: tiny, LSTM-typical, and past the double-exact
-      // window so the wide fallback is exercised too (2^31 × 2^31 = 2^62
-      // keeps the quotient in mul_raw's own domain even at scale 1).
+      // Mix magnitudes: tiny, LSTM-typical, and products up to 2^62.
       const std::int64_t lim =
           trial % 3 == 0 ? 100 : (trial % 3 == 1 ? 2'000'000 : (1LL << 31));
       const std::int64_t a = rng.uniform_int(-lim, lim);
       const std::int64_t b = rng.uniform_int(-lim, lim);
-      ASSERT_EQ(div.mul(a, b), ScaledFixed::mul_raw(a, b, scale))
-          << a << " * " << b << " / " << scale;
+      ASSERT_TRUE(testing::mul_matches_oracle(div, a, b));
+    }
+    for (int trial = 0; trial < 5000; ++trial) {
+      // A full-range int64 times a small factor: the products straddle the
+      // 2^63 exact window or overflow, so both sides must take (or throw
+      // like) mul_raw.
+      constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+      const std::int64_t a = rng.uniform_int(-kMax, kMax);
+      const std::int64_t b = rng.uniform_int(-4, 4);
+      ASSERT_TRUE(testing::mul_matches_oracle(div, a, b));
     }
     // Exact ties round away from zero, like round_div.
     EXPECT_EQ(div.mul(1, scale / 2 + scale % 2), 1);
@@ -91,8 +96,8 @@ TEST(FusedParity, FloatBitIdenticalToReference) {
 }
 
 /// Staging scales for the fixed parity tests: degenerate (1, 3), a prime
-/// near the paper's, the paper's 10^6, and 10^9, where staging products
-/// pass 2^52 and the table build takes InvariantScale's wide fallback.
+/// near the paper's, the paper's 10^6, and 10^9, whose staging products
+/// are 10^6 times larger and approach InvariantScale's 2^63 window.
 constexpr std::array<std::int64_t, 5> kStagingScales{1, 3, 999'983, 1'000'000,
                                                      1'000'000'000};
 

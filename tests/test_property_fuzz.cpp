@@ -6,9 +6,10 @@
 //   * WindowTracker — the per-process due/deferral/migration state machine —
 //     against the reference WindowModel (window_oracle.hpp), over random
 //     call/enqueue/shed/verdict/defer/forget/migrate lifecycles;
-//   * InvariantScale::mul — the reciprocal-estimate fast path — against
+//   * InvariantScale::mul — the integer-reciprocal fast path — against
 //     ScaledFixed::mul_raw, the exact 128-bit oracle, over adversarial
-//     ±2^k±1 operands that straddle the double-exact window.
+//     ±2^k±1 operands, products on both sides of the 2^63 exact window
+//     and int64 overflow, and exact ties at the window's edge.
 //
 // Each runs ≥10k seeded iterations (scalable via CSDML_FUZZ_ITERS).
 #include "detect/token_ring.hpp"
@@ -17,12 +18,14 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fixed/scaled_fixed.hpp"
 #include "detect/window_tracker.hpp"
 #include "fuzz_harness.hpp"
+#include "invariant_scale_oracle.hpp"
 #include "window_oracle.hpp"
 
 namespace csdml {
@@ -132,11 +135,18 @@ TEST(WindowTrackerProperty, MatchesReferenceModelOverRandomLifecycles) {
 }
 
 std::vector<std::int64_t> adversarial_operands() {
-  // ±2^k, ±(2^k ± 1): the values where a reciprocal estimate is most
-  // likely to land on the wrong side of a rounding boundary, spanning both
-  // sides of InvariantScale's 2^52 exact window (products up to ~2^62).
-  std::vector<std::int64_t> values{0, 1, -1, 2, -2};
-  for (int k = 2; k <= 31; ++k) {
+  // ±2^k, ±(2^k ± 1): the values where a reciprocal is most likely to land
+  // on the wrong side of a rounding boundary. Pairs of them give products
+  // from 0 through the 2^62–2^63 edge of InvariantScale's exact window to
+  // int64 overflow, and the int64 extremes on their own.
+  std::vector<std::int64_t> values{0, 1, -1, 2, -2,
+                                   std::numeric_limits<std::int64_t>::max(),
+                                   std::numeric_limits<std::int64_t>::min(),
+                                   std::numeric_limits<std::int64_t>::min() + 1};
+  std::vector<int> exponents;
+  for (int k = 2; k <= 31; ++k) exponents.push_back(k);
+  exponents.insert(exponents.end(), {32, 33, 40, 47, 52, 53, 60, 61, 62});
+  for (const int k : exponents) {
     const std::int64_t p = std::int64_t{1} << k;
     for (const std::int64_t v : {p - 1, p, p + 1}) {
       values.push_back(v);
@@ -148,14 +158,11 @@ std::vector<std::int64_t> adversarial_operands() {
 
 TEST(InvariantScaleProperty, MulMatchesExactOracleOnAdversarialOperands) {
   const std::vector<std::int64_t> operands = adversarial_operands();
-  for (const std::int64_t scale :
-       {std::int64_t{1}, std::int64_t{3}, std::int64_t{1000},
-        fixedpt::kPaperScale, std::int64_t{1} << 20}) {
+  for (const std::int64_t scale : testing::invariant_scale_divisors()) {
     const fixedpt::InvariantScale inv(scale);
     for (const std::int64_t a : operands) {
       for (const std::int64_t b : operands) {
-        ASSERT_EQ(inv.mul(a, b), fixedpt::ScaledFixed::mul_raw(a, b, scale))
-            << "a=" << a << " b=" << b << " scale=" << scale;
+        ASSERT_TRUE(testing::mul_matches_oracle(inv, a, b));
       }
     }
   }
@@ -163,16 +170,65 @@ TEST(InvariantScaleProperty, MulMatchesExactOracleOnAdversarialOperands) {
 
 TEST(InvariantScaleProperty, MulMatchesExactOracleOnRandomOperands) {
   Rng rng(0xF1D0);
-  const fixedpt::InvariantScale inv(fixedpt::kPaperScale);
+  const fixedpt::InvariantScale paper(fixedpt::kPaperScale);
   const std::size_t iterations = testing::fuzz_iterations(10'000);
   for (std::size_t i = 0; i < iterations; ++i) {
     // LSTM-magnitude raw values (|x| ≲ 10^3 at scale 10^6 → raw ≲ 10^9),
-    // stretched another order of magnitude to cross the exact window.
+    // stretched another order of magnitude, at the scale production uses.
     const std::int64_t a = rng.uniform_int(-10'000'000'000, 10'000'000'000);
     const std::int64_t b = rng.uniform_int(-10'000'000'000, 10'000'000'000);
-    ASSERT_EQ(inv.mul(a, b),
-              fixedpt::ScaledFixed::mul_raw(a, b, fixedpt::kPaperScale))
-        << "a=" << a << " b=" << b;
+    ASSERT_TRUE(testing::mul_matches_oracle(paper, a, b));
+  }
+  // Then every divisor, with operands of random bit width, whose products
+  // cover every magnitude up to int64 overflow.
+  const std::vector<std::int64_t> scales = testing::invariant_scale_divisors();
+  for (std::size_t i = 0; i < iterations; ++i) {
+    const fixedpt::InvariantScale inv(scales[i % scales.size()]);
+    const std::int64_t wa = std::int64_t{1} << rng.uniform_int(0, 62);
+    const std::int64_t wb = std::int64_t{1} << rng.uniform_int(0, 62);
+    const std::int64_t a = rng.uniform_int(-wa, wa);
+    const std::int64_t b = rng.uniform_int(-wb, wb);
+    ASSERT_TRUE(testing::mul_matches_oracle(inv, a, b));
+  }
+}
+
+TEST(InvariantScaleProperty, MulMatchesExactOracleAtTheWindowEdge) {
+  // n = |a·b| + scale/2 is exact below 2^63 and falls back from 2^63 on.
+  // Probe n = 2^63 - 1, n = 2^63, and products q·s + s/2 ± 1 (for even s,
+  // exact ties that round away from zero to q + 1) up to the largest
+  // in-window quotient, for both signs and with a·b split over two factors.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::int64_t scale : testing::invariant_scale_divisors()) {
+    const fixedpt::InvariantScale inv(scale);
+    const std::int64_t half = scale / 2;
+    std::vector<std::int64_t> products{kMax - half, kMax, 1, half, half + 1, scale};
+    if (half > 0) products.push_back(kMax - half + 1);  // n = 2^63
+    const std::int64_t top = (kMax - half) / scale;  // largest in-window q
+    for (const std::int64_t q : {top - 2, top - 1, top, std::int64_t{1},
+                                 std::int64_t{12'345}}) {
+      if (q < 0 || q > top) continue;
+      const std::int64_t tie = q * scale + half;
+      if (tie > 0) products.push_back(tie - 1);
+      products.push_back(tie);
+      if (tie < kMax) products.push_back(tie + 1);
+    }
+    for (const std::int64_t p : products) {
+      for (const std::int64_t sign : {1, -1}) {
+        ASSERT_TRUE(testing::mul_matches_oracle(inv, sign, p));
+        ASSERT_TRUE(testing::mul_matches_oracle(inv, p, sign));
+        if (p % 2 == 0) {
+          ASSERT_TRUE(testing::mul_matches_oracle(inv, 2 * sign, p / 2));
+        }
+        if (p % 3 == 0) {
+          ASSERT_TRUE(testing::mul_matches_oracle(inv, p / 3, -3 * sign));
+        }
+      }
+    }
+    // Ties round away from zero, like round_div.
+    if (scale % 2 == 0) {
+      EXPECT_EQ(inv.mul(1, top * scale + half), top + 1) << scale;
+      EXPECT_EQ(inv.mul(-1, top * scale + half), -(top + 1)) << scale;
+    }
   }
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -78,6 +80,20 @@ TEST(Rng, UniformIntCoversInclusiveRange) {
   EXPECT_EQ(seen.size(), 5u);  // all five values appear
   EXPECT_EQ(rng.uniform_int(4, 4), 4);
   EXPECT_THROW(rng.uniform_int(5, 4), PreconditionError);
+  // Spans wider than INT64_MAX (hi - lo would overflow int64).
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::int64_t bound : {std::int64_t{1} << 62, kMax}) {
+    bool negative = false;
+    bool positive = false;
+    for (int i = 0; i < 200; ++i) {
+      const std::int64_t v = rng.uniform_int(-bound, bound);
+      EXPECT_GE(v, -bound);
+      EXPECT_LE(v, bound);
+      negative = negative || v < 0;
+      positive = positive || v > 0;
+    }
+    EXPECT_TRUE(negative && positive) << bound;
+  }
 }
 
 TEST(Rng, UniformIntMeanIsCentred) {
