@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "fixed/activations.hpp"
+#include "fixed/row_kernel.hpp"
 #include "fixed/scaled_fixed.hpp"
 #include "kernels/functional.hpp"
 #include "kernels/gru_functional.hpp"
@@ -140,6 +141,40 @@ void BM_InvariantScaleMul(benchmark::State& state) {
 }
 BENCHMARK(BM_InvariantScaleMul)->ArgName("both_vary")->Arg(0)->Arg(1);
 
+// One token's recurrent pass in the fused LSTM forward: hidden rows of the
+// packed 4·hidden-wide W_h block, each accumulated against one h element
+// (the table build has the same shape over W_x). Arg 0 runs the
+// dispatched fixedpt::mul_add_row, the ISA it selects is in the context
+// as row_kernel; arg 1 runs its scalar body, the loop of
+// InvariantScale::mul.
+void BM_FixedRowKernel(benchmark::State& state) {
+  const fixedpt::InvariantScale div(fixedpt::kPaperScale);
+  const std::size_t hidden = shared().config.hidden_dim;
+  const std::size_t width = nn::kNumGates * hidden;
+  Rng rng(11);
+  std::vector<std::int64_t> w(hidden * width);
+  for (std::int64_t& v : w) v = rng.uniform_int(-fixedpt::kPaperScale, fixedpt::kPaperScale);
+  std::vector<std::int64_t> h(hidden);
+  for (std::int64_t& v : h) v = rng.uniform_int(-fixedpt::kPaperScale, fixedpt::kPaperScale);
+  const std::int64_t limit = fixedpt::row_x_limit(div, w);
+  std::vector<std::int64_t> acc(width, 0);
+  const bool scalar = state.range(0) != 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < hidden; ++i) {
+      if (scalar) {
+        fixedpt::mul_add_row_scalar(div, w.data() + i * width, h[i], acc.data(), width);
+      } else {
+        fixedpt::mul_add_row(div, w.data() + i * width, h[i], limit, acc.data(), width);
+      }
+    }
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(hidden * width));
+}
+BENCHMARK(BM_FixedRowKernel)->ArgName("scalar")->Arg(0)->Arg(1);
+
 void BM_SigmoidFixed(benchmark::State& state) {
   const auto x = fixedpt::ScaledFixed::from_double(1.5);
   for (auto _ : state) {
@@ -158,4 +193,11 @@ BENCHMARK(BM_SoftsignFixed);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("row_kernel", csdml::fixedpt::row_kernel_isa());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

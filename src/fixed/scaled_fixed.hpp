@@ -165,9 +165,23 @@ class InvariantScale {
     magic_ = static_cast<std::uint64_t>((two_pow + s - 1) / s);
     shift_ = l - 1;
     limit_ = std::uint64_t{1} << 63;
+    if (scale > (std::int64_t{1} << 52)) return;  // no 52-bit reciprocal
+    const unsigned __int128 two_pow52 = static_cast<unsigned __int128>(1) << (52 + l);
+    magic52_ = static_cast<std::uint64_t>((two_pow52 + s - 1) / s) - (std::uint64_t{1} << 52);
+    shift52_ = l;
   }
 
   std::int64_t scale() const { return scale_; }
+  std::uint64_t half() const { return half_; }
+
+  /// The same division for 52-bit numerators (Theorem 4.2 with N = 52),
+  /// the width of an AVX-512 IFMA multiply: for 2 <= scale <= 2^52, with
+  /// m' = ceil(2^(52+l) / s) - 2^52 (< 2^52, see docs/PERFORMANCE.md),
+  /// floor(n / s) == (hi52(n·m') + n) >> l for every 0 <= n < 2^52.
+  /// The fixedpt row kernel (row_kernel.hpp) uses it.
+  bool has_reciprocal52() const { return shift52_ > 0; }
+  std::uint64_t magic52() const { return magic52_; }
+  int shift52() const { return shift52_; }
 
   std::int64_t mul(std::int64_t a, std::int64_t b) const {
     std::int64_t product = 0;
@@ -186,9 +200,11 @@ class InvariantScale {
  private:
   std::int64_t scale_;
   std::uint64_t half_;
-  std::uint64_t magic_{0};  ///< m = ceil(2^(63+l) / scale)
-  int shift_{0};            ///< l - 1: hi64(n·m) >> shift_ == n / scale
-  std::uint64_t limit_{0};  ///< fast path needs |a·b| + scale/2 < limit_
+  std::uint64_t magic_{0};    ///< m = ceil(2^(63+l) / scale)
+  int shift_{0};              ///< l - 1: hi64(n·m) >> shift_ == n / scale
+  std::uint64_t limit_{0};    ///< fast path needs |a·b| + scale/2 < limit_
+  std::uint64_t magic52_{0};  ///< m' = ceil(2^(52+l) / scale) - 2^52
+  int shift52_{0};            ///< l, or 0 when scale is 1 or above 2^52
 };
 
 }  // namespace csdml::fixedpt

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "fixed/activations.hpp"
+#include "fixed/row_kernel.hpp"
 #include "nn/tensor.hpp"
 
 namespace csdml::kernels {
@@ -252,20 +253,19 @@ FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
     for (std::size_t j = 0; j < hidden; ++j) bias_row[g * hidden + j] = bias[g][j].raw();
   }
   const std::vector<std::int64_t> w_x_packed = pack_rows(w_x_cols, embed, hidden);
+  const std::int64_t w_x_limit = fixedpt::row_x_limit(div, w_x_packed);
   tables.token_table.resize(embedding_rows.size() * gate_width);
   for (std::size_t t = 0; t < embedding_rows.size(); ++t) {
     std::int64_t* row = tables.token_table.data() + t * gate_width;
     std::copy(bias_row.begin(), bias_row.end(), row);
     for (std::size_t i = 0; i < embed; ++i) {
-      const std::int64_t x = embedding_rows[t][i].raw();
-      const std::int64_t* wrow = w_x_packed.data() + i * gate_width;
-      for (std::size_t col = 0; col < gate_width; ++col) {
-        row[col] += div.mul(wrow[col], x);
-      }
+      fixedpt::mul_add_row(div, w_x_packed.data() + i * gate_width,
+                           embedding_rows[t][i].raw(), w_x_limit, row, gate_width);
     }
   }
 
   tables.w_h_packed = pack_rows(w_h_cols, hidden, hidden);
+  tables.w_h_limit = fixedpt::row_x_limit(div, tables.w_h_packed);
   tables.dense_w.reserve(hidden);
   for (const fixedpt::ScaledFixed w : dense_w) tables.dense_w.push_back(w.raw());
   return tables;
@@ -355,12 +355,9 @@ double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const
         tables_.token_table.data() + static_cast<std::size_t>(token) * gate_width;
     std::copy(row, row + gate_width, pre);
     for (std::size_t i = 0; i < hidden; ++i) {
-      const std::int64_t hi = h[i];
-      if (hi == 0) continue;  // exact: skipped products are exactly zero
-      const std::int64_t* wrow = tables_.w_h_packed.data() + i * gate_width;
-      for (std::size_t col = 0; col < gate_width; ++col) {
-        pre[col] += div_.mul(wrow[col], hi);
-      }
+      if (h[i] == 0) continue;  // exact: skipped products are exactly zero
+      fixedpt::mul_add_row(div_, tables_.w_h_packed.data() + i * gate_width, h[i],
+                           tables_.w_h_limit, pre, gate_width);
     }
     for (std::size_t g = 0; g < nn::kNumGates; ++g) {
       std::int64_t* seg = pre + g * hidden;

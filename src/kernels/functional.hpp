@@ -120,6 +120,7 @@ std::vector<FixedVector> scaled_columns(const nn::Matrix& m, std::int64_t scale)
 struct FixedTables {
   std::vector<std::int64_t> token_table;  ///< vocab × gates·hidden: bias + W_x·x_t
   std::vector<std::int64_t> w_h_packed;   ///< w_h[g](i,j) at row i, col g·hidden+j
+  std::int64_t w_h_limit{-1};             ///< fixedpt::row_x_limit over w_h_packed
   std::vector<std::int64_t> dense_w;      ///< hidden
 };
 
@@ -127,9 +128,9 @@ struct FixedTables {
 /// pre-scaled parameters. `w_x_cols[g][j]` / `w_h_cols[g][j]` hold column
 /// j of gate g's input / recurrent matrix, one span entry per gate (4 for
 /// the LSTM, 3 for the GRU). Every `w_x·x` product goes through the
-/// datapath's fixedpt::InvariantScale, so the table is bit-identical to the
-/// reference operators' `bias + Σ w·x` while doing no 128-bit division in
-/// range.
+/// datapath's fixedpt::InvariantScale, one packed W_x row at a time in
+/// fixedpt::mul_add_row, so the table is bit-identical to the reference
+/// operators' `bias + Σ w·x` while doing no 128-bit division in range.
 FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
                                std::span<const std::vector<FixedVector>> w_x_cols,
                                std::span<const std::vector<FixedVector>> w_h_cols,

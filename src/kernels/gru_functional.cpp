@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "fixed/activations.hpp"
+#include "fixed/row_kernel.hpp"
 
 namespace csdml::kernels {
 
@@ -105,12 +106,9 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
     // computed below, so its columns wait for the second pass).
     const std::size_t zr_width = 2 * hidden;
     for (std::size_t i = 0; i < hidden; ++i) {
-      const std::int64_t hi = h[i];
-      if (hi == 0) continue;  // exact: skipped products are exactly zero
-      const std::int64_t* wrow = tables_.w_h_packed.data() + i * gate_width;
-      for (std::size_t col = 0; col < zr_width; ++col) {
-        pre[col] += div_.mul(wrow[col], hi);
-      }
+      if (h[i] == 0) continue;  // exact: skipped products are exactly zero
+      fixedpt::mul_add_row(div_, tables_.w_h_packed.data() + i * gate_width, h[i],
+                           tables_.w_h_limit, pre, zr_width);
     }
     for (std::size_t j = 0; j < hidden; ++j) {
       z[j] = fixedpt::sigmoid_fixed(Fx::from_raw(pre[nn::kUpdate * hidden + j],
@@ -125,11 +123,9 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
     for (std::size_t i = 0; i < hidden; ++i) {
       const std::int64_t rh = div_.mul(r[i], h[i]);
       if (rh == 0) continue;
-      const std::int64_t* wrow =
-          tables_.w_h_packed.data() + i * gate_width + nn::kCandidateGate * hidden;
-      for (std::size_t j = 0; j < hidden; ++j) {
-        cand[j] += div_.mul(wrow[j], rh);
-      }
+      fixedpt::mul_add_row(
+          div_, tables_.w_h_packed.data() + i * gate_width + nn::kCandidateGate * hidden,
+          rh, tables_.w_h_limit, cand, hidden);
     }
     // h' = (1 - z) h + z g.
     for (std::size_t j = 0; j < hidden; ++j) {

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "csd/smartssd.hpp"
+#include "fixed/row_kernel.hpp"
 #include "kernels/engine.hpp"
 #include "kernels/functional.hpp"
 #include "kernels/gru_functional.hpp"
@@ -141,6 +143,94 @@ TEST(FusedParity, GruFixedBitIdenticalToReference) {
         EXPECT_EQ(path.infer(seq, scratch), reference) << "scale " << scale;
       }
     }
+  }
+}
+
+/// Sets one recurrent weight so large that fixedpt::row_x_limit over the
+/// packed W_h block falls to `fraction`·scale: recurrent operands below
+/// that take the row kernel's vector body, larger ones its scalar loop.
+/// Returns the limit.
+template <class Params>
+std::int64_t pin_recurrent_limit(Params& params, std::int64_t scale, double fraction) {
+  const double room = std::ldexp(1.0, 52) - 1.0 - static_cast<double>(scale / 2);
+  params.w_h[0](0, 0) = room / (fraction * static_cast<double>(scale)) /
+                        static_cast<double>(scale);
+  std::vector<std::int64_t> raw;
+  for (const nn::Matrix& w : params.w_h) {
+    for (std::size_t i = 0; i < w.rows(); ++i) {
+      for (std::size_t j = 0; j < w.cols(); ++j) {
+        raw.push_back(fixedpt::ScaledFixed::from_double(w(i, j), scale).raw());
+      }
+    }
+  }
+  return fixedpt::row_x_limit(fixedpt::InvariantScale(scale), raw);
+}
+
+/// Counts the nonzero recurrent operands at or under `limit` (vector body)
+/// and over it (scalar loop).
+struct GuardSplit {
+  int vector = 0;
+  int scalar = 0;
+  void add(std::int64_t x, std::int64_t limit) {
+    if (x == 0) return;
+    (fixedpt::magnitude(x) <= static_cast<std::uint64_t>(limit) ? vector : scalar)++;
+  }
+};
+
+TEST(FusedParity, FixedMixesVectorAndScalarRowsInOneWindow) {
+  nn::LstmConfig config;
+  Rng rng(400);
+  nn::LstmParams params = nn::LstmParams::glorot(config, rng);
+  const std::int64_t scale = fixedpt::kPaperScale;
+  const std::int64_t limit = pin_recurrent_limit(params, scale, 0.02);
+  ASSERT_GT(limit, 0);
+  const FixedDatapath path(config, params, scale);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const nn::Sequence seq = random_sequence(seed, config.vocab_size, 100);
+    EXPECT_EQ(path.infer(seq), path.infer_reference(seq)) << "seed " << seed;
+    // The next token's recurrent pass multiplies by h after t tokens,
+    // which the scratch holds after the prefix's forward.
+    GuardSplit split;
+    FixedScratch scratch;
+    for (std::size_t t = 1; t < seq.size(); ++t) {
+      path.infer(nn::TokenSpan(seq).first(t), scratch);
+      for (const std::int64_t h : scratch.h) split.add(h, limit);
+    }
+    EXPECT_GT(split.vector, 0) << "seed " << seed;
+    EXPECT_GT(split.scalar, 0) << "seed " << seed;
+  }
+}
+
+TEST(FusedParity, GruFixedMixesVectorAndScalarRowsInOneWindow) {
+  nn::GruConfig config;
+  Rng rng(401);
+  nn::GruParams params = nn::GruParams::glorot(config, rng);
+  const std::int64_t scale = fixedpt::kPaperScale;
+  const std::int64_t limit = pin_recurrent_limit(params, scale, 0.02);
+  ASSERT_GT(limit, 0);
+  const FixedGruDatapath path(config, params, scale);
+  const fixedpt::InvariantScale div(scale);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const nn::Sequence seq = random_sequence(seed, config.vocab_size, 100);
+    EXPECT_EQ(path.infer(seq), path.infer_reference(seq)) << "seed " << seed;
+    // After t tokens, the next token's z/r pass multiplies by h and its
+    // candidate pass by r ⊙ h, with r from that next token's own step.
+    GuardSplit zr;
+    GuardSplit candidate;
+    GruFixedScratch before;
+    GruFixedScratch after;
+    for (std::size_t t = 1; t < seq.size(); ++t) {
+      path.infer(nn::TokenSpan(seq).first(t), before);
+      path.infer(nn::TokenSpan(seq).first(t + 1), after);
+      for (std::size_t i = 0; i < config.hidden_dim; ++i) {
+        zr.add(before.h[i], limit);
+        candidate.add(div.mul(after.r[i], before.h[i]), limit);
+      }
+    }
+    EXPECT_GT(zr.vector, 0) << "seed " << seed;
+    EXPECT_GT(zr.scalar, 0) << "seed " << seed;
+    EXPECT_GT(candidate.vector, 0) << "seed " << seed;
+    EXPECT_GT(candidate.scalar, 0) << "seed " << seed;
   }
 }
 

@@ -9,7 +9,9 @@
 //   * InvariantScale::mul — the integer-reciprocal fast path — against
 //     ScaledFixed::mul_raw, the exact 128-bit oracle, over adversarial
 //     ±2^k±1 operands, products on both sides of the 2^63 exact window
-//     and int64 overflow, and exact ties at the window's edge.
+//     and int64 overflow, and exact ties at the window's edge;
+//   * fixedpt::mul_add_row — the row kernel on every divisor and tail
+//     length, both of its bodies, either side of its per-call guard.
 //
 // Each runs ≥10k seeded iterations (scalable via CSDML_FUZZ_ITERS).
 #include "detect/token_ring.hpp"
@@ -18,10 +20,13 @@
 
 #include <algorithm>
 #include <deque>
+#include <iostream>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fixed/row_kernel.hpp"
 #include "fixed/scaled_fixed.hpp"
 #include "detect/window_tracker.hpp"
 #include "fuzz_harness.hpp"
@@ -229,6 +234,115 @@ TEST(InvariantScaleProperty, MulMatchesExactOracleAtTheWindowEdge) {
       EXPECT_EQ(inv.mul(1, top * scale + half), top + 1) << scale;
       EXPECT_EQ(inv.mul(-1, top * scale + half), -(top + 1)) << scale;
     }
+  }
+}
+
+TEST(InvariantScaleProperty, Reciprocal52IsExactBelow2To52) {
+  // The row kernel's vector body computes (hi52(n·m') + n) >> l. Check that
+  // formula in scalar code, so it is verified on every CPU: m' < 2^52, and
+  // it equals n / s at 0, at exact multiples and ties and their
+  // neighbours, at 2^52 - 1, and at random n below 2^52.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 52) - 1;
+  Rng rng(0x52);
+  for (const std::int64_t scale : testing::invariant_scale_divisors()) {
+    const fixedpt::InvariantScale inv(scale);
+    ASSERT_EQ(inv.has_reciprocal52(), scale >= 2 && scale <= (1LL << 52)) << scale;
+    if (!inv.has_reciprocal52()) continue;
+    ASSERT_LT(inv.magic52(), std::uint64_t{1} << 52) << scale;
+    const auto s = static_cast<std::uint64_t>(scale);
+    std::vector<std::uint64_t> numerators{0, 1, kTop, kTop - 1, s - 1, s, s + 1};
+    for (const std::uint64_t q : {std::uint64_t{1}, kTop / s - 1, kTop / s}) {
+      for (const std::uint64_t base : {q * s, q * s + s / 2}) {
+        numerators.insert(numerators.end(), {base - 1, base, base + 1});
+      }
+    }
+    for (int i = 0; i < 1000; ++i) {
+      numerators.push_back(static_cast<std::uint64_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kTop))));
+    }
+    for (const std::uint64_t n : numerators) {
+      if (n > kTop) continue;
+      const auto hi = static_cast<std::uint64_t>(
+          (static_cast<unsigned __int128>(n) * inv.magic52()) >> 52);
+      ASSERT_EQ((hi + n) >> inv.shift52(), n / s) << "n " << n << " / " << scale;
+    }
+  }
+}
+
+TEST(InvariantScaleProperty, RowKernelMatchesMulOnEveryDivisor) {
+  const bool ifma = std::string_view(fixedpt::row_kernel_isa()) == "avx512ifma";
+  std::cout << "row kernel: " << fixedpt::row_kernel_isa() << "\n";
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(0x1F3A);
+  // Checks the dispatched kernel, whose guard picks the body, and — where
+  // the CPU has it and the guard would pass — the vector body directly.
+  const auto check = [&](const fixedpt::InvariantScale& inv,
+                         const std::vector<std::int64_t>& w, std::int64_t x) {
+    const std::int64_t limit = fixedpt::row_x_limit(inv, w);
+    // Random accumulators, except where a product near int64's edge would
+    // make the sum itself overflow; there the accumulator starts at 0.
+    std::vector<std::int64_t> acc0(w.size());
+    for (std::size_t c = 0; c < w.size(); ++c) {
+      std::int64_t product = 0;
+      const bool small = !__builtin_mul_overflow(w[c], x, &product) &&
+                         fixedpt::magnitude(product) < (std::uint64_t{1} << 62);
+      acc0[c] = small ? rng.uniform_int(-(1LL << 40), 1LL << 40) : 0;
+    }
+    ASSERT_TRUE(testing::row_matches_oracle(inv, w, x, acc0, [&](std::int64_t* acc) {
+      fixedpt::mul_add_row(inv, w.data(), x, limit, acc, w.size());
+    }));
+#if defined(__x86_64__)
+    if (ifma && limit >= 0 && -limit <= x && x <= limit) {
+      ASSERT_TRUE(testing::row_matches_oracle(inv, w, x, acc0, [&](std::int64_t* acc) {
+        fixedpt::mul_add_row_ifma(inv, w.data(), x, acc, w.size());
+      }));
+    }
+#endif
+  };
+
+  for (const std::int64_t scale : testing::invariant_scale_divisors()) {
+    const fixedpt::InvariantScale inv(scale);
+    for (std::size_t width = 1; width <= 135; ++width) {
+      // Weights of a random bit width up to 2^51, so the row's x_limit
+      // ranges from 0 to the whole 52-bit window; every tail length 0–7.
+      const std::int64_t bound = std::int64_t{1} << rng.uniform_int(0, 51);
+      std::vector<std::int64_t> w(width);
+      for (std::int64_t& v : w) v = rng.uniform_int(-bound, bound);
+      const std::int64_t limit = fixedpt::row_x_limit(inv, w);
+      for (const std::int64_t x :
+           {std::int64_t{0}, limit, -limit, limit + 1, -(limit + 1),
+            limit < 1 ? 1 : rng.uniform_int(-limit, limit), kMin, kMax}) {
+        check(inv, w, x);
+      }
+      // Rows holding the int64 extremes: x_limit is 0, so only x == 0 may
+      // take the vector body, and every other x must throw like mul_raw.
+      std::vector<std::int64_t> extreme = w;
+      extreme[rng.uniform_int(0, static_cast<std::int64_t>(width) - 1)] = kMin;
+      extreme[rng.uniform_int(0, static_cast<std::int64_t>(width) - 1)] = kMax;
+      for (const std::int64_t x : {std::int64_t{0}, std::int64_t{1}, std::int64_t{-1},
+                                   std::int64_t{2}, std::int64_t{-3}, kMin}) {
+        check(inv, extreme, x);
+      }
+    }
+    // Exact ties at the top of the 52-bit window: a row of ±1 against
+    // x = q·s + s/2 (and ±1) for the largest q the guard admits.
+    std::vector<std::int64_t> unit(11);
+    for (std::size_t c = 0; c < unit.size(); ++c) unit[c] = c % 2 == 0 ? 1 : -1;
+    const std::int64_t limit = fixedpt::row_x_limit(inv, unit);
+    if (limit <= inv.scale()) continue;
+    const std::int64_t half = scale / 2;
+    const std::int64_t top = (limit - half) / scale;
+    for (const std::int64_t q : {std::int64_t{0}, std::int64_t{1}, top - 1, top}) {
+      for (const std::int64_t delta : {-1, 0, 1}) {
+        const std::int64_t x = q * scale + half + delta;
+        check(inv, unit, x);
+        check(inv, unit, -x);
+      }
+    }
+  }
+  if (!ifma) {
+    GTEST_SKIP() << "this CPU lacks AVX-512 IFMA: only the scalar row kernel ran";
   }
 }
 
