@@ -6,12 +6,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fixed/activations.hpp"
 #include "fixed/row_kernel.hpp"
 #include "fixed/scaled_fixed.hpp"
+#include "kernels/engine.hpp"
 #include "kernels/functional.hpp"
 #include "kernels/gru_functional.hpp"
 #include "nn/train.hpp"
@@ -73,6 +75,31 @@ void BM_FixedDatapathBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FixedDatapathBuild)->Unit(benchmark::kMicrosecond);
+
+// One board's engine construction at the default FixedPoint config:
+// SmartSSD and device setup, xclbin placement and the weight-image DMA.
+// Arg 0 stages the weights from params, as a standalone engine does;
+// arg 1 adopts an already staged version, the cost of each board after
+// the first in a fleet.
+void BM_EngineConstruct(benchmark::State& state) {
+  const kernels::EngineConfig config{};
+  const auto staged = std::make_shared<const kernels::StagedWeights>(
+      shared().config, shared().params, config);
+  const bool adopt = state.range(0) != 0;
+  for (auto _ : state) {
+    csd::SmartSsd board{csd::SmartSsdConfig{}};
+    xrt::Device device{board};
+    if (adopt) {
+      const kernels::CsdLstmEngine engine(device, shared().config, staged, config);
+      benchmark::DoNotOptimize(&engine);
+    } else {
+      const kernels::CsdLstmEngine engine(device, shared().config,
+                                          shared().params, config);
+      benchmark::DoNotOptimize(&engine);
+    }
+  }
+}
+BENCHMARK(BM_EngineConstruct)->ArgName("staged")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_FixedGruDatapathBuild(benchmark::State& state) {
   for (auto _ : state) {

@@ -80,13 +80,43 @@ std::vector<std::uint8_t> sequence_image(const nn::Sequence& sequence) {
 
 }  // namespace
 
+StagedWeights::StagedWeights(const nn::LstmConfig& model_config,
+                             const nn::LstmParams& params,
+                             const EngineConfig& config)
+    : model_config_(model_config), params_(params), level_(config.level),
+      fixed_scale_(config.fixed_scale) {
+  CSDML_REQUIRE(params_match_config(model_config_, params_),
+                "staged weights: params do not match the model architecture");
+  // Staging time (the token-table build and the DDR image) is tracked so
+  // CTI hot swaps stay observable.
+  const auto start = std::chrono::steady_clock::now();
+  if (level_ == OptimizationLevel::FixedPoint) {
+    fixed_path_.emplace(model_config_, params_, fixed_scale_);
+  } else {
+    float_path_.emplace(model_config_, params_);
+  }
+  image_ = weight_image(params_);
+  const double elapsed_us =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
+                                                start)
+          .count();
+  obs::registry().observe("engine.weight_table_rebuild_us", elapsed_us);
+}
+
+double StagedWeights::infer(nn::TokenSpan sequence, FloatScratch& float_scratch,
+                            FixedScratch& fixed_scratch) const {
+  return fixed_path_ ? fixed_path_->infer(sequence, fixed_scratch)
+                     : float_path_->infer(sequence, float_scratch);
+}
+
 CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_config,
-                             const nn::LstmParams& params, EngineConfig config)
-    : device_(device), model_config_(model_config), params_(params),
-      config_(config) {
+                             std::shared_ptr<const StagedWeights> weights,
+                             EngineConfig config)
+    : device_(device), model_config_(model_config), config_(config) {
   CSDML_REQUIRE(config_.gate_cu_count >= 1 && config_.gate_cu_count <= 4,
                 "gate CU count must be in [1, 4]");
-  build_datapath(slots_[0]);
+  check_adoptable(weights.get());
+  slots_[0].weights = std::move(weights);
 
   // Build the xclbin: one preprocess kernel, `gate_cu_count` gate CUs, one
   // hidden-state kernel.
@@ -108,37 +138,24 @@ CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_co
   initialise();
 }
 
+CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_config,
+                             const nn::LstmParams& params, EngineConfig config)
+    : CsdLstmEngine(device, model_config,
+                    std::make_shared<const StagedWeights>(model_config, params, config),
+                    config) {}
+
 CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::ModelSnapshot& snapshot,
                              EngineConfig config)
     : CsdLstmEngine(device, snapshot.config, snapshot.params, config) {}
 
-void CsdLstmEngine::build_datapath(DatapathSlot& slot) {
-  // One datapath per slot, not two: fixed-point mode never reads the float
-  // path (Vanilla/II change timing, not arithmetic). Staging time (this
-  // includes the token-table build) is tracked so CTI hot swaps stay
-  // observable.
-  const auto start = std::chrono::steady_clock::now();
-  if (config_.level == OptimizationLevel::FixedPoint) {
-    slot.fixed_path = std::make_unique<FixedDatapath>(model_config_, params_,
-                                                      config_.fixed_scale);
-    slot.float_path.reset();
-  } else {
-    slot.float_path = std::make_unique<FloatDatapath>(model_config_, params_);
-    slot.fixed_path.reset();
-  }
-  const double elapsed_us =
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                start)
-          .count();
-  obs::registry().observe("engine.weight_table_rebuild_us", elapsed_us);
-}
-
-double CsdLstmEngine::forward(const DatapathSlot& slot, nn::TokenSpan sequence,
-                              FloatScratch& float_scratch,
-                              FixedScratch& fixed_scratch) const {
-  return config_.level == OptimizationLevel::FixedPoint
-             ? slot.fixed_path->infer(sequence, fixed_scratch)
-             : slot.float_path->infer(sequence, float_scratch);
+void CsdLstmEngine::check_adoptable(const StagedWeights* weights) const {
+  CSDML_REQUIRE(weights != nullptr, "engine: no staged weights");
+  CSDML_REQUIRE(weights->level() == config_.level &&
+                    weights->fixed_scale() == config_.fixed_scale,
+                "engine: weights staged for another optimization level or scale");
+  CSDML_REQUIRE(weights->model_config() == model_config_ &&
+                    params_match_config(model_config_, weights->params()),
+                "engine: weights staged for another model architecture");
 }
 
 ThreadPool& CsdLstmEngine::batch_pool() {
@@ -279,7 +296,7 @@ InferenceResult CsdLstmEngine::degraded_infer(nn::TokenSpan sequence) {
 void CsdLstmEngine::initialise() {
   // Host program initialisation (Fig. 2): the weight/embedding image moves
   // host -> PCIe -> FPGA DDR once, before any inference runs.
-  const std::vector<std::uint8_t> image = weight_image(params_);
+  const std::vector<std::uint8_t>& image = slots_[0].weights->image();
   weights_bo_.emplace(device_.alloc_bo(image.size(), config_.sequence_bank));
   weights_bo_->write(image);
   weights_bo_->sync_to_device();
@@ -291,13 +308,15 @@ void CsdLstmEngine::initialise() {
 }
 
 void CsdLstmEngine::update_weights(const nn::LstmParams& params) {
+  update_weights(std::make_shared<const StagedWeights>(model_config_, params, config_));
+}
+
+void CsdLstmEngine::update_weights(std::shared_ptr<const StagedWeights> weights) {
   // Writers serialise among themselves; readers are never blocked. The
-  // expensive part — rebuilding the datapath and its token table — happens
-  // in the inactive slot with no lock shared with the inference hot path.
+  // version was staged (token table included) before it got here, so a
+  // swap is a pointer store plus the image DMA.
   std::lock_guard<std::mutex> update_guard(update_mutex_);
-  CSDML_REQUIRE(params_match_config(model_config_, params),
-                "update_weights: model architecture changed");
-  params_ = params;
+  check_adoptable(weights.get());
   const std::uint64_t epoch = epoch_.load(std::memory_order_seq_cst);
   DatapathSlot& target = slots_[(epoch + 1) & 1];
   // The target slot was live two epochs ago; wait out any straggler still
@@ -306,15 +325,15 @@ void CsdLstmEngine::update_weights(const nn::LstmParams& params) {
   while (target.readers.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
-  // Rebuild into the inactive slot (precomputed token table included),
-  // then publish: every pin taken after this store reads the new weights.
-  build_datapath(target);
+  // Store into the inactive slot, then publish: every pin taken after
+  // this store reads the new weights.
+  target.weights = weights;
   epoch_.store(epoch + 1, std::memory_order_seq_cst);
 
   // Same xclbin, fresh weight image: the paper's compile-once update path.
   // Staging rides the simulated PCIe link, so this brief step is the only
   // part of a hot swap that contends with inference for the device.
-  const std::vector<std::uint8_t> image = weight_image(params_);
+  const std::vector<std::uint8_t>& image = weights->image();
   const std::uint32_t update_number =
       weight_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
   {
@@ -380,7 +399,8 @@ InferenceResult CsdLstmEngine::infer(nn::TokenSpan sequence) {
   double probability;
   {
     const EpochPin pin(*this);
-    probability = forward(pin.slot(), sequence, float_scratch_, fixed_scratch_);
+    probability =
+        pin.slot().weights->infer(sequence, float_scratch_, fixed_scratch_);
   }
 
   // Timing: preprocess overlaps the previous item's gate/hidden stage
@@ -470,18 +490,18 @@ CsdLstmEngine::BatchResult CsdLstmEngine::infer_batch(
   // Fan the functional forward passes out across the pool; each executor
   // owns one scratch pair, results land at their sequence index. One epoch
   // pin covers every worker: they all read the slot resolved here, and the
-  // pin keeps a concurrent hot swap from rebuilding it mid-batch.
+  // pin keeps a concurrent hot swap from replacing its version mid-batch.
   ThreadPool& pool = batch_pool();
   std::vector<FloatScratch> float_scratch(pool.thread_count());
   std::vector<FixedScratch> fixed_scratch(pool.thread_count());
   {
     const EpochPin pin(*this);
-    const DatapathSlot& slot = pin.slot();
+    const StagedWeights& weights = *pin.slot().weights;
     pool.parallel_for(
         sequences.size(), [&](std::size_t executor, std::size_t index) {
           const double probability =
-              forward(slot, sequences[index], float_scratch[executor],
-                      fixed_scratch[executor]);
+              weights.infer(sequences[index], float_scratch[executor],
+                            fixed_scratch[executor]);
           result.probabilities[index] = probability;
           result.labels[index] = probability >= 0.5 ? 1 : 0;
         });

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "kernels/functional.hpp"
@@ -64,6 +65,47 @@ struct EngineConfig {
   RetryPolicy retry{};
 };
 
+/// One immutable weight version, staged for one optimization level and
+/// fixed scale: the parameters, exactly one functional datapath (token
+/// table included; fixed-point mode never reads a float path, and
+/// Vanilla/II change timing, not arithmetic), and the float32 image the
+/// host program DMAs into FPGA DDR. Engines share it through
+/// `std::shared_ptr<const StagedWeights>`, so a fleet stages each version
+/// once however many boards serve it — the paper's host program stages
+/// the image once, and the model "is compiled once and can be updated at
+/// the operator's discretion".
+class StagedWeights {
+ public:
+  /// Stages `params` for engines configured with `config` (its level and
+  /// fixed scale). The only place an engine's datapath is built. Throws
+  /// PreconditionError when `params` do not have the shape `model_config`
+  /// implies. Wall time is recorded once per staging in the
+  /// `engine.weight_table_rebuild_us` histogram.
+  StagedWeights(const nn::LstmConfig& model_config, const nn::LstmParams& params,
+                const EngineConfig& config);
+
+  const nn::LstmConfig& model_config() const { return model_config_; }
+  const nn::LstmParams& params() const { return params_; }
+  OptimizationLevel level() const { return level_; }
+  std::int64_t fixed_scale() const { return fixed_scale_; }
+  /// Raw little-endian float32 image staged into FPGA DDR.
+  const std::vector<std::uint8_t>& image() const { return image_; }
+
+  /// Whole-sequence forward pass through the staged datapath; only the
+  /// scratch of the populated datapath is touched.
+  double infer(nn::TokenSpan sequence, FloatScratch& float_scratch,
+               FixedScratch& fixed_scratch) const;
+
+ private:
+  nn::LstmConfig model_config_;
+  nn::LstmParams params_;
+  OptimizationLevel level_;
+  std::int64_t fixed_scale_;
+  std::optional<FloatDatapath> float_path_;
+  std::optional<FixedDatapath> fixed_path_;
+  std::vector<std::uint8_t> image_;
+};
+
 /// Per-item kernel timings — the Fig. 3 quantities.
 struct KernelTimings {
   Duration preprocess;
@@ -87,9 +129,15 @@ struct InferenceResult {
 class CsdLstmEngine {
  public:
   /// Builds the xclbin for the configured optimization level, places it on
-  /// the device's FPGA (throws ResourceError if it cannot fit) and stages
-  /// the weights into FPGA DDR the way the host program's initialisation
-  /// step does.
+  /// the device's FPGA (throws ResourceError if it cannot fit) and DMAs the
+  /// staged weight image into FPGA DDR the way the host program's
+  /// initialisation step does. `weights` must have been staged for
+  /// `model_config` and for `config`'s level and fixed scale
+  /// (PreconditionError otherwise); it is shared, never copied.
+  CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_config,
+                std::shared_ptr<const StagedWeights> weights, EngineConfig config);
+
+  /// Stages `params` for this engine alone, then adopts them.
   CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_config,
                 const nn::LstmParams& params, EngineConfig config);
 
@@ -145,19 +193,22 @@ class CsdLstmEngine {
   /// Current simulated device time (span/trace boundary timestamps).
   TimePoint device_now() const { return device_.now(); }
 
-  /// Hot-swaps the model parameters without recompiling the FPGA binary —
-  /// the paper's update path ("the FPGA-based model is compiled once and
-  /// can be updated at the operator's discretion", e.g. after retraining
-  /// on new strains from CTI feeds). Re-stages the weight image over PCIe
-  /// (time charged to the device) and rebuilds the functional datapath,
-  /// including its token→gate-preactivation table (wall-clock recorded in
-  /// the `engine.weight_table_rebuild_us` histogram).
+  /// Hot-swaps the model without recompiling the FPGA binary — the
+  /// paper's update path ("the FPGA-based model is compiled once and can
+  /// be updated at the operator's discretion", e.g. after retraining on
+  /// new strains from CTI feeds). Adopts an already staged version and
+  /// DMAs its image over this board's PCIe link (time charged to the
+  /// device).
   ///
-  /// The rebuild happens in the *inactive* datapath slot and is published
+  /// The version lands in the *inactive* datapath slot and is published
   /// by bumping an epoch counter, so in-flight inference never waits on
   /// it — a swap only contends with classification for the short PCIe
-  /// staging step (see `device_mutex_`), never for the table build.
-  /// The model architecture (dims, activation) must be unchanged.
+  /// staging step (see `device_mutex_`). The version must match the
+  /// engine's model architecture (dims, activation), level and fixed
+  /// scale; a refused version throws PreconditionError and changes
+  /// nothing.
+  void update_weights(std::shared_ptr<const StagedWeights> weights);
+  /// Stages `params` for this engine alone, then adopts them.
   void update_weights(const nn::LstmParams& params);
 
   /// Number of weight images staged so far (1 after construction).
@@ -190,26 +241,24 @@ class CsdLstmEngine {
   void restore_health();
 
  private:
-  /// One buildable copy of the functional datapath. Two of these alternate
-  /// as the live path (exactly one of float/fixed is populated per the
-  /// optimization level): update_weights builds into the inactive slot and
-  /// publishes it by bumping `epoch_` — epoch-based reclamation in place
-  /// of the old reader/writer lock, so hot swaps never stall readers.
+  /// One weight version held for serving. Two of these alternate as the
+  /// live path: update_weights stores the new version in the inactive
+  /// slot and publishes it by bumping `epoch_`, so hot swaps never stall
+  /// readers.
   struct DatapathSlot {
-    std::unique_ptr<FloatDatapath> float_path;
-    std::unique_ptr<FixedDatapath> fixed_path;
-    /// In-flight readers pinned to this slot. A writer may only rebuild
-    /// the slot once this drains to zero; own cache line so reader
-    /// pin/unpin never collides with the datapath pointers.
+    std::shared_ptr<const StagedWeights> weights;
+    /// In-flight readers pinned to this slot. A writer may only replace
+    /// the slot's version once this drains to zero; own cache line so
+    /// reader pin/unpin never collides with the version pointer.
     alignas(64) mutable std::atomic<std::uint32_t> readers{0};
   };
 
   /// RAII read-side pin. Resolves the active slot from `epoch_`, bumps its
   /// reader count, then re-checks the epoch: a stale pin (the epoch moved
-  /// between load and increment, meaning a writer may already be rebuilding
+  /// between load and increment, meaning a writer may already be replacing
   /// the slot we grabbed) unpins and retries, so it never dereferences a
-  /// slot under construction. seq_cst throughout — the writer's
-  /// drain-then-rebuild and the reader's pin-then-recheck form a Dekker
+  /// slot mid-replacement. seq_cst throughout — the writer's
+  /// drain-then-replace and the reader's pin-then-recheck form a Dekker
   /// handshake that weaker orders would not make total.
   class EpochPin {
    public:
@@ -236,11 +285,9 @@ class CsdLstmEngine {
     const DatapathSlot* slot_{nullptr};
   };
 
+  /// PreconditionError unless `weights` were staged for this engine.
+  void check_adoptable(const StagedWeights* weights) const;
   void initialise();
-  void build_datapath(DatapathSlot& slot);
-  double forward(const DatapathSlot& slot, nn::TokenSpan sequence,
-                 FloatScratch& float_scratch,
-                 FixedScratch& fixed_scratch) const;
   ThreadPool& batch_pool();
   /// True when the pipeline is usable for this classification: healthy
   /// and the (possibly retried) launch succeeded, or a recovery probe
@@ -251,16 +298,12 @@ class CsdLstmEngine {
 
   xrt::Device& device_;
   nn::LstmConfig model_config_;
-  /// Written only by the constructor and update_weights (both under
-  /// `update_mutex_`); the inference hot path reads the datapath slots,
-  /// never this.
-  nn::LstmParams params_;
   EngineConfig config_;
-  /// Two-slot datapath store: slot `epoch_ & 1` is live, the other is the
-  /// writer's build target. A bumped epoch publishes the rebuilt slot.
+  /// Two-slot version store: slot `epoch_ & 1` is live, the other is the
+  /// writer's target. A bumped epoch publishes the newly stored version.
   DatapathSlot slots_[2];
   std::atomic<std::uint64_t> epoch_{0};
-  /// Serialises update_weights writers (and their params_ mutation).
+  /// Serialises update_weights writers.
   std::mutex update_mutex_;
   /// Everything on the simulated device is single-threaded by contract —
   /// the clock, the kernel trace, the span collector. This lock is that

@@ -31,6 +31,8 @@ struct LstmConfig {
   std::size_t embed_dim{8};
   std::size_t hidden_dim{32};
   CellActivation activation{CellActivation::Softsign};
+
+  bool operator==(const LstmConfig&) const = default;
 };
 
 /// Gate indices; order fixed across weight files and kernels.

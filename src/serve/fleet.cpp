@@ -37,11 +37,11 @@ csd::SmartSsdConfig board_ssd_config(std::size_t index) {
 }  // namespace
 
 BoardFleet::Board::Board(const nn::LstmConfig& model,
-                         const nn::LstmParams& params,
+                         std::shared_ptr<const kernels::StagedWeights> weights,
                          const FleetConfig& config, std::size_t index)
     : board(board_ssd_config(index)),
       device(board),
-      engine(device, model, params, config.engine) {
+      engine(device, model, std::move(weights), config.engine) {
   // Attached after engine construction so the init-time weight staging is
   // never hit by ambient faults — only steady-state classification is.
   if (config.fault_rate > 0.0) {
@@ -58,11 +58,12 @@ BoardFleet::BoardFleet(const nn::LstmConfig& model,
                        VerdictSink sink)
     : config_(std::move(config)),
       model_(model),
-      sink_(std::move(sink)),
-      params_(params) {
+      sink_(std::move(sink)) {
   CSDML_REQUIRE(config_.boards > 0, "fleet: need at least one board");
   CSDML_REQUIRE(config_.vnodes > 0, "fleet: need at least one vnode per board");
   CSDML_REQUIRE(sink_ != nullptr, "fleet: verdict sink required");
+  staged_ = std::make_shared<const kernels::StagedWeights>(model_, params,
+                                                           config_.engine);
 
   if (config_.telemetry.enabled) {
     alerts_ = std::make_unique<obs::AlertEngine>();
@@ -76,7 +77,7 @@ BoardFleet::BoardFleet(const nn::LstmConfig& model,
 
   boards_.reserve(config_.boards);
   for (std::size_t k = 0; k < config_.boards; ++k) {
-    auto board = std::make_unique<Board>(model, params, config_, k);
+    auto board = std::make_unique<Board>(model_, staged_, config_, k);
     ServeConfig serve_config = config_.serve;
     serve_config.metrics_prefix = "fleet.b" + std::to_string(k);
     serve_config.board_label = board->board.label();
@@ -357,7 +358,7 @@ void BoardFleet::readmit(std::size_t board) {
     const std::lock_guard<std::mutex> rollout_lock(rollout_mutex_);
     const std::uint64_t version = version_.load(std::memory_order_relaxed);
     if (b.weight_version != version) {
-      b.engine.update_weights(params_);
+      b.engine.update_weights(staged_);
       b.weight_version = version;
     }
   }
@@ -447,17 +448,20 @@ RolloutReport BoardFleet::update_weights(const nn::LstmParams& params) {
   report.version = version_.load(std::memory_order_relaxed);
   if (targets.empty()) return report;
 
-  // Canary gate: the first admitted board flips and must reproduce the
-  // golden batch bit-exactly before any other board moves.
+  // Canary gate: the new version is staged once, then the first admitted
+  // board flips to it and must reproduce the golden batch bit-exactly
+  // before any other board moves. The staging is charged to the canary.
   Board& canary = *boards_[targets.front()];
   const auto canary_start = std::chrono::steady_clock::now();
-  canary.engine.update_weights(params);
+  const std::shared_ptr<const kernels::StagedWeights> staged =
+      std::make_shared<const kernels::StagedWeights>(model_, params, config_.engine);
+  canary.engine.update_weights(staged);
   report.canary_ok = golden_parity(canary.engine, params);
   report.canary_us = elapsed_us(canary_start);
   report.per_board_us.push_back(report.canary_us);
   if (!report.canary_ok) {
     // Roll the canary back: the whole fleet keeps serving the old version.
-    canary.engine.update_weights(params_);
+    canary.engine.update_weights(staged_);
     obs::registry().add_counter("fleet.rollout_canary_failures");
     report.total_us = elapsed_us(start);
     return report;
@@ -465,11 +469,11 @@ RolloutReport BoardFleet::update_weights(const nn::LstmParams& params) {
 
   for (std::size_t i = 1; i < targets.size(); ++i) {
     const auto flip_start = std::chrono::steady_clock::now();
-    boards_[targets[i]]->engine.update_weights(params);
+    boards_[targets[i]]->engine.update_weights(staged);
     report.per_board_us.push_back(elapsed_us(flip_start));
   }
 
-  params_ = params;
+  staged_ = staged;
   const std::uint64_t version =
       version_.fetch_add(1, std::memory_order_relaxed) + 1;
   for (const std::size_t k : targets) boards_[k]->weight_version = version;

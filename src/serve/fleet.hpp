@@ -30,12 +30,15 @@
 // unless its process exited first. A pid that migrates again before its
 // carried deferral resolves is counted once, not per hop.
 //
-// Weight rollout is coordinated: update_weights() flips boards one at a
-// time through the engine's epoch-swap path, gated by a canary — the first
-// board must reproduce a golden batch bit-exactly under the new weights
-// before any other board flips — and stamped with a fleet-wide version
-// counter, so a torn rollout can be detected (and a failed canary is
-// rolled back, leaving the fleet serving the old version everywhere).
+// Weight rollout is coordinated: update_weights() stages the new weights
+// once (one kernels::StagedWeights, token table included) and flips boards
+// one at a time through the engine's epoch-swap path, each adopting that
+// shared version and DMAing its image over its own PCIe link. The flips
+// are gated by a canary — the first board must reproduce a golden batch
+// bit-exactly under the new weights before any other board flips — and
+// stamped with a fleet-wide version counter, so a torn rollout can be
+// detected (and a failed canary is rolled back to the fleet-current
+// version, leaving the fleet serving it everywhere).
 //
 // Besides streaming ingest, scan() classifies a batch of windows directly:
 // round-robin shards over the admitted boards, one infer_batch per shard,
@@ -151,8 +154,9 @@ struct ScanReport {
 
 class BoardFleet {
  public:
-  /// Builds `config.boards` full board stacks sharing one model; every
-  /// board starts healthy, admitted to the ring, at weight version 1.
+  /// Builds `config.boards` full board stacks sharing one model, staged
+  /// once and adopted by every board; every board starts healthy,
+  /// admitted to the ring, at weight version 1.
   /// The sink is shared by all boards (same contract as ServingPipeline:
   /// invoked from coalescer threads, outside shard locks).
   BoardFleet(const nn::LstmConfig& model, const nn::LstmParams& params,
@@ -209,7 +213,8 @@ class BoardFleet {
   ScanReport scan(const std::vector<nn::Sequence>& sequences);
 
   /// Canary-gated coordinated rollout (see file header). Serialised;
-  /// boards out of the ring are skipped and catch up at re-admission.
+  /// boards out of the ring are skipped and catch up at re-admission by
+  /// adopting the fleet-current version (a DMA, no rebuild).
   RolloutReport update_weights(const nn::LstmParams& params);
 
   /// Fleet-wide weight image version (1 after construction).
@@ -252,7 +257,8 @@ class BoardFleet {
 
  private:
   struct Board {
-    Board(const nn::LstmConfig& model, const nn::LstmParams& params,
+    Board(const nn::LstmConfig& model,
+          std::shared_ptr<const kernels::StagedWeights> weights,
           const FleetConfig& config, std::size_t index);
 
     csd::SmartSsd board;
@@ -278,7 +284,9 @@ class BoardFleet {
   bool probe(Board& board);
   void readmit(std::size_t board);
   /// Golden batch bit-exact under the engine's live datapath vs a
-  /// freshly built reference for `params`.
+  /// freshly built reference for `params` — built independently of the
+  /// staged version the engine adopted, so the check never compares that
+  /// shared object with itself.
   bool golden_parity(kernels::CsdLstmEngine& engine,
                      const nn::LstmParams& params) const;
   void publish_fleet_gauges();
@@ -302,8 +310,10 @@ class BoardFleet {
   std::unordered_map<detect::ProcessId, std::size_t> routing_;
 
   std::mutex health_mutex_;   ///< one sweep at a time (try-lock, no queue)
-  std::mutex rollout_mutex_;  ///< serialises rollouts + params_/versions
-  nn::LstmParams params_;     ///< fleet-current weights (rollback source)
+  std::mutex rollout_mutex_;  ///< serialises rollouts + staged_/versions
+  /// Fleet-current weight version: what every admitted board serves, the
+  /// canary's rollback target and a readmitted board's catch-up.
+  std::shared_ptr<const kernels::StagedWeights> staged_;
   std::atomic<std::uint64_t> version_{1};
 
   std::atomic<std::uint64_t> ingests_{0};

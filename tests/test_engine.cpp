@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -215,6 +216,53 @@ TEST(Engine, UpdateWeightsRejectsMisshapedGateTensors) {
   // A refused update leaves the engine serving the weights it had.
   EXPECT_EQ(engine.weight_updates(), 1u);
   EXPECT_EQ(engine.infer(seq).probability, before);
+}
+
+TEST(Engine, RejectsStagedWeightsForAnotherConfig) {
+  // A staged version carries the level, fixed scale and architecture it
+  // was built for. An engine configured otherwise refuses it, at
+  // construction and at update_weights, rather than serve a datapath it
+  // did not ask for.
+  EngineFixture f;
+  const EngineConfig config{.level = OptimizationLevel::FixedPoint};
+  nn::LstmConfig tanh_model = f.model_config;
+  tanh_model.activation = nn::CellActivation::Tanh;
+  nn::LstmConfig wide_model = f.model_config;
+  wide_model.hidden_dim *= 2;
+  Rng rng(4);
+  const nn::LstmParams wide_params = nn::LstmParams::glorot(wide_model, rng);
+  const std::vector<std::shared_ptr<const StagedWeights>> foreign{
+      std::make_shared<const StagedWeights>(
+          f.model_config, f.params, EngineConfig{.level = OptimizationLevel::II}),
+      std::make_shared<const StagedWeights>(
+          f.model_config, f.params,
+          EngineConfig{.level = OptimizationLevel::FixedPoint,
+                       .fixed_scale = config.fixed_scale / 10}),
+      std::make_shared<const StagedWeights>(tanh_model, f.params, config),
+      std::make_shared<const StagedWeights>(wide_model, wide_params, config),
+  };
+  for (const std::shared_ptr<const StagedWeights>& weights : foreign) {
+    EXPECT_THROW(CsdLstmEngine(f.device, f.model_config, weights, config),
+                 PreconditionError);
+  }
+
+  CsdLstmEngine engine(f.device, f.model_config, f.params, config);
+  const nn::Sequence seq = f.sequence(17);
+  const double before = engine.infer(seq).probability;
+  for (const std::shared_ptr<const StagedWeights>& weights : foreign) {
+    EXPECT_THROW(engine.update_weights(weights), PreconditionError);
+  }
+  // A refused version changes nothing: no update counted, same outputs.
+  EXPECT_EQ(engine.weight_updates(), 1u);
+  EXPECT_EQ(engine.infer(seq).probability, before);
+
+  // A version staged for this engine's configuration is adopted as is.
+  const nn::LstmParams fresh = nn::LstmParams::glorot(f.model_config, rng);
+  engine.update_weights(
+      std::make_shared<const StagedWeights>(f.model_config, fresh, config));
+  EXPECT_EQ(engine.weight_updates(), 2u);
+  EXPECT_EQ(engine.infer(seq).probability,
+            FixedDatapath(f.model_config, fresh).infer(seq));
 }
 
 TEST(Engine, UpdateWeightsDoesNotReloadXclbin) {

@@ -408,6 +408,81 @@ TEST(Fleet, ReadmissionCatchesUpOnWeightVersion) {
   EXPECT_TRUE(fleet.stats().failover_resolved());
 }
 
+/// Weight versions staged so far: one `engine.weight_table_rebuild_us`
+/// observation per kernels::StagedWeights built.
+std::uint64_t stagings() {
+  for (const obs::HistogramSnapshot& histogram :
+       obs::registry().snapshot().histograms) {
+    if (histogram.name == "engine.weight_table_rebuild_us") return histogram.count;
+  }
+  return 0;
+}
+
+TEST(Fleet, StagesEachWeightVersionOnce) {
+  // Every board adopts one shared staged version, so construction, a
+  // rollout, a readmission catch-up and a canary rollback each stage at
+  // most the one new version, however many boards serve it.
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  Rng next_rng(8);
+  const nn::LstmParams v2 = nn::LstmParams::glorot(model, next_rng);
+  const nn::LstmParams v3 = nn::LstmParams::glorot(model, next_rng);
+  const nn::LstmParams v4 = nn::LstmParams::glorot(model, next_rng);
+  const Streams streams = make_streams(12, 120, model.vocab_size);
+  obs::registry().reset();
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(3), collector.sink());
+  EXPECT_EQ(stagings(), 1u);
+
+  ASSERT_TRUE(fleet.update_weights(v2).ok);
+  EXPECT_EQ(stagings(), 2u);
+
+  // A board that misses a rollout catches up at readmission by adopting
+  // the fleet-current version: a DMA, no staging.
+  const std::size_t victim = fleet.board_of(1);
+  feed(fleet, streams, 0, 25);
+  fleet.flush();
+  fleet.kill_board(victim);
+  std::size_t cursor = feed_until_latched(fleet, streams, 25, victim);
+  fleet.check_health();
+  ASSERT_FALSE(fleet.board_healthy(victim));
+  ASSERT_TRUE(fleet.update_weights(v3).ok);
+  EXPECT_EQ(stagings(), 3u);
+  fleet.revive_board(victim);
+  fleet.check_health();
+  ASSERT_TRUE(fleet.board_healthy(victim));
+  EXPECT_EQ(fleet.engine(victim).weight_updates(), 3u);
+  EXPECT_EQ(stagings(), 3u);
+
+  // An unhealthy canary stages the new version once and rolls back by
+  // adopting the fleet-current one.
+  fleet.kill_board(0);
+  cursor = feed_until_latched(fleet, streams, cursor, 0);
+  const std::uint32_t canary_updates = fleet.engine(0).weight_updates();
+  const RolloutReport rejected = fleet.update_weights(v4);
+  EXPECT_FALSE(rejected.canary_ok);
+  EXPECT_EQ(fleet.engine(0).weight_updates(), canary_updates + 2);
+  EXPECT_EQ(stagings(), 4u);
+
+  // Every board serves v3 bit-exactly, the rolled-back canary included.
+  fleet.revive_board(0);
+  fleet.engine(0).restore_health();
+  const kernels::FixedDatapath reference(model, v3);
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (const auto& [pid, stream] : streams) {
+      const nn::TokenSpan window(stream.data(), 20);
+      EXPECT_EQ(fleet.engine(k).infer(window).probability,
+                reference.infer(window))
+          << "board " << k << " pid " << pid;
+    }
+  }
+  feed(fleet, streams, cursor, 120);
+  fleet.flush();
+  fleet.stop();
+  EXPECT_TRUE(fleet.stats().conservation_ok());
+}
+
 TEST(Fleet, SingleBoardKillRidesDeferralPath) {
   const nn::LstmConfig model = tiny_model();
   Rng rng(7);

@@ -6,11 +6,14 @@
 // motivated the suite — infer_batch racing update_weights hot swaps (the
 // engine's epoch-based two-slot swap must publish only fully built
 // datapaths, and EpochPin must never let a reader dereference the slot a
-// rebuild is writing). Kept deliberately small so the TSan job stays fast.
+// swap is writing) — and the fleet's rollouts, whose one staged weight
+// version is adopted by every board while ingest continues. Kept
+// deliberately small so the TSan job stays fast.
 #include "kernels/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -22,6 +25,7 @@
 #include "common/thread_pool.hpp"
 #include "faults/fault_plan.hpp"
 #include "obs/metrics.hpp"
+#include "serve/fleet.hpp"
 #include "serve/serving.hpp"
 #include "window_oracle.hpp"
 
@@ -351,6 +355,162 @@ TEST(StressThreads, ShutdownRacesIngestBacklogWithoutDroppingWork) {
   // The slow sink guarantees at least some rounds actually destroyed a
   // pipeline with undelivered work — otherwise this test proves nothing.
   EXPECT_GT(rounds_with_backlog, 0);
+}
+
+TEST(StressThreads, FleetRolloutRacesIngestAcrossBoards) {
+  // Four ingestion threads stream into a 3-board fleet while a control
+  // thread rolls out new weight versions (each staged once and adopted by
+  // every admitted board) and kills, drains, revives and readmits one
+  // board, whose catch-up adoption of the fleet-current version also races
+  // ingest. After the flush both conservation laws hold, every verdict is
+  // explained by one coherent version, and every board serves the newest
+  // version bit-exactly against a standalone engine.
+  nn::LstmConfig model_config{.vocab_size = 32, .embed_dim = 4, .hidden_dim = 8};
+  Rng rng(61);
+  constexpr std::size_t kVersions = 4;
+  std::vector<nn::LstmParams> versions;
+  std::vector<FixedDatapath> oracles;
+  oracles.reserve(kVersions);
+  for (std::size_t v = 0; v < kVersions; ++v) {
+    versions.push_back(nn::LstmParams::glorot(model_config, rng));
+    oracles.emplace_back(model_config, versions.back());
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPidsPerThread = 2;
+  constexpr std::size_t kMaxCalls = 1000;  ///< race phase ends here at the latest
+  constexpr std::size_t kTailCalls = 32;   ///< fed after the control thread is done
+  const detect::DetectorConfig detector{.window_length = 16, .hop = 4};
+  csdml::testing::Streams streams;
+  for (std::size_t p = 1; p <= kThreads * kPidsPerThread; ++p) {
+    streams[p] = csdml::testing::random_stream(400 + p, kMaxCalls + kTailCalls,
+                                               model_config.vocab_size);
+  }
+
+  serve::FleetConfig config;
+  config.boards = 3;
+  config.health_check_interval = 0;  // the control thread sweeps
+  config.serve.shards = 2;
+  // Room for every window a shard can see, so nothing sheds and every
+  // carried deferral is re-served within the tail.
+  config.serve.ring_capacity = 4096;
+  config.serve.detector = detector;
+  config.slo.latency_slo_us = 1e9;  // only the kill drains a board
+  struct Seen {
+    detect::ProcessId process;
+    std::uint64_t call_index;
+    double probability;
+  };
+  std::mutex log_mutex;
+  std::vector<Seen> seen;
+  serve::BoardFleet fleet(model_config, versions[0], config,
+                          [&](const serve::Verdict& verdict) {
+                            std::lock_guard<std::mutex> lock(log_mutex);
+                            seen.push_back({verdict.process, verdict.call_index,
+                                            verdict.probability});
+                          });
+
+  std::atomic<bool> control_done{false};
+  std::atomic<std::size_t> race_calls{0};
+  // Lets ingest advance between control steps, so each step races live
+  // traffic on warm windows (bounded by the streams running out).
+  const auto await_ingest = [&](std::size_t calls) {
+    const std::size_t target =
+        std::min(race_calls.load(std::memory_order_acquire) + calls,
+                 kThreads * kMaxCalls);
+    while (race_calls.load(std::memory_order_acquire) < target) {
+      std::this_thread::yield();
+    }
+  };
+  std::thread control([&] {
+    constexpr std::size_t kVictim = 1;  // never the canary (board 0)
+    await_ingest(kThreads * detector.window_length * 4);
+    EXPECT_TRUE(fleet.update_weights(versions[1]).ok);
+    await_ingest(kThreads * 16);
+    fleet.kill_board(kVictim);
+    // Latch the victim now rather than waiting for its next due batch.
+    try {
+      const std::vector<nn::TokenId>& stream = streams.begin()->second;
+      (void)fleet.engine(kVictim).infer(nn::TokenSpan(stream.data(), 16));
+    } catch (const faults::CsdUnavailableError&) {
+    }
+    await_ingest(kThreads * 16);
+    fleet.check_health();
+    EXPECT_FALSE(fleet.board_healthy(kVictim));
+    await_ingest(kThreads * 16);
+    EXPECT_TRUE(fleet.update_weights(versions[2]).ok);  // the victim misses it
+    await_ingest(kThreads * 16);
+    fleet.revive_board(kVictim);
+    fleet.check_health();
+    EXPECT_TRUE(fleet.board_healthy(kVictim));
+    await_ingest(kThreads * 16);
+    EXPECT_TRUE(fleet.update_weights(versions[3]).ok);
+    control_done.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> feeders;
+  feeders.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    feeders.emplace_back([&, t] {
+      const auto feed = [&](std::size_t call) {
+        for (std::size_t p = 0; p < kPidsPerThread; ++p) {
+          const detect::ProcessId pid = t * kPidsPerThread + p + 1;
+          fleet.ingest(pid, streams.at(pid)[call]);
+        }
+      };
+      std::size_t call = 0;
+      while (call < kMaxCalls && !control_done.load(std::memory_order_acquire)) {
+        feed(call++);
+        race_calls.fetch_add(1, std::memory_order_acq_rel);
+        std::this_thread::yield();
+      }
+      while (!control_done.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (const std::size_t end = call + kTailCalls; call < end; ++call) feed(call);
+    });
+  }
+  for (std::thread& feeder : feeders) feeder.join();
+  control.join();
+  fleet.flush();
+  fleet.stop();
+
+  const serve::BoardFleet::Stats stats = fleet.stats();
+  EXPECT_TRUE(stats.conservation_ok());
+  EXPECT_TRUE(stats.failover_resolved());
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.readmissions, 1u);
+  EXPECT_EQ(stats.weight_version, kVersions);
+  EXPECT_GT(stats.totals.verdicts, 0u);
+
+  for (const Seen& verdict : seen) {
+    const std::vector<nn::TokenId>& stream = streams.at(verdict.process);
+    ASSERT_GE(verdict.call_index, detector.window_length);
+    const nn::TokenSpan window(
+        stream.data() + (verdict.call_index - detector.window_length),
+        detector.window_length);
+    bool explained = false;
+    for (const FixedDatapath& oracle : oracles) {
+      explained = explained || verdict.probability == oracle.infer(window);
+    }
+    ASSERT_TRUE(explained) << "torn or unexplained verdict for pid "
+                           << verdict.process << " at call "
+                           << verdict.call_index;
+  }
+
+  csd::SmartSsd board{csd::SmartSsdConfig{}};
+  xrt::Device device{board};
+  CsdLstmEngine reference(device, model_config, versions.back(), config.engine);
+  for (std::size_t k = 0; k < fleet.board_count(); ++k) {
+    ASSERT_TRUE(fleet.board_healthy(k)) << "board " << k;
+    EXPECT_EQ(fleet.engine(k).weight_updates(), kVersions) << "board " << k;
+    for (const auto& [pid, stream] : streams) {
+      const nn::TokenSpan window(stream.data(), detector.window_length);
+      EXPECT_EQ(fleet.engine(k).infer(window).probability,
+                reference.infer(window).probability)
+          << "board " << k << " pid " << pid;
+    }
+  }
 }
 
 }  // namespace
