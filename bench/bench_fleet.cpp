@@ -62,10 +62,6 @@ serve::FleetConfig fleet_config_for(const Workload& work, std::size_t boards) {
   config.serve.detector = work.detector;
   config.engine =
       kernels::EngineConfig{.level = kernels::OptimizationLevel::FixedPoint};
-  // The bench blasts tokens with no pacing, so queueing delay dominates
-  // ingest-to-verdict latency; a generous budget keeps every failover in
-  // this bench latch-driven (deterministic), never SLO-burn-driven.
-  config.slo.latency_slo_us = 10'000'000.0;
   return config;
 }
 

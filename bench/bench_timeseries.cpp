@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
   fleet_config.engine = kernels::EngineConfig{};
   fleet_config.serve.detector = detect::DetectorConfig{
       .window_length = 100, .hop = 25, .consecutive_alerts = 2};
-  fleet_config.slo.latency_slo_us = 10'000'000.0;
   fleet_config.telemetry.collector_thread = false;  // ticked by hand below
 
   serve::BoardFleet fleet(model_config, params, fleet_config,

@@ -62,12 +62,6 @@ void json_string(std::ostream& out, const std::string& value) {
 
 }  // namespace
 
-SloConfig board_slo(const std::string& metrics_prefix, const SloConfig& base) {
-  SloConfig config = base;
-  config.latency_histogram = metrics_prefix + ".ingest_to_verdict_us";
-  return config;
-}
-
 const char* health_verdict_name(HealthVerdict verdict) {
   switch (verdict) {
     case HealthVerdict::Ok: return "ok";

@@ -68,12 +68,4 @@ struct HealthReport {
 HealthReport evaluate_health(const MetricsSnapshot& snapshot, bool csd_healthy,
                              const SloConfig& config = {});
 
-/// SLO config for one fleet board: `base`'s thresholds, evaluated over the
-/// board-local latency series `<metrics_prefix>.ingest_to_verdict_us` that
-/// the board's serving pipeline emits. The fleet's health sweep feeds the
-/// result to evaluate_health with the board's own engine latch, so one
-/// board's collapsing tail (or unhealthy latch) drains only that board.
-SloConfig board_slo(const std::string& metrics_prefix,
-                    const SloConfig& base = {});
-
 }  // namespace csdml::obs

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "common/error.hpp"
-#include "obs/health.hpp"
 #include "ransomware/families.hpp"
 #include "ransomware/sandbox.hpp"
 
@@ -97,11 +96,6 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
   fleet_config.serve.detector.hop = scenario.hop;
   fleet_config.serve.detector.consecutive_alerts = scenario.debounce;
   fleet_config.serve.detector.threshold = scenario.threshold;
-  // Wall-clock latency must never influence a health verdict: the only
-  // unhealthy path left is the engine latch, which is deterministic.
-  fleet_config.slo.latency_slo_us = 1e9;
-  fleet_config.slo.unhealthy_burn = 1e9;
-  fleet_config.slo.degraded_serve_budget = 1.0;
 
   RunResult result;
   std::mutex verdict_mutex;

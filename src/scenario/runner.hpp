@@ -7,9 +7,9 @@
 //     at every hop boundary, and before every health sweep — so sweep
 //     decisions, failovers, and rollouts always observe the same state.
 //   * Health sweeps run only at those explicit points
-//     (health_check_interval = 0) and the latency SLO is set unreachably
-//     high, so the only path to an unhealthy verdict is the engine latch —
-//     wall-clock timing can never change an outcome.
+//     (health_check_interval = 0), and the fleet carries no alert rules, so
+//     the only path to a drain is the engine latch — wall-clock timing can
+//     never change an outcome.
 //   * Ring capacity exceeds the worst-case due-window burst between
 //     flushes, so backpressure shedding never triggers (asserted by the
 //     nothing_shed gate).

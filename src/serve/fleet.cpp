@@ -81,7 +81,6 @@ BoardFleet::BoardFleet(const nn::LstmConfig& model,
     ServeConfig serve_config = config_.serve;
     serve_config.metrics_prefix = "fleet.b" + std::to_string(k);
     serve_config.board_label = board->board.label();
-    board->slo = obs::board_slo(serve_config.metrics_prefix, config_.slo);
     // Stamp the board index onto every verdict before it reaches the
     // shared sink, so consumers can attribute classifications across a
     // failover (the scenario scorer keys on this).
@@ -241,22 +240,16 @@ void BoardFleet::check_health() {
   // skips — the next interval tick retries.
   if (!health_mutex_.try_lock()) return;
   const std::lock_guard<std::mutex> sweep(health_mutex_, std::adopt_lock);
-  const obs::MetricsSnapshot snapshot = obs::registry().snapshot();
-  const bool alert_gate = alerts_ != nullptr && config_.telemetry.alerts_gate_health;
   for (std::size_t k = 0; k < boards_.size(); ++k) {
     Board& board = *boards_[k];
+    const bool alerted =
+        alerts_ != nullptr && alerts_->board_alerted(static_cast<int>(k));
     if (board.admitted.load(std::memory_order_acquire)) {
-      const obs::HealthReport report =
-          obs::evaluate_health(snapshot, board.engine.healthy(), board.slo);
-      // Alert state feeds the drain decision alongside the SLO burn: a
-      // latched critical alert naming this board drains it even while the
-      // instantaneous burn-rate verdict still reads healthy.
-      bool drain = report.verdict == obs::HealthVerdict::Unhealthy;
-      if (!drain && alert_gate && alerts_->board_alerted(static_cast<int>(k))) {
-        drain = true;
-        obs::registry().add_counter("fleet.alert_drains");
-      }
-      if (drain) {
+      // The engine latch, or a latched critical alert naming this board:
+      // the only two reasons a board leaves the ring.
+      const bool latched = !board.engine.healthy();
+      if (!latched && alerted) obs::registry().add_counter("fleet.alert_drains");
+      if (latched || alerted) {
         failover(k);
         // A lone board cannot drain — failover re-admits it on the spot —
         // so its latch would otherwise stick even after the fault clears
@@ -268,7 +261,7 @@ void BoardFleet::check_health() {
           obs::registry().add_counter("fleet.recovered_in_place");
         }
       }
-    } else if (alert_gate && alerts_->board_alerted(static_cast<int>(k))) {
+    } else if (alerted) {
       // Readmission waits for the alert to clear through its hysteresis
       // window, so a flapping board cannot bounce back into the ring.
       obs::registry().add_counter("fleet.readmit_held_by_alert");
@@ -451,21 +444,39 @@ RolloutReport BoardFleet::update_weights(const nn::LstmParams& params) {
   // Canary gate: the new version is staged once, then the first admitted
   // board flips to it and must reproduce the golden batch bit-exactly
   // before any other board moves. The staging is charged to the canary.
-  Board& canary = *boards_[targets.front()];
   const auto canary_start = std::chrono::steady_clock::now();
   const std::shared_ptr<const kernels::StagedWeights> staged =
       std::make_shared<const kernels::StagedWeights>(model_, params, config_.engine);
-  canary.engine.update_weights(staged);
-  report.canary_ok = golden_parity(canary.engine, params);
+  std::size_t next = 0;
+  while (next < targets.size()) {
+    Board& canary = *boards_[targets[next++]];
+    const bool was_healthy = canary.engine.healthy();
+    canary.engine.update_weights(staged);
+    report.canary_ok = golden_parity(canary.engine, params);
+    if (report.canary_ok) break;
+    // Roll the canary back: it keeps serving the old version.
+    canary.engine.update_weights(staged_);
+    // A canary that was healthy when picked and latched during the golden
+    // batch is a dead board no traffic had reached yet (an idle board
+    // never latches otherwise), not evidence against the weights: drain
+    // it like a sweep would and let the next admitted board stand in.
+    // Bad weights, or a board already latched and owed to the sweep,
+    // refuse the rollout.
+    if (!was_healthy || canary.engine.healthy()) break;
+    failover(targets[next - 1]);
+    if (canary.admitted.load(std::memory_order_acquire)) break;  // lone board
+    obs::registry().add_counter("fleet.rollout_dead_canaries");
+  }
   report.canary_us = elapsed_us(canary_start);
   report.per_board_us.push_back(report.canary_us);
   if (!report.canary_ok) {
-    // Roll the canary back: the whole fleet keeps serving the old version.
-    canary.engine.update_weights(staged_);
+    // The whole fleet keeps serving the old version.
     obs::registry().add_counter("fleet.rollout_canary_failures");
     report.total_us = elapsed_us(start);
     return report;
   }
+  // Boards ahead of the canary were drained; only it and those after it flip.
+  targets.erase(targets.begin(), targets.begin() + static_cast<std::ptrdiff_t>(next - 1));
 
   for (std::size_t i = 1; i < targets.size(); ++i) {
     const auto flip_start = std::chrono::steady_clock::now();

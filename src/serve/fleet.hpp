@@ -10,13 +10,19 @@
 //   ingest(pid, token) ──ring──> board k ──pipeline──> verdicts
 //                         │
 //                         ├─ health sweep (every health_check_interval
-//                         │  ingests): per-board SLO burn-rate verdict
-//                         │  (obs::board_slo) + engine unhealthy latch
+//                         │  ingests): the board's engine unhealthy latch
+//                         │  + any latched critical alert naming it
 //                         ├─ failover: drain the sick board, rehash ONLY
 //                         │  its pids to healthy boards, re-warm their
 //                         │  TokenRing windows from exported snapshots —
 //                         │  classifications are never dropped
-//                         └─ recovery probes re-admit a healed board
+//                         └─ recovery probes re-admit a healed board once
+//                            its alerts have cleared
+//
+// Those two latches are the only drain policy. Host-side queueing in front
+// of a board (ingest-to-verdict latency) never drains it by itself; a
+// latency-driven drain is a per-board AlertSeverity::Critical AlertRule,
+// whose fire_for/clear_for hysteresis bounds how often it can flap.
 //
 // Conservation law, extended across failover (asserted by `csdml serve`
 // and test_fleet): summed over boards,
@@ -38,7 +44,10 @@
 // bit-exactly under the new weights before any other board flips — and
 // stamped with a fleet-wide version counter, so a torn rollout can be
 // detected (and a failed canary is rolled back to the fleet-current
-// version, leaving the fleet serving it everywhere).
+// version, leaving the fleet serving it everywhere). A canary the golden
+// batch finds dead (healthy when picked, latched by the batch) is drained
+// and the next admitted board stands in, so an idle dead board cannot
+// block a rollout.
 //
 // Besides streaming ingest, scan() classifies a batch of windows directly:
 // round-robin shards over the admitted boards, one infer_batch per shard,
@@ -59,7 +68,6 @@
 #include "faults/fault_plan.hpp"
 #include "kernels/engine.hpp"
 #include "obs/anomaly.hpp"
-#include "obs/health.hpp"
 #include "obs/timeseries.hpp"
 #include "serve/serving.hpp"
 #include "xrt/runtime.hpp"
@@ -77,15 +85,13 @@ struct FleetTelemetryConfig {
   /// `csdml top` frames) instead of running the background thread.
   bool collector_thread{true};
   obs::TsdbConfig tsdb{};
-  /// Declarative alert rules; rules with `board >= 0` participate in the
-  /// health sweep's drain/readmit decision (see alerts_gate_health).
+  /// Declarative alert rules. A latched Critical rule with `board >= 0`
+  /// drains that board at the next health sweep and holds its readmission
+  /// until the alert clears through `clear_for`; other rules only alert.
   std::vector<obs::AlertRule> rules{};
   /// Enables verdict-score drift monitoring when set (scores stream in
   /// from every board's verdict sink).
   std::optional<obs::DriftConfig> drift{};
-  /// Health sweeps drain a board with a latched critical alert and hold
-  /// its readmission until the alert clears.
-  bool alerts_gate_health{true};
   /// Injected timeline for deterministic tests; empty = steady clock.
   std::function<std::int64_t()> clock{};
 };
@@ -109,9 +115,6 @@ struct FleetConfig {
   /// Per-board pipeline settings; metrics_prefix/board_label are
   /// overridden per board ("fleet.b<k>" / "board<k>").
   ServeConfig serve{};
-  /// SLO thresholds for the per-board burn-rate verdict; the latency
-  /// histogram name is overridden per board (obs::board_slo).
-  obs::SloConfig slo{};
   FleetTelemetryConfig telemetry{};
 };
 
@@ -199,12 +202,12 @@ class BoardFleet {
   /// current weight version if a rollout happened while it was out.
   void revive_board(std::size_t board);
 
-  /// One health sweep now: drain-and-rehash any admitted board whose SLO
-  /// burn-rate verdict (or engine latch) is unhealthy, probe-and-readmit
-  /// any drained board that recovered. A lone unhealthy board (nowhere to
-  /// drain) is probed in place instead, so it resumes serving once its
-  /// fault clears. Also runs automatically from ingest every
-  /// health_check_interval calls.
+  /// One health sweep now: drain-and-rehash any admitted board whose
+  /// engine latch is set or that a critical alert names, probe-and-readmit
+  /// any drained board that recovered and is no longer alerted. A lone
+  /// unhealthy board (nowhere to drain) is probed in place instead, so it
+  /// resumes serving once its fault clears. Also runs automatically from
+  /// ingest every health_check_interval calls.
   void check_health();
 
   /// Classifies every sequence, sharding round-robin over the admitted
@@ -267,7 +270,6 @@ class BoardFleet {
     std::unique_ptr<ServingPipeline> pipeline;
     std::optional<faults::FaultPlan> ambient_plan;
     std::optional<faults::FaultPlan> kill_plan;
-    obs::SloConfig slo;             ///< per-board latency series
     std::atomic<bool> admitted{true};
     std::uint64_t weight_version{1};  ///< guarded by rollout_mutex_
   };

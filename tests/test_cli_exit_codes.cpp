@@ -191,5 +191,20 @@ TEST(CliExitCodes, ServeUsageErrors) {
   EXPECT_EQ(run({"serve", "--ingest-threads", "0"}).code, 2);
 }
 
+TEST(CliExitCodes, ServeFailoverCount) {
+  // Exit 0 requires exactly one failover per killed board: a healthy
+  // fleet under unpaced load drains nothing, and a kill drains once.
+  const CliRun calm = run({"serve", "--boards", "2", "--calls", "200"});
+  EXPECT_EQ(calm.code, 0) << calm.out << calm.err;
+  EXPECT_NE(calm.out.find("failovers 0 (expected 0) ok"), std::string::npos)
+      << calm.out;
+
+  const CliRun drill = run(
+      {"serve", "--boards", "2", "--calls", "200", "--kill-board", "1@100"});
+  EXPECT_EQ(drill.code, 0) << drill.out << drill.err;
+  EXPECT_NE(drill.out.find("failovers 1 (expected 1) ok"), std::string::npos)
+      << drill.out;
+}
+
 }  // namespace
 }  // namespace csdml::host

@@ -1,8 +1,8 @@
 // BoardFleet unit tests: consistent-hash placement (deterministic,
-// sticky, minimal disruption), latch- and SLO-driven failover with the
-// extended conservation law, canary-gated weight rollout, re-admission
-// probes, the per-board observability surface, and the round-robin batch
-// scan.
+// sticky, minimal disruption), latch- and alert-driven failover (and none
+// on a queueing tail) with the extended conservation law, canary-gated
+// weight rollout, re-admission probes, the per-board observability
+// surface, and the round-robin batch scan.
 #include "serve/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -34,9 +34,6 @@ FleetConfig tiny_fleet_config(std::size_t boards) {
       .window_length = 20, .hop = 5, .consecutive_alerts = 2};
   config.engine =
       kernels::EngineConfig{.level = kernels::OptimizationLevel::FixedPoint};
-  // Tests drive failover deterministically (latch or synthetic burn);
-  // real queueing latency must never trip the SLO path underneath them.
-  config.slo.latency_slo_us = 1e7;
   return config;
 }
 
@@ -276,7 +273,10 @@ TEST(Fleet, ForgottenMigratedDeferralBalancesLedger) {
             stats.migrated_pending);
 }
 
-TEST(Fleet, SloBurnDrainsBoardAndProbeReadmits) {
+TEST(Fleet, QueueingTailDrainsNoBoard) {
+  // A collapsed ingest-to-verdict tail on one board — host queueing in
+  // front of it, not a fault on it — must drain nothing: neither an
+  // explicit sweep nor the sweeps ingest runs on every call.
   const nn::LstmConfig model = tiny_model();
   Rng rng(7);
   const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
@@ -284,30 +284,27 @@ TEST(Fleet, SloBurnDrainsBoardAndProbeReadmits) {
   obs::registry().reset();
   Collector collector;
   FleetConfig config = tiny_fleet_config(3);
-  config.slo.latency_slo_us = 5'000.0;  // this test trips the burn path
+  config.health_check_interval = 1;
   BoardFleet fleet(model, params, config, collector.sink());
-  feed(fleet, streams, 0, 25);
+  feed(fleet, streams, 0, 10);
   fleet.flush();
 
-  // Synthesize a collapsed latency tail on board 0's own series: every
-  // sample far past the budget, well over min_samples.
+  // Every sample on board 0's own latency series far past any budget.
   for (int i = 0; i < 64; ++i) {
     obs::registry().observe("fleet.b0.ingest_to_verdict_us", 1e9);
   }
   fleet.check_health();
-  EXPECT_FALSE(fleet.board_healthy(0));  // drained by burn, engine healthy
-  EXPECT_TRUE(fleet.engine(0).healthy());
-  EXPECT_EQ(fleet.boards_admitted(), 2u);
-  EXPECT_EQ(fleet.stats().failovers, 1u);
-  // Nothing was deferred — the board was healthy, just slow.
-  EXPECT_EQ(fleet.stats().migrated_pending, 0u);
-  EXPECT_TRUE(fleet.stats().conservation_ok());
+  EXPECT_EQ(fleet.boards_admitted(), 3u);
+  EXPECT_EQ(fleet.stats().failovers, 0u);
 
-  // The next sweep's recovery probe re-admits it (the engine serves the
-  // golden window fine).
-  fleet.check_health();
-  EXPECT_TRUE(fleet.board_healthy(0));
-  EXPECT_EQ(fleet.stats().readmissions, 1u);
+  feed(fleet, streams, 10, 25);
+  fleet.flush();
+  const BoardFleet::Stats stats = fleet.stats();
+  EXPECT_EQ(stats.failovers, 0u);
+  EXPECT_EQ(stats.migrations, 0u);
+  EXPECT_EQ(stats.boards_admitted, 3u);
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_TRUE(fleet.board_healthy(k));
+  EXPECT_TRUE(stats.conservation_ok());
   fleet.stop();
 }
 
@@ -363,6 +360,75 @@ TEST(Fleet, RolloutRejectedWhenCanaryUnhealthy) {
   // The gate held: board 1 never flipped; the canary was rolled back
   // (flip + rollback = 2 extra stagings on board 0 only).
   EXPECT_EQ(fleet.engine(1).weight_updates(), 1u);
+  EXPECT_EQ(fleet.engine(0).weight_updates(), 3u);
+  fleet.stop();
+}
+
+TEST(Fleet, RolloutDrainsDeadIdleCanaryAndProceeds) {
+  // A board killed while idle never latches through traffic, so the
+  // rollout's golden batch is the first thing to find it dead. That is a
+  // dead board, not bad weights: it is drained and the next admitted
+  // board stands in as canary.
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  obs::registry().reset();
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(3), collector.sink());
+  fleet.kill_board(0);
+  ASSERT_TRUE(fleet.engine(0).healthy());
+
+  Rng next_rng(8);
+  const nn::LstmParams next = nn::LstmParams::glorot(model, next_rng);
+  const RolloutReport report = fleet.update_weights(next);
+  EXPECT_TRUE(report.ok);
+  EXPECT_TRUE(report.canary_ok);
+  EXPECT_EQ(report.version, 2u);
+  EXPECT_EQ(report.per_board_us.size(), 2u);
+  EXPECT_FALSE(fleet.board_healthy(0));
+  EXPECT_EQ(fleet.boards_admitted(), 2u);
+  EXPECT_EQ(fleet.stats().failovers, 1u);
+  // Board 0 flipped and rolled back; boards 1 and 2 flipped once.
+  EXPECT_EQ(fleet.engine(0).weight_updates(), 3u);
+  EXPECT_EQ(fleet.engine(1).weight_updates(), 2u);
+  EXPECT_EQ(fleet.engine(2).weight_updates(), 2u);
+
+  // Revived, the drained canary is readmitted on the new version.
+  fleet.revive_board(0);
+  fleet.check_health();
+  EXPECT_TRUE(fleet.board_healthy(0));
+  const kernels::FixedDatapath reference(model, next);
+  const Streams streams = make_streams(4, 20, model.vocab_size);
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (const auto& [pid, stream] : streams) {
+      const nn::TokenSpan window(stream.data(), stream.size());
+      EXPECT_EQ(fleet.engine(k).infer(window).probability,
+                reference.infer(window))
+          << "board " << k << " pid " << pid;
+    }
+  }
+  fleet.stop();
+}
+
+TEST(Fleet, RolloutRefusedWhenLoneCanaryDies) {
+  // With no other board to stand in, a dead canary still refuses the
+  // rollout and the lone board stays in the ring on the old version.
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(7);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  obs::registry().reset();
+  Collector collector;
+  BoardFleet fleet(model, params, tiny_fleet_config(1), collector.sink());
+  fleet.kill_board(0);
+
+  Rng next_rng(8);
+  const RolloutReport report =
+      fleet.update_weights(nn::LstmParams::glorot(model, next_rng));
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(report.canary_ok);
+  EXPECT_EQ(fleet.weight_version(), 1u);
+  EXPECT_EQ(fleet.boards_admitted(), 1u);
+  EXPECT_EQ(fleet.stats().failovers, 0u);
   EXPECT_EQ(fleet.engine(0).weight_updates(), 3u);
   fleet.stop();
 }
@@ -551,9 +617,9 @@ TEST(Fleet, PerBoardMetricsAndPrometheusSeries) {
 
 TEST(Fleet, AlertLatchDrainsBoardAndHoldsReadmission) {
   // A latched critical alert naming a board must drain it at the next
-  // health sweep even though its SLO verdict is green, and readmission
-  // must wait for the alert's clear hysteresis — all on an injected
-  // clock with manual collector ticks.
+  // health sweep even though its engine is healthy, and readmission must
+  // wait for the alert's clear hysteresis — all on an injected clock with
+  // manual collector ticks.
   obs::registry().reset();
   const nn::LstmConfig model = tiny_model();
   Rng rng(7);
@@ -603,8 +669,11 @@ TEST(Fleet, AlertLatchDrainsBoardAndHoldsReadmission) {
   EXPECT_EQ(fleet.boards_admitted(), 2u);
   fleet.check_health();
   EXPECT_FALSE(fleet.board_healthy(0)) << "alert gate should have drained b0";
+  EXPECT_TRUE(fleet.engine(0).healthy());
   EXPECT_EQ(fleet.boards_admitted(), 1u);
   EXPECT_GE(obs::registry().counter_value("fleet.alert_drains"), 1u);
+  // Nothing was deferred — the board was alerted, not failing.
+  EXPECT_EQ(fleet.stats().migrated_pending, 0u);
 
   // One quiet tick: delta back to 0, but clear_for = 2 keeps the latch —
   // the sweep must hold readmission, not bounce the board back in.

@@ -7,7 +7,8 @@
 // engine's epoch-based two-slot swap must publish only fully built
 // datapaths, and EpochPin must never let a reader dereference the slot a
 // swap is writing) — and the fleet's rollouts, whose one staged weight
-// version is adopted by every board while ingest continues. Kept
+// version is adopted by every board while ingest continues, and a rollout
+// that drains a dead canary while ingest holds the routing lock. Kept
 // deliberately small so the TSan job stays fast.
 #include "kernels/engine.hpp"
 
@@ -395,7 +396,6 @@ TEST(StressThreads, FleetRolloutRacesIngestAcrossBoards) {
   // carried deferral is re-served within the tail.
   config.serve.ring_capacity = 4096;
   config.serve.detector = detector;
-  config.slo.latency_slo_us = 1e9;  // only the kill drains a board
   struct Seen {
     detect::ProcessId process;
     std::uint64_t call_index;
@@ -508,6 +508,103 @@ TEST(StressThreads, FleetRolloutRacesIngestAcrossBoards) {
       const nn::TokenSpan window(stream.data(), detector.window_length);
       EXPECT_EQ(fleet.engine(k).infer(window).probability,
                 reference.infer(window).probability)
+          << "board " << k << " pid " << pid;
+    }
+  }
+}
+
+TEST(StressThreads, FleetDrainsDeadIdleCanaryUnderIngest) {
+  // Four ingestion threads stream into boards 1 and 2 of a 3-board fleet
+  // while board 0, the canary, sits idle. A control thread kills it and
+  // rolls out: the golden batch finds it dead, the rollout drains it
+  // (a failover under the rollout lock, racing ingest on the route lock)
+  // and board 1 stands in. Revived and readmitted, board 0 serves the
+  // next rollout too.
+  nn::LstmConfig model_config{.vocab_size = 32, .embed_dim = 4, .hidden_dim = 8};
+  Rng rng(67);
+  std::vector<nn::LstmParams> versions;
+  for (int v = 0; v < 3; ++v) {
+    versions.push_back(nn::LstmParams::glorot(model_config, rng));
+  }
+
+  serve::FleetConfig config;
+  config.boards = 3;
+  config.health_check_interval = 0;  // the control thread sweeps
+  config.serve.ring_capacity = 4096;
+  config.serve.detector = detect::DetectorConfig{.window_length = 16, .hop = 4};
+  serve::BoardFleet fleet(model_config, versions[0], config,
+                          [](const serve::Verdict&) {});
+
+  // Pids the ring places off board 0, so nothing but the rollout ever
+  // touches it.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPidsPerThread = 2;
+  constexpr std::size_t kCalls = 400;
+  std::vector<detect::ProcessId> pids;
+  for (detect::ProcessId pid = 1; pids.size() < kThreads * kPidsPerThread; ++pid) {
+    if (fleet.board_of(pid) != 0) pids.push_back(pid);
+  }
+  csdml::testing::Streams streams;
+  for (const detect::ProcessId pid : pids) {
+    streams[pid] = csdml::testing::random_stream(500 + pid, kCalls,
+                                                 model_config.vocab_size);
+  }
+
+  std::atomic<std::size_t> calls_done{0};
+  const auto await_ingest = [&](std::size_t calls) {
+    const std::size_t target =
+        std::min(calls_done.load(std::memory_order_acquire) + calls,
+                 kThreads * kCalls);
+    while (calls_done.load(std::memory_order_acquire) < target) {
+      std::this_thread::yield();
+    }
+  };
+  std::thread control([&] {
+    await_ingest(kThreads * 32);
+    fleet.kill_board(0);
+    const serve::RolloutReport drained = fleet.update_weights(versions[1]);
+    EXPECT_TRUE(drained.ok);
+    EXPECT_FALSE(fleet.board_healthy(0));
+    await_ingest(kThreads * 16);
+    fleet.revive_board(0);
+    fleet.check_health();
+    EXPECT_TRUE(fleet.board_healthy(0));
+    EXPECT_TRUE(fleet.update_weights(versions[2]).ok);
+  });
+  std::vector<std::thread> feeders;
+  feeders.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    feeders.emplace_back([&, t] {
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        for (std::size_t p = 0; p < kPidsPerThread; ++p) {
+          const detect::ProcessId pid = pids[t * kPidsPerThread + p];
+          fleet.ingest(pid, streams.at(pid)[call]);
+        }
+        calls_done.fetch_add(1, std::memory_order_acq_rel);
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& feeder : feeders) feeder.join();
+  control.join();
+  fleet.flush();
+  fleet.stop();
+
+  const serve::BoardFleet::Stats stats = fleet.stats();
+  EXPECT_TRUE(stats.conservation_ok());
+  EXPECT_TRUE(stats.failover_resolved());
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.migrations, 0u);
+  EXPECT_EQ(stats.readmissions, 1u);
+  EXPECT_EQ(stats.weight_version, 3u);
+  EXPECT_EQ(stats.totals.deferred, 0u);
+
+  const FixedDatapath reference(model_config, versions.back());
+  for (std::size_t k = 0; k < fleet.board_count(); ++k) {
+    ASSERT_TRUE(fleet.board_healthy(k)) << "board " << k;
+    for (const auto& [pid, stream] : streams) {
+      const nn::TokenSpan window(stream.data(), 16);
+      EXPECT_EQ(fleet.engine(k).infer(window).probability, reference.infer(window))
           << "board " << k << " pid " << pid;
     }
   }
