@@ -1,12 +1,15 @@
 #include "host/cli.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <string_view>
 
 #include "baselines/host_baseline.hpp"
 #include "common/error.hpp"
@@ -32,7 +35,6 @@
 #include "scenario/runner.hpp"
 #include "scenario/scorer.hpp"
 #include "serve/fleet.hpp"
-#include "serve/serving.hpp"
 
 #include "common/json_writer.hpp"
 
@@ -69,32 +71,27 @@ commands:
                readable metrics, --health the SLO verdict (JSON with
                --json), --prometheus the text exposition format (including
                csdml_tsdb_* / csdml_alerts_active)
-  watch        [--level L] [--rounds N] [--interval-calls N] [--seed N]
-               [--fault-rate F] [--health]
-               run the sample stream in rounds and print per-round deltas
-               sampled through the time-series store (classifications,
-               alerts, deferrals, fallback serves, p99, health verdict);
-               exits 1 if the final verdict is unhealthy
   top          [--level L] [--boards N] [--rounds N] [--interval-calls N]
                [--seed N] [--fault-rate F] [--once] [--json]
-               live per-board fleet console over the telemetry time-series:
-               throughput, p95/p99, shed/deferred, health verdict, latched
-               alerts and a p99 sparkline per board, plus a fleet summary
-               row with merged cross-board percentiles; --once prints a
-               single final frame, --json emits the machine-readable frame
-               (exit 1 on a latched critical alert or conservation
-               violation)
+               live per-board console over the fleet's telemetry time-series
+               (--boards 1 is the single-board console): throughput,
+               p95/p99, shed/deferred, health, latched alerts and a p99
+               sparkline per board, plus a fleet summary row with merged
+               cross-board percentiles; --once prints a single final frame,
+               --json emits the machine-readable frame (exit 1 when a board
+               is DOWN, a critical alert is latched or conservation is
+               violated)
   serve        [--level L] [--calls N] [--seed N] [--ingest-threads N]
                [--serve-shards N] [--coalesce-max N]
                [--coalesce-deadline-us N] [--boards N] [--kill-board K@CALL]
-               run the sample streams through the sharded asynchronous
-               serving pipeline (lock-free rings + micro-batch coalescing)
-               and print the pipeline stats and latency percentiles;
-               --boards scales out across a consistent-hashed CSD fleet,
-               --kill-board injects a lethal fault on board K after CALL
-               ingests to drill drain-and-rehash failover (exit 0 only if
-               the extended conservation law holds: nothing enqueued was
-               lost, and every migrated deferral resolved)
+               run the sample streams through a consistent-hashed CSD fleet
+               (--boards, default 1) of sharded asynchronous serving
+               pipelines (lock-free rings + micro-batch coalescing) and
+               print the fleet stats and latency percentiles; --kill-board
+               injects a lethal fault on board K after CALL ingests to drill
+               drain-and-rehash failover (exit 0 only if the extended
+               conservation law holds: nothing enqueued was lost, every
+               migrated deferral resolved, one failover per kill)
   attribute    --weights PATH --dataset PATH --row N [--top K]
                explain one window: occlusion attribution of its API calls
   scenario     list | run | show [--all] [--name NAME] [--file PATH] [--seed N]
@@ -115,23 +112,63 @@ commands:
   help         this text
 )";
 
-/// Tiny flag parser: --key value pairs plus boolean switches.
+/// Upper bound on per-process stream lengths (`--calls`, and `top`'s
+/// rounds x interval), so a typo cannot request a multi-gigabyte trace.
+constexpr std::uint64_t kMaxCalls = 1'000'000;
+/// Fleet size bound shared by `serve` and `top`.
+constexpr std::uint64_t kMaxBoards = 16;
+/// Upper bound on dataset sizes and batch sizes, in windows.
+constexpr std::uint64_t kMaxWindows = 10'000'000;
+
+/// Parses `text` as an unsigned decimal in [lo, hi]. The whole string
+/// must be digits: `-1` (which std::stoull would wrap to 2^64 - 1) and
+/// `200x` (which it would truncate to 200) are usage errors.
+std::uint64_t parse_count(const std::string& what, const std::string& text,
+                          std::uint64_t lo, std::uint64_t hi) {
+  std::size_t used = 0;
+  std::uint64_t count = 0;
+  if (!text.empty() && std::isdigit(static_cast<unsigned char>(text[0]))) {
+    try {
+      count = std::stoull(text, &used);
+    } catch (const std::out_of_range&) {
+      used = 0;
+    }
+  }
+  if (used == 0 || used != text.size()) {
+    throw PreconditionError(what + " expects an unsigned integer, got '" +
+                            text + "'");
+  }
+  if (count < lo || count > hi) {
+    throw PreconditionError(what + " must be in [" + std::to_string(lo) +
+                            ", " + std::to_string(hi) + "]");
+  }
+  return count;
+}
+
+/// Tiny flag parser: --key value pairs plus boolean switches. A subcommand
+/// names every flag it takes; any other --key is a usage error.
 class Flags {
  public:
   Flags(const std::vector<std::string>& args, std::size_t start,
+        const std::vector<std::string>& options,
         const std::vector<std::string>& switches) {
+    const auto names = [](const std::vector<std::string>& list,
+                          const std::string& key) {
+      return std::find(list.begin(), list.end(), key) != list.end();
+    };
     for (std::size_t i = start; i < args.size(); ++i) {
       const std::string& arg = args[i];
       if (arg.rfind("--", 0) != 0) {
         throw PreconditionError("unexpected positional argument: " + arg);
       }
       const std::string key = arg.substr(2);
-      if (std::find(switches.begin(), switches.end(), key) != switches.end()) {
+      if (names(switches, key)) {
         values_[key] = "true";
+      } else if (!names(options, key)) {
+        throw PreconditionError("unknown flag --" + key);
+      } else if (i + 1 >= args.size()) {
+        throw PreconditionError("missing value for --" + key);
       } else {
-        if (i + 1 >= args.size()) {
-          throw PreconditionError("missing value for --" + key);
-        }
         values_[key] = args[++i];
       }
     }
@@ -147,9 +184,14 @@ class Flags {
     if (!value.has_value()) throw PreconditionError("missing required --" + key);
     return *value;
   }
-  long get_long(const std::string& key, long fallback) const {
+  /// An unsigned integer flag in [lo, hi] (see parse_count); `fallback`
+  /// when absent.
+  std::uint64_t get_count(
+      const std::string& key, std::uint64_t fallback, std::uint64_t lo = 0,
+      std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) const {
     const auto value = get(key);
-    return value.has_value() ? std::stol(*value) : fallback;
+    return value.has_value() ? parse_count("--" + key, *value, lo, hi)
+                             : fallback;
   }
   double get_double(const std::string& key, double fallback) const {
     const auto value = get(key);
@@ -169,12 +211,12 @@ void require_writable(const std::string& path) {
   if (!probe) throw Error("cannot open trace output file: " + path);
 }
 
-/// The sample workload `stats` and `watch` share: one ransomware process
-/// interleaved with two benign ones through the streaming detector, so
-/// every instrumented layer (engine kernels, detector, xrt syncs) feeds
-/// the registry, the device trace and the request-span tree. A nonzero
-/// fault rate attaches an XRT launch-failure plan plus a host fallback so
-/// the degraded-mode machinery shows up in the deltas.
+/// The `stats` sample workload: one ransomware process interleaved with
+/// two benign ones through the streaming detector, so every instrumented
+/// layer (engine kernels, detector, xrt syncs) feeds the registry, the
+/// device trace and the request-span tree. A nonzero fault rate attaches
+/// an XRT launch-failure plan plus a host fallback so the degraded-mode
+/// machinery shows up in the telemetry.
 class SampleRig {
  public:
   SampleRig(kernels::OptimizationLevel level, std::uint64_t seed,
@@ -211,22 +253,15 @@ class SampleRig {
     };
   }
 
-  /// Feeds calls [begin, end) of every stream round-robin; returns the
-  /// number of alerts fired.
-  std::size_t run(std::size_t begin, std::size_t end) {
-    std::size_t alerts = 0;
+  /// Feeds calls [begin, end) of every stream round-robin.
+  void run(std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       for (std::size_t p = 0; p < streams_.size(); ++p) {
         if (i >= streams_[p].size()) continue;
-        if (detector_
-                .on_api_call(static_cast<detect::ProcessId>(p + 1),
-                             streams_[p][i])
-                .has_value()) {
-          ++alerts;
-        }
+        (void)detector_.on_api_call(static_cast<detect::ProcessId>(p + 1),
+                                    streams_[p][i]);
       }
     }
-    return alerts;
   }
 
   /// Processes terminate: pending debounce state flushes into aggregate
@@ -266,14 +301,13 @@ int cmd_gen_dataset(const Flags& flags, std::ostream& out) {
   ransomware::DatasetSpec spec = flags.has("paper-size")
                                      ? ransomware::DatasetSpec::paper()
                                      : ransomware::DatasetSpec::small();
-  spec.ransomware_windows = static_cast<std::size_t>(
-      flags.get_long("ransomware", static_cast<long>(spec.ransomware_windows)));
-  spec.benign_windows = static_cast<std::size_t>(
-      flags.get_long("benign", static_cast<long>(spec.benign_windows)));
-  spec.window_length =
-      static_cast<std::size_t>(flags.get_long("window", 100));
-  spec.stride = static_cast<std::size_t>(flags.get_long("stride", 25));
-  spec.seed = static_cast<std::uint64_t>(flags.get_long("seed", 2024));
+  spec.ransomware_windows = flags.get_count(
+      "ransomware", spec.ransomware_windows, 1, kMaxWindows);
+  spec.benign_windows =
+      flags.get_count("benign", spec.benign_windows, 1, kMaxWindows);
+  spec.window_length = flags.get_count("window", 100, 1, 10'000);
+  spec.stride = flags.get_count("stride", 25, 1, 10'000);
+  spec.seed = flags.get_count("seed", 2024);
 
   const ransomware::BuiltDataset built = ransomware::build_dataset(spec);
   const std::string path = flags.require("out");
@@ -285,8 +319,8 @@ int cmd_gen_dataset(const Flags& flags, std::ostream& out) {
 }
 
 int cmd_gen_traces(const Flags& flags, std::ostream& out) {
-  const auto seed = static_cast<std::uint64_t>(flags.get_long("seed", 2024));
-  const auto length = static_cast<std::size_t>(flags.get_long("length", 1'000));
+  const std::uint64_t seed = flags.get_count("seed", 2024);
+  const std::size_t length = flags.get_count("length", 1'000, 1, kMaxCalls);
   const auto records = ransomware::export_corpus_traces(seed, length);
   const std::string path = flags.require("out");
   ransomware::write_traces_jsonl_file(path, records);
@@ -297,15 +331,15 @@ int cmd_gen_traces(const Flags& flags, std::ostream& out) {
 int cmd_train(const Flags& flags, std::ostream& out) {
   const nn::SequenceDataset dataset =
       nn::read_dataset_csv(flags.require("dataset"));
-  Rng rng(static_cast<std::uint64_t>(flags.get_long("seed", 7)));
+  Rng rng(flags.get_count("seed", 7));
   const double test_fraction = flags.get_double("test-fraction", 0.2);
   const nn::TrainTestSplit split = nn::split_dataset(dataset, test_fraction, rng);
 
   nn::LstmConfig config;
   nn::LstmClassifier model(config, rng);
   nn::TrainConfig tc;
-  tc.epochs = static_cast<std::size_t>(flags.get_long("epochs", 10));
-  tc.batch_size = static_cast<std::size_t>(flags.get_long("batch", 32));
+  tc.epochs = flags.get_count("epochs", 10, 1, 100'000);
+  tc.batch_size = flags.get_count("batch", 32, 1, kMaxWindows);
   tc.learning_rate = flags.get_double("lr", 0.01);
 
   const nn::TrainResult result =
@@ -378,10 +412,9 @@ int cmd_classify(const Flags& flags, std::ostream& out) {
 int cmd_stats(const Flags& flags, std::ostream& out) {
   const kernels::OptimizationLevel level =
       parse_level(flags.get("level").value_or("fixed-point"));
-  const auto calls = static_cast<std::size_t>(flags.get_long("calls", 1'200));
-  const auto seed = static_cast<std::uint64_t>(flags.get_long("seed", 2024));
+  const std::size_t calls = flags.get_count("calls", 1'200, 200, kMaxCalls);
+  const std::uint64_t seed = flags.get_count("seed", 2024);
   const double fault_rate = flags.get_double("fault-rate", 0.0);
-  CSDML_REQUIRE(calls >= 200, "--calls must be at least 200");
   CSDML_REQUIRE(fault_rate >= 0.0 && fault_rate < 1.0,
                 "--fault-rate must be in [0, 1)");
   const auto trace_out = flags.get("trace-out");
@@ -464,73 +497,6 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   return 0;
 }
 
-int cmd_watch(const Flags& flags, std::ostream& out) {
-  const kernels::OptimizationLevel level =
-      parse_level(flags.get("level").value_or("fixed-point"));
-  const auto rounds = static_cast<std::size_t>(flags.get_long("rounds", 6));
-  const auto interval =
-      static_cast<std::size_t>(flags.get_long("interval-calls", 200));
-  const auto seed = static_cast<std::uint64_t>(flags.get_long("seed", 2024));
-  const double fault_rate = flags.get_double("fault-rate", 0.0);
-  CSDML_REQUIRE(rounds > 0, "--rounds must be positive");
-  CSDML_REQUIRE(interval >= 100, "--interval-calls must be at least 100");
-  CSDML_REQUIRE(fault_rate >= 0.0 && fault_rate < 1.0,
-                "--fault-rate must be in [0, 1)");
-
-  obs::registry().reset();
-  SampleRig rig(level, seed, rounds * interval, fault_rate);
-  out << "watch: " << rig.stream_count() << " processes, " << rounds
-      << " rounds x " << interval << " calls ("
-      << kernels::optimization_name(level) << " build";
-  if (fault_rate > 0.0) out << ", fault rate " << TextTable::num(fault_rate, 3);
-  out << ")\n";
-
-  // Each round feeds the next slice of every stream and runs one sampler
-  // tick: the per-round deltas come out of the shared SnapshotSampler (the
-  // same machinery behind the fleet collector and `csdml top`) instead of
-  // a private prev_-counter loop, and the round history lands in a real
-  // time-series store as a side effect.
-  obs::TimeSeriesStore store(obs::TsdbConfig::from_env());
-  obs::SnapshotSampler sampler({
-      {"watch.classified", obs::SampleSpec::Kind::CounterDelta,
-       "detector.classifications"},
-      {"watch.deferred", obs::SampleSpec::Kind::CounterDelta,
-       "detector.degraded_classifications"},
-      {"watch.fallback", obs::SampleSpec::Kind::CounterDelta,
-       "engine.fallback_inferences"},
-      {"watch.retries", obs::SampleSpec::Kind::CounterDelta,
-       "engine.retries"},
-      {"watch.p99_us", obs::SampleSpec::Kind::HistP99,
-       "detector.inference_us"},
-  });
-  TextTable table({"round", "classified", "alerts", "deferred", "fallback",
-                   "retries", "p99_us", "health"});
-  for (std::size_t round = 0; round < rounds; ++round) {
-    const std::size_t alerts =
-        rig.run(round * interval, (round + 1) * interval);
-    const obs::MetricsSnapshot snapshot = obs::registry().snapshot();
-    const obs::HealthReport health =
-        obs::evaluate_health(snapshot, rig.detector().csd_healthy());
-    const std::map<std::string, double> frame = sampler.sample(
-        static_cast<std::int64_t>(round + 1) * 1'000'000, snapshot, &store);
-    table.add_row(
-        {std::to_string(round + 1),
-         std::to_string(static_cast<std::uint64_t>(frame.at("watch.classified"))),
-         std::to_string(alerts),
-         std::to_string(static_cast<std::uint64_t>(frame.at("watch.deferred"))),
-         std::to_string(static_cast<std::uint64_t>(frame.at("watch.fallback"))),
-         std::to_string(static_cast<std::uint64_t>(frame.at("watch.retries"))),
-         TextTable::num(frame.at("watch.p99_us"), 1),
-         obs::health_verdict_name(health.verdict)});
-  }
-  rig.forget_all();
-  table.print(out);
-  const obs::HealthReport final_health = obs::evaluate_health(
-      obs::registry().snapshot(), rig.detector().csd_healthy());
-  if (flags.has("health")) out << "\n" << final_health.to_text();
-  return final_health.verdict == obs::HealthVerdict::Unhealthy ? 1 : 0;
-}
-
 /// The serve-command workload: every ingestion thread owns three
 /// processes (one ransomware, two benign). Streams carry a small tail
 /// beyond `calls` so a fleet failover late in the run can still resolve
@@ -568,26 +534,51 @@ std::vector<ServeStreamSet> serve_workload(std::size_t threads,
   return per_thread;
 }
 
-/// Multi-board serve: the same workload routed through a BoardFleet, with
+/// Serves the workload through a BoardFleet (one board by default), with
 /// an optional deterministic kill drill. Exit 0 only when the extended
 /// conservation law holds after the dust settles.
-int serve_fleet(const kernels::OptimizationLevel level, std::size_t boards,
-                std::size_t threads, std::size_t calls, std::uint64_t seed,
-                const serve::ServeConfig& serve_config,
-                std::optional<std::size_t> kill_board, std::uint64_t kill_at,
-                std::ostream& out) {
-  obs::registry().reset();
-  nn::LstmConfig model_config;
-  Rng rng(seed);
-  const nn::LstmParams params = nn::LstmParams::glorot(model_config, rng);
-  const std::vector<ServeStreamSet> per_thread =
-      serve_workload(threads, calls, seed);
+int cmd_serve(const Flags& flags, std::ostream& out) {
+  const kernels::OptimizationLevel level =
+      parse_level(flags.get("level").value_or("fixed-point"));
+  const std::size_t calls = flags.get_count("calls", 1'200, 200, kMaxCalls);
+  const std::uint64_t seed = flags.get_count("seed", 2024);
+  const std::size_t threads = flags.get_count("ingest-threads", 4, 1, 64);
+  const std::size_t boards = flags.get_count("boards", 1, 1, kMaxBoards);
+
+  std::optional<std::size_t> kill_board;
+  std::uint64_t kill_at = 0;
+  if (const auto spec = flags.get("kill-board")) {
+    const std::size_t at = spec->find('@');
+    CSDML_REQUIRE(at != std::string::npos, "--kill-board expects K@CALL");
+    CSDML_REQUIRE(boards >= 2,
+                  "--kill-board needs --boards >= 2 (no failover target)");
+    kill_board = parse_count("--kill-board board", spec->substr(0, at), 0,
+                             boards - 1);
+    kill_at = parse_count("--kill-board call", spec->substr(at + 1), 0,
+                          calls * threads * 3 - 1);
+  }
 
   serve::FleetConfig fleet_config;
   fleet_config.boards = boards;
   fleet_config.seed = seed;
   fleet_config.engine = kernels::EngineConfig{.level = level};
-  fleet_config.serve = serve_config;
+  fleet_config.serve.shards = flags.get_count("serve-shards", 4, 1, 64);
+  fleet_config.serve.coalesce_max =
+      flags.get_count("coalesce-max", 32, 1, 1'024);
+  fleet_config.serve.coalesce_deadline = std::chrono::microseconds(
+      flags.get_count("coalesce-deadline-us", 200, 0, 10'000'000));
+  fleet_config.serve.detector = detect::DetectorConfig{
+      .window_length = 100, .hop = 25, .consecutive_alerts = 2};
+
+  obs::registry().reset();
+  nn::LstmConfig model_config;
+  Rng rng(seed);
+  const nn::LstmParams params = nn::LstmParams::glorot(model_config, rng);
+  // Every ingestion thread feeds its own three processes round-robin, so
+  // per-process call order is preserved while the fleet absorbs the
+  // aggregate concurrently.
+  const std::vector<ServeStreamSet> per_thread =
+      serve_workload(threads, calls, seed);
   serve::BoardFleet fleet(model_config, params, fleet_config,
                           [](const serve::Verdict&) {});
 
@@ -683,103 +674,6 @@ int serve_fleet(const kernels::OptimizationLevel level, std::size_t boards,
   return conservation && resolved && drilled ? 0 : 1;
 }
 
-int cmd_serve(const Flags& flags, std::ostream& out) {
-  const kernels::OptimizationLevel level =
-      parse_level(flags.get("level").value_or("fixed-point"));
-  const auto calls = static_cast<std::size_t>(flags.get_long("calls", 1'200));
-  const auto seed = static_cast<std::uint64_t>(flags.get_long("seed", 2024));
-  const auto threads =
-      static_cast<std::size_t>(flags.get_long("ingest-threads", 4));
-  const auto boards = static_cast<std::size_t>(flags.get_long("boards", 1));
-  CSDML_REQUIRE(calls >= 200, "--calls must be at least 200");
-  CSDML_REQUIRE(threads >= 1 && threads <= 64,
-                "--ingest-threads must be in [1, 64]");
-  CSDML_REQUIRE(boards >= 1 && boards <= 16, "--boards must be in [1, 16]");
-
-  std::optional<std::size_t> kill_board;
-  std::uint64_t kill_at = 0;
-  if (const auto spec = flags.get("kill-board")) {
-    const std::size_t at = spec->find('@');
-    CSDML_REQUIRE(at != std::string::npos, "--kill-board expects K@CALL");
-    kill_board = static_cast<std::size_t>(std::stoul(spec->substr(0, at)));
-    kill_at = static_cast<std::uint64_t>(std::stoull(spec->substr(at + 1)));
-    CSDML_REQUIRE(*kill_board < boards, "--kill-board index out of range");
-    CSDML_REQUIRE(boards >= 2,
-                  "--kill-board needs --boards >= 2 (no failover target)");
-    CSDML_REQUIRE(kill_at < calls * threads * 3,
-                  "--kill-board call index is past the workload");
-  }
-
-  serve::ServeConfig serve_config;
-  serve_config.shards =
-      static_cast<std::size_t>(flags.get_long("serve-shards", 4));
-  serve_config.coalesce_max =
-      static_cast<std::size_t>(flags.get_long("coalesce-max", 32));
-  serve_config.coalesce_deadline =
-      std::chrono::microseconds(flags.get_long("coalesce-deadline-us", 200));
-  serve_config.detector = detect::DetectorConfig{
-      .window_length = 100, .hop = 25, .consecutive_alerts = 2};
-
-  if (boards > 1 || kill_board.has_value()) {
-    return serve_fleet(level, boards, threads, calls, seed, serve_config,
-                       kill_board, kill_at, out);
-  }
-
-  obs::registry().reset();
-  nn::LstmConfig model_config;
-  Rng rng(seed);
-  const nn::LstmParams params = nn::LstmParams::glorot(model_config, rng);
-  csd::SmartSsd board{csd::SmartSsdConfig{}};
-  xrt::Device device{board};
-  kernels::CsdLstmEngine engine(device, model_config, params,
-                                kernels::EngineConfig{.level = level});
-
-  // The sample workload, scaled out: every ingestion thread owns three
-  // processes (one ransomware, two benign) and feeds their streams
-  // round-robin, so per-process call order is preserved per thread while
-  // the pipeline absorbs the aggregate concurrently.
-  const std::vector<ServeStreamSet> per_thread =
-      serve_workload(threads, calls, seed);
-
-  serve::ServingPipeline pipeline(engine, serve_config,
-                                  [](const serve::Verdict&) {});
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    workers.emplace_back([&pipeline, &set = per_thread[t], calls] {
-      for (std::size_t i = 0; i < calls; ++i) {
-        for (std::size_t p = 0; p < set.streams.size(); ++p) {
-          pipeline.ingest(set.pids[p], set.streams[p][i]);
-        }
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  pipeline.flush();
-  for (const ServeStreamSet& set : per_thread) {
-    for (const detect::ProcessId pid : set.pids) pipeline.forget(pid);
-  }
-  pipeline.stop();
-
-  const serve::ServingPipeline::Stats stats = pipeline.stats();
-  out << "serve: " << threads << " ingestion threads x 3 processes x " << calls
-      << " API calls (" << kernels::optimization_name(level) << " build, "
-      << serve_config.shards << " shards, coalesce<=" << serve_config.coalesce_max
-      << ")\n\n";
-  TextTable table({"pipeline", "count"});
-  table.add_row({"ingested", std::to_string(stats.ingested)});
-  table.add_row({"enqueued", std::to_string(stats.enqueued)});
-  table.add_row({"shed (backpressure)", std::to_string(stats.shed)});
-  table.add_row({"deferred (csd down)", std::to_string(stats.deferred)});
-  table.add_row({"verdicts", std::to_string(stats.verdicts)});
-  table.add_row({"alerts", std::to_string(stats.alerts)});
-  table.add_row({"batches", std::to_string(stats.batches)});
-  table.print(out);
-  out << "\n" << obs::registry().snapshot().to_text();
-  // Conservation law of the pipeline: everything enqueued came out.
-  return stats.verdicts + stats.deferred == stats.enqueued ? 0 : 1;
-}
-
 /// Eight-level unicode sparkline over the retained raw buckets of one
 /// series (newest up to `width` buckets, bucket means, scaled to range).
 std::string sparkline(const obs::TimeSeriesStore& store,
@@ -846,15 +740,13 @@ std::vector<obs::AlertRule> top_default_rules(std::size_t boards) {
 int cmd_top(const Flags& flags, std::ostream& out) {
   const kernels::OptimizationLevel level =
       parse_level(flags.get("level").value_or("fixed-point"));
-  const auto boards = static_cast<std::size_t>(flags.get_long("boards", 2));
-  const auto rounds = static_cast<std::size_t>(flags.get_long("rounds", 6));
-  const auto interval =
-      static_cast<std::size_t>(flags.get_long("interval-calls", 200));
-  const auto seed = static_cast<std::uint64_t>(flags.get_long("seed", 2024));
+  const std::size_t boards = flags.get_count("boards", 2, 1, kMaxBoards);
+  // Each stream is rounds x interval calls long: at most kMaxCalls.
+  const std::size_t rounds = flags.get_count("rounds", 6, 1, 1'000);
+  const std::size_t interval =
+      flags.get_count("interval-calls", 200, 100, 1'000);
+  const std::uint64_t seed = flags.get_count("seed", 2024);
   const double fault_rate = flags.get_double("fault-rate", 0.0);
-  CSDML_REQUIRE(boards >= 1 && boards <= 16, "--boards must be in [1, 16]");
-  CSDML_REQUIRE(rounds > 0, "--rounds must be positive");
-  CSDML_REQUIRE(interval >= 100, "--interval-calls must be at least 100");
   CSDML_REQUIRE(fault_rate >= 0.0 && fault_rate < 1.0,
                 "--fault-rate must be in [0, 1)");
   const bool once = flags.has("once");
@@ -888,8 +780,88 @@ int cmd_top(const Flags& flags, std::ostream& out) {
                           [](const serve::Verdict&) {});
   obs::TelemetryCollector& collector = *fleet.telemetry();
   obs::AlertEngine& alerts = *fleet.alert_engine();
+  const obs::TimeSeriesStore& store = collector.store();
 
-  std::map<std::string, double> frame;
+  // One board's numbers in a frame, built once and rendered either as a
+  // text table row or as JSON.
+  struct BoardRow {
+    bool healthy{true};
+    std::uint64_t verdicts{0};
+    std::uint64_t shed{0};
+    std::uint64_t deferred{0};
+    double throughput{0.0};  ///< mean over the retained window
+    double p95_us{0.0};
+    double p99_us{0.0};
+    std::size_t alerts{0};  ///< active alerts naming the board
+  };
+  const auto board_rows = [&] {
+    std::vector<BoardRow> rows;
+    for (std::size_t k = 0; k < boards; ++k) {
+      const std::string prefix = "fleet.b" + std::to_string(k);
+      const auto board = fleet.board_stats(k);
+      obs::TsBucket rate;
+      for (const obs::TsBucket& bucket :
+           store.buckets(prefix + ".throughput")) {
+        rate.absorb(bucket);
+      }
+      std::size_t active = 0;
+      for (const obs::Alert& alert : alerts.active_alerts()) {
+        if (alert.board == static_cast<int>(k)) ++active;
+      }
+      rows.push_back({fleet.board_healthy(k), board.verdicts, board.shed,
+                      board.deferred, rate.mean(),
+                      store.last(prefix + ".p95_us"),
+                      store.last(prefix + ".p99_us"), active});
+    }
+    return rows;
+  };
+  // Fleet summary percentiles: per-board latency histograms merged into
+  // one (identical default bounds), not an average of percentiles.
+  const auto fleet_latency = [] {
+    obs::HistogramSnapshot merged;
+    for (const obs::HistogramSnapshot& histogram :
+         obs::registry().snapshot().histograms) {
+      if (histogram.name.rfind("fleet.b", 0) == 0 &&
+          histogram.name.find(".ingest_to_verdict_us") != std::string::npos) {
+        merged.merge(histogram);
+      }
+    }
+    return merged;
+  };
+  const auto any_down = [](const std::vector<BoardRow>& rows) {
+    return std::any_of(rows.begin(), rows.end(),
+                       [](const BoardRow& row) { return !row.healthy; });
+  };
+  // The text frame, live and final alike: a row per board, then the fleet.
+  const auto print_table = [&](const std::vector<BoardRow>& rows) {
+    const serve::BoardFleet::Stats stats = fleet.stats();
+    const obs::HistogramSnapshot latency = fleet_latency();
+    TextTable table({"board", "health", "verdicts", "thru/s", "p95_us",
+                     "p99_us", "shed", "defer", "alerts", "trend"});
+    for (std::size_t k = 0; k < boards; ++k) {
+      const BoardRow& row = rows[k];
+      table.add_row({std::to_string(k), row.healthy ? "ok" : "DOWN",
+                     std::to_string(row.verdicts),
+                     TextTable::num(row.throughput, 1),
+                     TextTable::num(row.p95_us, 1),
+                     TextTable::num(row.p99_us, 1), std::to_string(row.shed),
+                     std::to_string(row.deferred), std::to_string(row.alerts),
+                     sparkline(store, "fleet.b" + std::to_string(k) +
+                                          ".p99_us")});
+    }
+    table.add_row(
+        {"fleet",
+         stats.boards_admitted == boards && !any_down(rows) ? "ok"
+                                                            : "degraded",
+         std::to_string(stats.totals.verdicts), "-",
+         TextTable::num(latency.percentile(0.95), 1),
+         TextTable::num(latency.percentile(0.99), 1),
+         std::to_string(stats.totals.shed),
+         std::to_string(stats.totals.deferred),
+         std::to_string(alerts.active_count()), "-"});
+    table.print(out);
+  };
+
   for (std::size_t round = 0; round < rounds; ++round) {
     for (std::size_t i = round * interval; i < (round + 1) * interval; ++i) {
       for (const ServeStreamSet& set : workload) {
@@ -905,26 +877,7 @@ int cmd_top(const Flags& flags, std::ostream& out) {
     if (once || json) continue;  // final frame only
     out << "\x1b[2J\x1b[H";  // live mode: clear + home between frames
     out << "csdml top — frame " << round + 1 << "/" << rounds << "\n";
-    TextTable live({"board", "health", "verdicts", "thru/s", "p99_us",
-                    "defer", "alerts", "trend"});
-    for (std::size_t k = 0; k < boards; ++k) {
-      const std::string prefix = "fleet.b" + std::to_string(k);
-      const obs::TimeSeriesStore& store = collector.store();
-      std::size_t active = 0;
-      for (const obs::Alert& alert : alerts.active_alerts()) {
-        if (alert.board == static_cast<int>(k)) ++active;
-      }
-      live.add_row(
-          {std::to_string(k), fleet.board_healthy(k) ? "ok" : "DOWN",
-           std::to_string(static_cast<std::uint64_t>(
-               store.last(prefix + ".verdicts.delta"))),
-           TextTable::num(store.last(prefix + ".throughput"), 1),
-           TextTable::num(store.last(prefix + ".p99_us"), 1),
-           std::to_string(static_cast<std::uint64_t>(
-               store.last(prefix + ".deferred.delta"))),
-           std::to_string(active), sparkline(store, prefix + ".p99_us")});
-    }
-    live.print(out);
+    print_table(board_rows());
   }
 
   for (const ServeStreamSet& set : workload) {
@@ -933,29 +886,18 @@ int cmd_top(const Flags& flags, std::ostream& out) {
   fleet.flush();
   collector.tick();
   const serve::BoardFleet::Stats stats = fleet.stats();
-  const obs::MetricsSnapshot snapshot = obs::registry().snapshot();
-  const obs::TimeSeriesStore& store = collector.store();
   const obs::TimeSeriesStore::Totals totals = store.totals();
   const std::vector<obs::Alert> all_alerts = alerts.alerts();
-
-  // Fleet summary percentiles: per-board latency histograms merged into
-  // one (identical default bounds), not an average of percentiles.
-  obs::HistogramSnapshot fleet_latency;
-  for (const obs::HistogramSnapshot& histogram : snapshot.histograms) {
-    if (histogram.name.rfind("fleet.b", 0) == 0 &&
-        histogram.name.find(".ingest_to_verdict_us") != std::string::npos) {
-      fleet_latency.merge(histogram);
-    }
-  }
-
-  bool critical_latched = false;
-  for (const obs::Alert& alert : all_alerts) {
-    if (alert.active && alert.severity == obs::AlertSeverity::Critical) {
-      critical_latched = true;
-    }
-  }
+  const std::vector<BoardRow> rows = board_rows();
+  const bool critical_latched =
+      std::any_of(all_alerts.begin(), all_alerts.end(),
+                  [](const obs::Alert& alert) {
+                    return alert.active &&
+                           alert.severity == obs::AlertSeverity::Critical;
+                  });
 
   if (json) {
+    const obs::HistogramSnapshot latency = fleet_latency();
     JsonWriter writer;
     writer.begin_object();
     writer.field("tool", "top");
@@ -964,22 +906,16 @@ int cmd_top(const Flags& flags, std::ostream& out) {
     writer.key("boards");
     writer.begin_array();
     for (std::size_t k = 0; k < boards; ++k) {
-      const std::string prefix = "fleet.b" + std::to_string(k);
-      const serve::ServingPipeline::Stats board = fleet.board_stats(k);
+      const BoardRow& row = rows[k];
       writer.begin_object();
       writer.field("board", static_cast<std::uint64_t>(k));
-      writer.field("healthy", fleet.board_healthy(k));
-      writer.field("verdicts", board.verdicts);
-      writer.field("shed", board.shed);
-      writer.field("deferred", board.deferred);
-      obs::TsBucket rate;
-      for (const obs::TsBucket& bucket :
-           store.buckets(prefix + ".throughput")) {
-        rate.absorb(bucket);
-      }
-      writer.field("throughput", rate.mean());
-      writer.field("p95_us", store.last(prefix + ".p95_us"));
-      writer.field("p99_us", store.last(prefix + ".p99_us"));
+      writer.field("healthy", row.healthy);
+      writer.field("verdicts", row.verdicts);
+      writer.field("shed", row.shed);
+      writer.field("deferred", row.deferred);
+      writer.field("throughput", row.throughput);
+      writer.field("p95_us", row.p95_us);
+      writer.field("p99_us", row.p99_us);
       writer.end_object();
     }
     writer.end_array();
@@ -990,8 +926,8 @@ int cmd_top(const Flags& flags, std::ostream& out) {
     writer.field("shed", stats.totals.shed);
     writer.field("boards_admitted",
                  static_cast<std::uint64_t>(stats.boards_admitted));
-    writer.field("p95_us", fleet_latency.percentile(0.95));
-    writer.field("p99_us", fleet_latency.percentile(0.99));
+    writer.field("p95_us", latency.percentile(0.95));
+    writer.field("p99_us", latency.percentile(0.99));
     writer.field("conservation_ok", stats.conservation_ok());
     writer.end_object();
     writer.key("alerts");
@@ -1018,39 +954,7 @@ int cmd_top(const Flags& flags, std::ostream& out) {
     out << "csdml top — " << boards << " boards, " << rounds << " rounds x "
         << interval << " calls (" << kernels::optimization_name(level)
         << " build)\n\n";
-    TextTable table({"board", "health", "verdicts", "thru/s", "p95_us",
-                     "p99_us", "shed", "defer", "alerts", "trend"});
-    for (std::size_t k = 0; k < boards; ++k) {
-      const std::string prefix = "fleet.b" + std::to_string(k);
-      const serve::ServingPipeline::Stats board = fleet.board_stats(k);
-      std::size_t active = 0;
-      for (const obs::Alert& alert : all_alerts) {
-        if (alert.active && alert.board == static_cast<int>(k)) ++active;
-      }
-      // Mean rate over the retained window, not the (post-flush) last tick.
-      obs::TsBucket rate;
-      for (const obs::TsBucket& bucket :
-           store.buckets(prefix + ".throughput")) {
-        rate.absorb(bucket);
-      }
-      table.add_row(
-          {std::to_string(k), fleet.board_healthy(k) ? "ok" : "DOWN",
-           std::to_string(board.verdicts),
-           TextTable::num(rate.mean(), 1),
-           TextTable::num(store.last(prefix + ".p95_us"), 1),
-           TextTable::num(store.last(prefix + ".p99_us"), 1),
-           std::to_string(board.shed), std::to_string(board.deferred),
-           std::to_string(active), sparkline(store, prefix + ".p99_us")});
-    }
-    table.add_row({"fleet",
-                   stats.boards_admitted == boards ? "ok" : "degraded",
-                   std::to_string(stats.totals.verdicts), "-",
-                   TextTable::num(fleet_latency.percentile(0.95), 1),
-                   TextTable::num(fleet_latency.percentile(0.99), 1),
-                   std::to_string(stats.totals.shed),
-                   std::to_string(stats.totals.deferred),
-                   std::to_string(alerts.active_count()), "-"});
-    table.print(out);
+    print_table(rows);
     out << "\ntime series: " << totals.series << " series, " << totals.samples
         << " samples, " << totals.promotions << " tier promotions over "
         << collector.ticks() << " ticks\n";
@@ -1066,7 +970,11 @@ int cmd_top(const Flags& flags, std::ostream& out) {
         << "\n";
   }
   fleet.stop();
-  return stats.conservation_ok() && !critical_latched ? 0 : 1;
+  // A board still DOWN in the final frame fails the run like a latched
+  // critical alert: the single-board console's unhealthy verdict.
+  const bool ok =
+      stats.conservation_ok() && !critical_latched && !any_down(rows);
+  return ok ? 0 : 1;
 }
 
 int cmd_attribute(const Flags& flags, std::ostream& out) {
@@ -1074,9 +982,10 @@ int cmd_attribute(const Flags& flags, std::ostream& out) {
       nn::load_weights_file(flags.require("weights"));
   const nn::SequenceDataset dataset =
       nn::read_dataset_csv(flags.require("dataset"));
-  const auto row = static_cast<std::size_t>(std::stol(flags.require("row")));
-  CSDML_REQUIRE(row < dataset.size(), "--row out of range");
-  const auto top_k = static_cast<std::size_t>(flags.get_long("top", 8));
+  CSDML_REQUIRE(!dataset.empty(), "--dataset holds no windows");
+  const std::size_t row = parse_count("--row", flags.require("row"), 0,
+                                      dataset.size() - 1);
+  const std::size_t top_k = flags.get_count("top", 8, 1, 1'000);
 
   const nn::LstmClassifier model(snapshot.config, snapshot.params);
   const detect::AttributionReport report = detect::attribute_window(
@@ -1095,7 +1004,7 @@ int cmd_attribute(const Flags& flags, std::ostream& out) {
 int cmd_timings(const Flags& flags, std::ostream& out) {
   const kernels::OptimizationLevel level =
       parse_level(flags.get("level").value_or("fixed-point"));
-  const auto cus = static_cast<std::uint32_t>(flags.get_long("cus", 4));
+  const auto cus = static_cast<std::uint32_t>(flags.get_count("cus", 4, 1, 4));
   const kernels::KernelLink link = flags.has("stream")
                                        ? kernels::KernelLink::Stream
                                        : kernels::KernelLink::AxiMemory;
@@ -1228,7 +1137,7 @@ int cmd_scenario(const std::vector<std::string>& args, std::ostream& out) {
   const std::string& sub = args[1];
 
   if (sub == "list") {
-    Flags flags(args, 2, {});
+    const Flags flags(args, 2, {}, {});
     (void)flags;
     TextTable table({"scenario", "boards", "processes", "attacks", "events",
                      "horizon", "latency-budget", "files-budget"});
@@ -1247,7 +1156,7 @@ int cmd_scenario(const std::vector<std::string>& args, std::ostream& out) {
   }
 
   if (sub == "show") {
-    const Flags flags(args, 2, {});
+    const Flags flags(args, 2, {"name"}, {});
     const std::string name = flags.require("name");
     const scenario::Scenario* found = scenario::find_scenario(name);
     if (found == nullptr) {
@@ -1262,7 +1171,8 @@ int cmd_scenario(const std::vector<std::string>& args, std::ostream& out) {
     throw PreconditionError("scenario: unknown subcommand `" + sub +
                             "` (list | run | show)");
   }
-  const Flags flags(args, 2, {"all", "json", "tiny", "update-golden"});
+  const Flags flags(args, 2, {"name", "file", "seed", "golden"},
+                    {"all", "json", "tiny", "update-golden"});
 
   std::vector<scenario::Scenario> selected;
   if (const auto name = flags.get("name")) {
@@ -1292,7 +1202,7 @@ int cmd_scenario(const std::vector<std::string>& args, std::ostream& out) {
   scenario::RunOptions options;
   options.tiny = flags.has("tiny");
   if (flags.has("seed")) {
-    options.seed = static_cast<std::uint64_t>(flags.get_long("seed", 0));
+    options.seed = flags.get_count("seed", 0);
   }
   if (flags.has("update-golden") && !flags.has("golden")) {
     throw PreconditionError("scenario: --update-golden requires --golden PATH");
@@ -1381,7 +1291,7 @@ int cmd_scenario(const std::vector<std::string>& args, std::ostream& out) {
   return gates_ok && golden_ok ? 0 : 1;
 }
 
-int cmd_reports(std::ostream& out) {
+int cmd_reports(const Flags&, std::ostream& out) {
   const hls::HlsCostModel model = hls::HlsCostModel::ultrascale_default();
   const hls::FpgaPart part = hls::FpgaPart::ku15p();
   const nn::LstmConfig config;
@@ -1402,6 +1312,15 @@ int cmd_reports(std::ostream& out) {
   return 0;
 }
 
+/// One subcommand: its handler, the flags that take a value, and its
+/// boolean switches.
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags&, std::ostream&);
+  std::vector<std::string> options;
+  std::vector<std::string> switches;
+};
+
 }  // namespace
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
@@ -1411,42 +1330,38 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return args.empty() ? 2 : 0;
   }
   const std::string& command = args[0];
+  // Every subcommand names the flags that take a value, then its switches.
+  const std::vector<Command> commands = {
+      {"gen-dataset", cmd_gen_dataset,
+       {"out", "ransomware", "benign", "window", "stride", "seed"},
+       {"paper-size"}},
+      {"gen-traces", cmd_gen_traces, {"out", "seed", "length"}, {}},
+      {"train", cmd_train,
+       {"dataset", "weights", "epochs", "lr", "batch", "test-fraction",
+        "seed"},
+       {}},
+      {"classify", cmd_classify, {"weights", "dataset", "level", "trace-out"},
+       {"stats"}},
+      {"stats", cmd_stats,
+       {"level", "calls", "seed", "fault-rate", "trace-out"},
+       {"json", "health", "prometheus"}},
+      {"top", cmd_top,
+       {"level", "boards", "rounds", "interval-calls", "seed", "fault-rate"},
+       {"once", "json"}},
+      {"serve", cmd_serve,
+       {"level", "calls", "seed", "ingest-threads", "serve-shards",
+        "coalesce-max", "coalesce-deadline-us", "boards", "kill-board"},
+       {}},
+      {"attribute", cmd_attribute, {"weights", "dataset", "row", "top"}, {}},
+      {"timings", cmd_timings, {"level", "cus"}, {"stream"}},
+      {"reports", cmd_reports, {}, {}},
+  };
   try {
-    if (command == "gen-dataset") {
-      return cmd_gen_dataset(Flags(args, 1, {"paper-size"}), out);
-    }
-    if (command == "gen-traces") {
-      return cmd_gen_traces(Flags(args, 1, {}), out);
-    }
-    if (command == "train") {
-      return cmd_train(Flags(args, 1, {}), out);
-    }
-    if (command == "classify") {
-      return cmd_classify(Flags(args, 1, {"stats"}), out);
-    }
-    if (command == "stats") {
-      return cmd_stats(Flags(args, 1, {"json", "health", "prometheus"}), out);
-    }
-    if (command == "watch") {
-      return cmd_watch(Flags(args, 1, {"health"}), out);
-    }
-    if (command == "top") {
-      return cmd_top(Flags(args, 1, {"once", "json"}), out);
-    }
-    if (command == "serve") {
-      return cmd_serve(Flags(args, 1, {}), out);
-    }
-    if (command == "attribute") {
-      return cmd_attribute(Flags(args, 1, {}), out);
-    }
-    if (command == "timings") {
-      return cmd_timings(Flags(args, 1, {"stream"}), out);
-    }
-    if (command == "scenario") {
-      return cmd_scenario(args, out);
-    }
-    if (command == "reports") {
-      return cmd_reports(out);
+    if (command == "scenario") return cmd_scenario(args, out);
+    for (const Command& c : commands) {
+      if (c.name == command) {
+        return c.run(Flags(args, 1, c.options, c.switches), out);
+      }
     }
     err << "unknown command '" << command << "'\n" << kUsage;
     return 2;
@@ -1456,7 +1371,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   } catch (const Error& e) {
     err << "error: " << e.what() << "\n";
     return 1;
-  } catch (const std::exception& e) {  // e.g. std::stol on "--epochs abc"
+  } catch (const std::exception& e) {  // e.g. std::stod on "--lr abc"
     err << "usage error: " << e.what() << "\n";
     return 2;
   }

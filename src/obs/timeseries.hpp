@@ -169,8 +169,8 @@ struct SampleSpec {
 /// Turns consecutive MetricsSnapshots into time-series points: counter
 /// deltas and rates between ticks, gauge levels, histogram tail
 /// percentiles. Owns the previous-tick state, so one sampler per timeline.
-/// This replaces the private snapshot-delta loops callers (csdml watch)
-/// used to hand-roll.
+/// Callers (the fleet collector behind `csdml top`, `csdml stats`) share
+/// it instead of hand-rolling snapshot-delta loops.
 class SnapshotSampler {
  public:
   explicit SnapshotSampler(std::vector<SampleSpec> specs);

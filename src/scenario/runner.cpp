@@ -83,6 +83,9 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
   fleet_config.health_check_interval = 0;  // explicit sweeps only
   fleet_config.seed = scenario.seed;
   fleet_config.fault_rate = 0.0;  // only deterministic kill plans
+  // No engine self-probes: they count degraded batches, so coalescer
+  // grouping would decide when a latched lone board recovers.
+  fleet_config.engine.retry.recovery_probe_interval = 0;
   fleet_config.canary_windows = 2;
   fleet_config.serve.shards = 4;
   // Worst case between flushes: every process has one due window per hop

@@ -10,6 +10,10 @@
 //     (health_check_interval = 0), and the fleet carries no alert rules, so
 //     the only path to a drain is the engine latch — wall-clock timing can
 //     never change an outcome.
+//   * Engines never self-probe (recovery_probe_interval = 0): a latched
+//     board, the lone board of a one-board fleet included, recovers only
+//     through the quiescent sweep's probe, never on the Nth degraded
+//     batch, whose count depends on coalescer grouping.
 //   * Ring capacity exceeds the worst-case due-window burst between
 //     flushes, so backpressure shedding never triggers (asserted by the
 //     nothing_shed gate).

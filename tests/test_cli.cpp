@@ -194,21 +194,6 @@ TEST(Cli, UnwritableTraceOutFailsBeforeTheRun) {
   EXPECT_EQ(stats.out.find("request spans:"), std::string::npos);
 }
 
-TEST(Cli, WatchPrintsRoundDeltasAndHealthColumn) {
-  const CliRun result = run({"watch", "--rounds", "2", "--interval-calls",
-                             "150"});
-  ASSERT_EQ(result.code, 0) << result.err;
-  EXPECT_NE(result.out.find("watch: 3 processes, 2 rounds x 150 calls"),
-            std::string::npos);
-  EXPECT_NE(result.out.find("round"), std::string::npos);
-  EXPECT_NE(result.out.find("health"), std::string::npos);
-  EXPECT_NE(result.out.find("ok"), std::string::npos);
-
-  EXPECT_EQ(run({"watch", "--rounds", "0"}).code, 2);
-  EXPECT_EQ(run({"watch", "--interval-calls", "10"}).code, 2);
-  EXPECT_EQ(run({"watch", "--fault-rate", "1.5"}).code, 2);
-}
-
 TEST(Cli, StatsFaultRateValidation) {
   EXPECT_EQ(run({"stats", "--calls", "300", "--fault-rate", "1.0"}).code, 2);
   EXPECT_EQ(run({"stats", "--calls", "300", "--fault-rate", "-0.1"}).code, 2);

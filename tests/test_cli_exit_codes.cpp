@@ -130,28 +130,10 @@ TEST(CliExitCodes, StatsUsageErrorsAndUnwritableTrace) {
   EXPECT_EQ(run({"stats", "--level", "turbo"}).code, 2);
   EXPECT_EQ(run({"stats", "--calls", "50"}).code, 2);       // below minimum
   EXPECT_EQ(run({"stats", "--fault-rate", "1.5"}).code, 2);  // out of range
+  EXPECT_EQ(run({"stats", "--calls", "-1"}).code, 2);  // not a wrapped count
   // The unwritable trace destination fails fast (before the workload).
   EXPECT_EQ(
       run({"stats", "--trace-out", "/nonexistent-dir/trace.json"}).code, 1);
-}
-
-TEST(CliExitCodes, WatchUsageErrors) {
-  EXPECT_EQ(run({"watch", "--rounds", "0"}).code, 2);
-  EXPECT_EQ(run({"watch", "--interval-calls", "10"}).code, 2);
-  EXPECT_EQ(run({"watch", "--fault-rate", "2"}).code, 2);
-}
-
-TEST(CliExitCodes, WatchUnhealthyVerdictExitsOne) {
-  // A near-certain launch-failure rate latches the engine: the final
-  // health verdict is Unhealthy and watch must say so in its exit code.
-  const CliRun sick = run({"watch", "--rounds", "2", "--interval-calls",
-                           "200", "--fault-rate", "0.95"});
-  EXPECT_EQ(sick.code, 1) << sick.out;
-  EXPECT_NE(sick.out.find("unhealthy"), std::string::npos);
-
-  const CliRun healthy =
-      run({"watch", "--rounds", "1", "--interval-calls", "200"});
-  EXPECT_EQ(healthy.code, 0) << healthy.out;
 }
 
 TEST(CliExitCodes, TopUsageErrors) {
@@ -161,6 +143,29 @@ TEST(CliExitCodes, TopUsageErrors) {
   EXPECT_EQ(run({"top", "--interval-calls", "10"}).code, 2);
   EXPECT_EQ(run({"top", "--fault-rate", "1.5"}).code, 2);
   EXPECT_EQ(run({"top", "--level", "turbo"}).code, 2);
+  EXPECT_EQ(run({"top", "--rounds", "-1"}).code, 2);
+  // Flags a subcommand does not name are refused, not ignored.
+  const CliRun unknown = run({"top", "--health"});
+  EXPECT_EQ(unknown.code, 2);
+  EXPECT_NE(unknown.err.find("--health"), std::string::npos) << unknown.err;
+}
+
+TEST(CliExitCodes, TopIsTheSingleBoardConsole) {
+  // `top --boards 1` is the single-board console: a board still DOWN in
+  // the final frame fails the run, and there is no separate `watch`.
+  const CliRun sick = run({"top", "--once", "--boards", "1", "--fault-rate",
+                           "0.95"});
+  EXPECT_EQ(sick.code, 1) << sick.out << sick.err;
+  EXPECT_NE(sick.out.find("DOWN"), std::string::npos) << sick.out;
+
+  const CliRun healthy = run({"top", "--once", "--boards", "1"});
+  EXPECT_EQ(healthy.code, 0) << healthy.out << healthy.err;
+  EXPECT_NE(healthy.out.find("health"), std::string::npos) << healthy.out;
+  EXPECT_EQ(healthy.out.find("DOWN"), std::string::npos) << healthy.out;
+
+  const CliRun watch = run({"watch"});
+  EXPECT_EQ(watch.code, 2);
+  EXPECT_NE(watch.err.find("unknown command"), std::string::npos);
 }
 
 TEST(CliExitCodes, TopOnceAndJsonSucceed) {
@@ -189,11 +194,21 @@ TEST(CliExitCodes, ServeUsageErrors) {
   EXPECT_EQ(run({"serve", "--kill-board", "0@100"}).code, 2);  // 1 board
   EXPECT_EQ(run({"serve", "--boards", "99"}).code, 2);
   EXPECT_EQ(run({"serve", "--ingest-threads", "0"}).code, 2);
+  // Counts parse whole and unsigned: -1 does not wrap, 200x does not
+  // truncate, and a misspelt flag is refused.
+  EXPECT_EQ(run({"serve", "--calls", "-1", "--ingest-threads", "1"}).code, 2);
+  EXPECT_EQ(run({"serve", "--calls", "200x"}).code, 2);
+  EXPECT_EQ(run({"serve", "--boards4", "2"}).code, 2);
 }
 
 TEST(CliExitCodes, ServeFailoverCount) {
   // Exit 0 requires exactly one failover per killed board: a healthy
   // fleet under unpaced load drains nothing, and a kill drains once.
+  const CliRun lone = run({"serve", "--calls", "200"});
+  EXPECT_EQ(lone.code, 0) << lone.out << lone.err;
+  EXPECT_NE(lone.out.find("failovers 0 (expected 0) ok"), std::string::npos)
+      << lone.out;
+
   const CliRun calm = run({"serve", "--boards", "2", "--calls", "200"});
   EXPECT_EQ(calm.code, 0) << calm.out << calm.err;
   EXPECT_NE(calm.out.find("failovers 0 (expected 0) ok"), std::string::npos)
