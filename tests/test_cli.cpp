@@ -194,6 +194,26 @@ TEST(Cli, UnwritableTraceOutFailsBeforeTheRun) {
   EXPECT_EQ(stats.out.find("request spans:"), std::string::npos);
 }
 
+TEST(Cli, WatchPrintsRoundDeltasAndHealthColumn) {
+  // `top --boards 1` is the single-board console that replaced `watch`:
+  // one live frame per round, a health column, and verdicts that grow
+  // round over round.
+  const CliRun result = run({"top", "--boards", "1", "--rounds", "2",
+                             "--interval-calls", "150"});
+  ASSERT_EQ(result.code, 0) << result.err;
+  EXPECT_NE(result.out.find("csdml top — 1 boards, 2 rounds x 150 calls"),
+            std::string::npos) << result.out;
+  EXPECT_NE(result.out.find("frame 1/2"), std::string::npos);
+  EXPECT_NE(result.out.find("frame 2/2"), std::string::npos);
+  EXPECT_NE(result.out.find("health"), std::string::npos);
+  EXPECT_NE(result.out.find("ok"), std::string::npos);
+  EXPECT_EQ(result.out.find("DOWN"), std::string::npos);
+
+  EXPECT_EQ(run({"top", "--boards", "1", "--rounds", "0"}).code, 2);
+  EXPECT_EQ(run({"top", "--boards", "1", "--interval-calls", "10"}).code, 2);
+  EXPECT_EQ(run({"top", "--boards", "1", "--fault-rate", "1.5"}).code, 2);
+}
+
 TEST(Cli, StatsFaultRateValidation) {
   EXPECT_EQ(run({"stats", "--calls", "300", "--fault-rate", "1.0"}).code, 2);
   EXPECT_EQ(run({"stats", "--calls", "300", "--fault-rate", "-0.1"}).code, 2);
