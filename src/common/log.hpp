@@ -58,10 +58,17 @@ class LogLine {
 }  // namespace detail
 
 /// Stream-style helpers: CSDML_LOG_INFO("csd") << "flash read " << pages;
-#define CSDML_LOG_TRACE(component) ::csdml::detail::LogLine(::csdml::LogLevel::Trace, component)
-#define CSDML_LOG_DEBUG(component) ::csdml::detail::LogLine(::csdml::LogLevel::Debug, component)
-#define CSDML_LOG_INFO(component) ::csdml::detail::LogLine(::csdml::LogLevel::Info, component)
-#define CSDML_LOG_WARN(component) ::csdml::detail::LogLine(::csdml::LogLevel::Warn, component)
-#define CSDML_LOG_ERROR(component) ::csdml::detail::LogLine(::csdml::LogLevel::Error, component)
+/// The level is tested first, so a line below the threshold builds no
+/// LogLine and evaluates none of its operands. The empty-if/else form keeps
+/// an enclosing unbraced if/else binding as written.
+#define CSDML_LOG_AT(level, component)          \
+  if ((level) < ::csdml::log_level()) {         \
+  } else                                        \
+    ::csdml::detail::LogLine(level, component)
+#define CSDML_LOG_TRACE(component) CSDML_LOG_AT(::csdml::LogLevel::Trace, component)
+#define CSDML_LOG_DEBUG(component) CSDML_LOG_AT(::csdml::LogLevel::Debug, component)
+#define CSDML_LOG_INFO(component) CSDML_LOG_AT(::csdml::LogLevel::Info, component)
+#define CSDML_LOG_WARN(component) CSDML_LOG_AT(::csdml::LogLevel::Warn, component)
+#define CSDML_LOG_ERROR(component) CSDML_LOG_AT(::csdml::LogLevel::Error, component)
 
 }  // namespace csdml

@@ -35,14 +35,19 @@ class ScaledFixed {
   constexpr ScaledFixed() = default;
 
   /// Converts a real value, rounding to the nearest representable number
-  /// (ties away from zero, matching std::llround).
+  /// (ties away from zero): bit-identical to std::llround(value · scale),
+  /// without the libm call. The cast truncates toward zero, and the
+  /// remainder scaled − t is exact (|t| <= |scaled| < 2|t| once |t| >= 1,
+  /// Sterbenz), so comparing it with ±0.5 rounds exactly.
   static ScaledFixed from_double(double value, std::int64_t scale = kPaperScale) {
     CSDML_REQUIRE(scale > 0, "scale must be positive");
     const double scaled = value * static_cast<double>(scale);
     CSDML_REQUIRE(std::abs(scaled) <
                       static_cast<double>(std::numeric_limits<std::int64_t>::max()),
                   "value out of range for this scale");
-    return ScaledFixed(std::llround(scaled), scale);
+    const auto truncated = static_cast<std::int64_t>(scaled);
+    const double remainder = scaled - static_cast<double>(truncated);
+    return ScaledFixed(truncated + (remainder >= 0.5) - (remainder <= -0.5), scale);
   }
 
   /// Adopts an already-scaled raw integer.

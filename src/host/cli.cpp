@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -145,6 +147,19 @@ std::uint64_t parse_count(const std::string& what, const std::string& text,
   return count;
 }
 
+/// A real-valued flag: the whole of `text` must be one finite number, so
+/// `0.2x` (which std::stod would truncate to 0.2), `abc`, `nan` and `inf`
+/// are usage errors naming `what`.
+double parse_real(const std::string& what, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !std::isfinite(value)) {
+    throw PreconditionError(what + " expects a finite number, got '" + text + "'");
+  }
+  return value;
+}
+
 /// Tiny flag parser: --key value pairs plus boolean switches. A subcommand
 /// names every flag it takes; any other --key is a usage error.
 class Flags {
@@ -193,9 +208,10 @@ class Flags {
     return value.has_value() ? parse_count("--" + key, *value, lo, hi)
                              : fallback;
   }
+  /// A real-valued flag (see parse_real); `fallback` when absent.
   double get_double(const std::string& key, double fallback) const {
     const auto value = get(key);
-    return value.has_value() ? std::stod(*value) : fallback;
+    return value.has_value() ? parse_real("--" + key, *value) : fallback;
   }
   bool has(const std::string& key) const { return values_.contains(key); }
 
@@ -329,18 +345,20 @@ int cmd_gen_traces(const Flags& flags, std::ostream& out) {
 }
 
 int cmd_train(const Flags& flags, std::ostream& out) {
-  const nn::SequenceDataset dataset =
-      nn::read_dataset_csv(flags.require("dataset"));
+  // Every flag parses before the dataset is read, so a typo fails fast.
   Rng rng(flags.get_count("seed", 7));
   const double test_fraction = flags.get_double("test-fraction", 0.2);
-  const nn::TrainTestSplit split = nn::split_dataset(dataset, test_fraction, rng);
-
-  nn::LstmConfig config;
-  nn::LstmClassifier model(config, rng);
   nn::TrainConfig tc;
   tc.epochs = flags.get_count("epochs", 10, 1, 100'000);
   tc.batch_size = flags.get_count("batch", 32, 1, kMaxWindows);
   tc.learning_rate = flags.get_double("lr", 0.01);
+  const std::string weights = flags.require("weights");
+  const nn::SequenceDataset dataset =
+      nn::read_dataset_csv(flags.require("dataset"));
+  const nn::TrainTestSplit split = nn::split_dataset(dataset, test_fraction, rng);
+
+  nn::LstmConfig config;
+  nn::LstmClassifier model(config, rng);
 
   const nn::TrainResult result =
       nn::train(model, split.train, split.test, tc, [&](const nn::EpochRecord& r) {
@@ -348,7 +366,6 @@ int cmd_train(const Flags& flags, std::ostream& out) {
             << TextTable::num(r.mean_train_loss, 4) << ", test accuracy "
             << TextTable::num(r.test_accuracy, 4) << "\n";
       });
-  const std::string weights = flags.require("weights");
   nn::save_weights_file(weights, config, model.params());
   out << "best accuracy " << TextTable::num(result.best_test_accuracy, 4)
       << " (epoch " << result.best_epoch << "); weights -> " << weights << "\n";
@@ -1371,7 +1388,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   } catch (const Error& e) {
     err << "error: " << e.what() << "\n";
     return 1;
-  } catch (const std::exception& e) {  // e.g. std::stod on "--lr abc"
+  } catch (const std::exception& e) {
     err << "usage error: " << e.what() << "\n";
     return 2;
   }

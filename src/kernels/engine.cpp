@@ -50,12 +50,14 @@ class ScopedRequestSpan {
 };
 
 /// Serialises the parameters as the raw little-endian float32 image the
-/// host program stages into FPGA DDR.
+/// host program stages into FPGA DDR, in one allocation.
 std::vector<std::uint8_t> weight_image(const nn::LstmParams& params) {
-  std::vector<float> words;
-  const auto push = [&words](const double* values, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-      words.push_back(static_cast<float>(values[i]));
+  std::vector<std::uint8_t> bytes(params.total_parameter_count() * sizeof(float));
+  std::uint8_t* out = bytes.data();
+  const auto push = [&out](const double* values, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i, out += sizeof(float)) {
+      const float word = static_cast<float>(values[i]);
+      std::memcpy(out, &word, sizeof(float));
     }
   };
   push(params.embedding.data(), params.embedding.size());
@@ -65,10 +67,7 @@ std::vector<std::uint8_t> weight_image(const nn::LstmParams& params) {
     push(params.bias[g].data(), params.bias[g].size());
   }
   push(params.dense_w.data(), params.dense_w.size());
-  words.push_back(static_cast<float>(params.dense_b));
-
-  std::vector<std::uint8_t> bytes(words.size() * sizeof(float));
-  std::memcpy(bytes.data(), words.data(), bytes.size());
+  push(&params.dense_b, 1);
   return bytes;
 }
 
@@ -83,19 +82,19 @@ std::vector<std::uint8_t> sequence_image(const nn::Sequence& sequence) {
 StagedWeights::StagedWeights(const nn::LstmConfig& model_config,
                              const nn::LstmParams& params,
                              const EngineConfig& config)
-    : model_config_(model_config), params_(params), level_(config.level),
+    : model_config_(model_config), level_(config.level),
       fixed_scale_(config.fixed_scale) {
-  CSDML_REQUIRE(params_match_config(model_config_, params_),
+  CSDML_REQUIRE(params_match_config(model_config_, params),
                 "staged weights: params do not match the model architecture");
   // Staging time (the token-table build and the DDR image) is tracked so
   // CTI hot swaps stay observable.
   const auto start = std::chrono::steady_clock::now();
   if (level_ == OptimizationLevel::FixedPoint) {
-    fixed_path_.emplace(model_config_, params_, fixed_scale_);
+    fixed_path_.emplace(model_config_, params, fixed_scale_);
   } else {
-    float_path_.emplace(model_config_, params_);
+    float_path_.emplace(model_config_, params);
   }
-  image_ = weight_image(params_);
+  image_ = weight_image(params);
   const double elapsed_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
                                                 start)

@@ -66,7 +66,7 @@ struct EngineConfig {
 };
 
 /// One immutable weight version, staged for one optimization level and
-/// fixed scale: the parameters, exactly one functional datapath (token
+/// fixed scale: exactly one functional datapath (its parameters and token
 /// table included; fixed-point mode never reads a float path, and
 /// Vanilla/II change timing, not arithmetic), and the float32 image the
 /// host program DMAs into FPGA DDR. Engines share it through
@@ -85,7 +85,10 @@ class StagedWeights {
                 const EngineConfig& config);
 
   const nn::LstmConfig& model_config() const { return model_config_; }
-  const nn::LstmParams& params() const { return params_; }
+  /// The staged datapath's parameters, the version's only copy.
+  const nn::LstmParams& params() const {
+    return fixed_path_ ? fixed_path_->params() : float_path_->params();
+  }
   OptimizationLevel level() const { return level_; }
   std::int64_t fixed_scale() const { return fixed_scale_; }
   /// Raw little-endian float32 image staged into FPGA DDR.
@@ -98,7 +101,6 @@ class StagedWeights {
 
  private:
   nn::LstmConfig model_config_;
-  nn::LstmParams params_;
   OptimizationLevel level_;
   std::int64_t fixed_scale_;
   std::optional<FloatDatapath> float_path_;

@@ -11,8 +11,7 @@ namespace csdml::kernels {
 
 FloatDatapath::FloatDatapath(const nn::LstmConfig& config,
                              const nn::LstmParams& params)
-    : config_(config), owned_(params) {
-  params_ = &owned_;
+    : config_(config), params_(params) {
   CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
   build_tables();
 }
@@ -30,13 +29,13 @@ void FloatDatapath::build_tables() {
   for (std::size_t t = 0; t < vocab; ++t) {
     double* row = token_table_.row(t);
     for (std::size_t g = 0; g < nn::kNumGates; ++g) {
-      const nn::Vector& bias = params_->bias[g];
+      const nn::Vector& bias = params_.bias[g];
       for (std::size_t j = 0; j < hidden; ++j) row[g * hidden + j] = bias[j];
     }
-    const double* x = params_->embedding.row(t);
+    const double* x = params_.embedding.row(t);
     for (std::size_t g = 0; g < nn::kNumGates; ++g) {
       double* seg = row + g * hidden;
-      const nn::Matrix& w_x = params_->w_x[g];
+      const nn::Matrix& w_x = params_.w_x[g];
       for (std::size_t i = 0; i < embed; ++i) {
         const double xi = x[i];
         if (xi == 0.0) continue;
@@ -48,7 +47,7 @@ void FloatDatapath::build_tables() {
 
   w_h_packed_ = nn::Matrix(hidden, gate_width);
   for (std::size_t g = 0; g < nn::kNumGates; ++g) {
-    const nn::Matrix& w_h = params_->w_h[g];
+    const nn::Matrix& w_h = params_.w_h[g];
     for (std::size_t i = 0; i < hidden; ++i) {
       const double* src = w_h.row(i);
       double* dst = w_h_packed_.row(i) + g * hidden;
@@ -60,7 +59,7 @@ void FloatDatapath::build_tables() {
 nn::Vector FloatDatapath::preprocess(nn::TokenId token) const {
   CSDML_REQUIRE(token >= 0 && token < config_.vocab_size, "token out of range");
   nn::Vector x(config_.embed_dim);
-  const double* row = params_->embedding.row(static_cast<std::size_t>(token));
+  const double* row = params_.embedding.row(static_cast<std::size_t>(token));
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = row[i];
   return x;
 }
@@ -69,9 +68,9 @@ GateVectors FloatDatapath::gates(const nn::Vector& x, const nn::Vector& h) const
   const std::size_t hidden = config_.hidden_dim;
   GateVectors out;
   for (std::size_t g = 0; g < nn::kNumGates; ++g) {
-    nn::Vector pre = params_->bias[g];
-    nn::accumulate_vec_mat(x, params_->w_x[g], pre);
-    nn::accumulate_vec_mat(h, params_->w_h[g], pre);
+    nn::Vector pre = params_.bias[g];
+    nn::accumulate_vec_mat(x, params_.w_x[g], pre);
+    nn::accumulate_vec_mat(h, params_.w_h[g], pre);
     out.act[g].resize(hidden);
     for (std::size_t j = 0; j < hidden; ++j) {
       out.act[g][j] = g == nn::kCandidate
@@ -95,7 +94,7 @@ void FloatDatapath::hidden_state(const GateVectors& gates, nn::Vector& c,
 }
 
 double FloatDatapath::dense(const nn::Vector& h) const {
-  return fixedpt::sigmoid(nn::dot(params_->dense_w, h) + params_->dense_b);
+  return fixedpt::sigmoid(nn::dot(params_.dense_w, h) + params_.dense_b);
 }
 
 double FloatDatapath::infer_reference(nn::TokenSpan sequence) const {
@@ -173,57 +172,33 @@ double FloatDatapath::infer(nn::TokenSpan sequence, FloatScratch& scratch) const
 
 FixedDatapath::FixedDatapath(const nn::LstmConfig& config,
                              const nn::LstmParams& params, std::int64_t scale)
-    : config_(config), div_(scale) {
-  CSDML_REQUIRE(scale > 0, "scale must be positive");
+    : config_(config), params_(params), div_(scale) {
   CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
-  embedding_rows_.reserve(static_cast<std::size_t>(config.vocab_size));
-  for (std::size_t r = 0; r < params.embedding.rows(); ++r) {
-    embedding_rows_.push_back(scaled({params.embedding.row(r), config.embed_dim}, scale));
-  }
-  for (std::size_t g = 0; g < nn::kNumGates; ++g) {
-    w_x_cols_[g] = scaled_columns(params.w_x[g], scale);
-    w_h_cols_[g] = scaled_columns(params.w_h[g], scale);
-    bias_[g] = scaled(params.bias[g], scale);
-  }
-  dense_w_ = scaled(params.dense_w, scale);
-  dense_b_ = fixedpt::ScaledFixed::from_double(params.dense_b, scale);
-  tables_ = build_fixed_tables(embedding_rows_, w_x_cols_, w_h_cols_, bias_,
-                               dense_w_, div_);
-}
-
-FixedVector scaled(std::span<const double> values, std::int64_t scale) {
-  FixedVector out;
-  out.reserve(values.size());
-  for (const double v : values) {
-    out.push_back(fixedpt::ScaledFixed::from_double(v, scale));
-  }
-  return out;
-}
-
-std::vector<FixedVector> scaled_columns(const nn::Matrix& m, std::int64_t scale) {
-  std::vector<FixedVector> cols(m.cols());
-  for (std::size_t j = 0; j < m.cols(); ++j) {
-    cols[j].reserve(m.rows());
-    for (std::size_t i = 0; i < m.rows(); ++i) {
-      cols[j].push_back(fixedpt::ScaledFixed::from_double(m(i, j), scale));
-    }
-  }
-  return cols;
+  tables_ = build_fixed_tables(params.embedding, params.w_x, params.w_h, params.bias,
+                               params.dense_w, params.dense_b, div_);
 }
 
 namespace {
 
-/// Per-gate columns packed row-major: entry (i, g·hidden + j) is element i
-/// of column j of gate g, so one row spans every gate with unit stride.
-std::vector<std::int64_t> pack_rows(std::span<const std::vector<FixedVector>> cols,
-                                    std::size_t rows, std::size_t hidden) {
-  const std::size_t width = cols.size() * hidden;
+std::int64_t scaled_raw(double v, std::int64_t scale) {
+  return fixedpt::ScaledFixed::from_double(v, scale).raw();
+}
+
+/// Per-gate matrices scaled and packed row-major in one pass: entry
+/// (i, g·cols + j) is m[g](i, j), so one row spans every gate with unit
+/// stride.
+std::vector<std::int64_t> scaled_packed(std::span<const nn::Matrix> m,
+                                        std::int64_t scale) {
+  const std::size_t rows = m.empty() ? 0 : m[0].rows();
+  const std::size_t cols = m.empty() ? 0 : m[0].cols();
+  const std::size_t width = m.size() * cols;
   std::vector<std::int64_t> packed(rows * width);
-  for (std::size_t g = 0; g < cols.size(); ++g) {
-    for (std::size_t j = 0; j < hidden; ++j) {
-      const FixedVector& col = cols[g][j];
-      for (std::size_t i = 0; i < rows; ++i) {
-        packed[i * width + g * hidden + j] = col[i].raw();
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::int64_t* dst = packed.data() + i * width;
+    for (const nn::Matrix& gate : m) {
+      const double* src = gate.row(i);
+      for (std::size_t j = 0; j < cols; ++j) {
+        *dst++ = scaled_raw(src[j], scale);
       }
     }
   }
@@ -232,48 +207,56 @@ std::vector<std::int64_t> pack_rows(std::span<const std::vector<FixedVector>> co
 
 }  // namespace
 
-FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
-                               std::span<const std::vector<FixedVector>> w_x_cols,
-                               std::span<const std::vector<FixedVector>> w_h_cols,
-                               std::span<const FixedVector> bias,
-                               const FixedVector& dense_w,
+FixedTables build_fixed_tables(const nn::Matrix& embedding,
+                               std::span<const nn::Matrix> w_x,
+                               std::span<const nn::Matrix> w_h,
+                               std::span<const nn::Vector> bias,
+                               const nn::Vector& dense_w, double dense_b,
                                const fixedpt::InvariantScale& div) {
-  const std::size_t gates = w_x_cols.size();
+  const std::int64_t scale = div.scale();
   const std::size_t hidden = dense_w.size();
-  const std::size_t gate_width = gates * hidden;
-  const std::size_t embed = gate_width == 0 ? 0 : w_x_cols[0][0].size();
+  const std::size_t gate_width = w_x.size() * hidden;
+  const std::size_t embed = embedding.cols();
   FixedTables tables;
 
   // Raw-integer `bias + W_x·x_t` per token. Integer addition is exact, so
   // folding the x half here, one embedding element at a time over a
   // packed W_x row (the forward's unit-stride shape), leaves the fused
   // result bit-identical to the reference accumulation order.
-  std::vector<std::int64_t> bias_row(gate_width);
-  for (std::size_t g = 0; g < gates; ++g) {
-    for (std::size_t j = 0; j < hidden; ++j) bias_row[g * hidden + j] = bias[g][j].raw();
+  std::vector<std::int64_t> bias_row;
+  bias_row.reserve(gate_width);
+  for (const nn::Vector& b : bias) {
+    for (const double v : b) bias_row.push_back(scaled_raw(v, scale));
   }
-  const std::vector<std::int64_t> w_x_packed = pack_rows(w_x_cols, embed, hidden);
+  const std::vector<std::int64_t> w_x_packed = scaled_packed(w_x, scale);
   const std::int64_t w_x_limit = fixedpt::row_x_limit(div, w_x_packed);
-  tables.token_table.resize(embedding_rows.size() * gate_width);
-  for (std::size_t t = 0; t < embedding_rows.size(); ++t) {
+  tables.token_table.reserve(embedding.rows() * gate_width);
+  for (std::size_t t = 0; t < embedding.rows(); ++t) {
+    tables.token_table.insert(tables.token_table.end(), bias_row.begin(),
+                              bias_row.end());
     std::int64_t* row = tables.token_table.data() + t * gate_width;
-    std::copy(bias_row.begin(), bias_row.end(), row);
+    const double* x = embedding.row(t);
     for (std::size_t i = 0; i < embed; ++i) {
       fixedpt::mul_add_row(div, w_x_packed.data() + i * gate_width,
-                           embedding_rows[t][i].raw(), w_x_limit, row, gate_width);
+                           scaled_raw(x[i], scale), w_x_limit, row, gate_width);
     }
   }
 
-  tables.w_h_packed = pack_rows(w_h_cols, hidden, hidden);
+  tables.w_h_packed = scaled_packed(w_h, scale);
   tables.w_h_limit = fixedpt::row_x_limit(div, tables.w_h_packed);
   tables.dense_w.reserve(hidden);
-  for (const fixedpt::ScaledFixed w : dense_w) tables.dense_w.push_back(w.raw());
+  for (const double w : dense_w) tables.dense_w.push_back(scaled_raw(w, scale));
+  tables.dense_b = scaled_raw(dense_b, scale);
   return tables;
 }
 
 FixedVector FixedDatapath::preprocess(nn::TokenId token) const {
   CSDML_REQUIRE(token >= 0 && token < config_.vocab_size, "token out of range");
-  return embedding_rows_[static_cast<std::size_t>(token)];
+  const double* row = params_.embedding.row(static_cast<std::size_t>(token));
+  FixedVector x;
+  x.reserve(config_.embed_dim);
+  for (std::size_t i = 0; i < config_.embed_dim; ++i) x.push_back(fx(row[i]));
+  return x;
 }
 
 FixedGateVectors FixedDatapath::gates(const FixedVector& x,
@@ -283,11 +266,9 @@ FixedGateVectors FixedDatapath::gates(const FixedVector& x,
   for (std::size_t g = 0; g < nn::kNumGates; ++g) {
     out.act[g].reserve(hidden);
     for (std::size_t j = 0; j < hidden; ++j) {
-      fixedpt::ScaledFixed acc = bias_[g][j];
-      const FixedVector& wx = w_x_cols_[g][j];
-      for (std::size_t i = 0; i < x.size(); ++i) acc += wx[i] * x[i];
-      const FixedVector& wh = w_h_cols_[g][j];
-      for (std::size_t i = 0; i < h.size(); ++i) acc += wh[i] * h[i];
+      fixedpt::ScaledFixed acc = fx(params_.bias[g][j]);
+      for (std::size_t i = 0; i < x.size(); ++i) acc += fx(params_.w_x[g](i, j)) * x[i];
+      for (std::size_t i = 0; i < h.size(); ++i) acc += fx(params_.w_h[g](i, j)) * h[i];
       // Gates use the PLAN sigmoid; the candidate uses softsign (the paper
       // replaces every tanh with softsign on the FPGA).
       out.act[g].push_back(g == nn::kCandidate ? fixedpt::softsign_fixed(acc)
@@ -309,8 +290,8 @@ void FixedDatapath::hidden_state(const FixedGateVectors& gates, FixedVector& c,
 }
 
 double FixedDatapath::dense(const FixedVector& h) const {
-  fixedpt::ScaledFixed acc = dense_b_;
-  for (std::size_t j = 0; j < h.size(); ++j) acc += dense_w_[j] * h[j];
+  fixedpt::ScaledFixed acc = fx(params_.dense_b);
+  for (std::size_t j = 0; j < h.size(); ++j) acc += fx(params_.dense_w[j]) * h[j];
   return fixedpt::sigmoid_fixed(acc).to_double();
 }
 
@@ -382,7 +363,7 @@ double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const
     }
   }
 
-  std::int64_t logit = dense_b_.raw();
+  std::int64_t logit = tables_.dense_b;
   for (std::size_t j = 0; j < hidden; ++j) {
     logit += div_.mul(tables_.dense_w[j], h[j]);
   }

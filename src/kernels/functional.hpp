@@ -11,7 +11,9 @@
 //
 //   - the *reference* decomposition (preprocess / gates / hidden_state /
 //     infer_reference): naive per-token loops that mirror Fig. 2 stage by
-//     stage. Kept as the parity oracle and for stage-level tests.
+//     stage. Kept as the parity oracle and for stage-level tests. They read
+//     only the datapath's parameters (the fixed ones scale each operand
+//     with ScaledFixed::from_double when called), never the fused tables.
 //   - the *fused* path (`infer`): since x_t is always one of vocab_size
 //     embedding rows, `bias + W_x·x_t` is precomputed per token into a
 //     vocab_size × 4·hidden table at weight-staging time (the software
@@ -72,6 +74,7 @@ class FloatDatapath {
   FloatDatapath(const nn::LstmConfig& config, const nn::LstmParams& params);
 
   const nn::LstmConfig& config() const { return config_; }
+  const nn::LstmParams& params() const { return params_; }
 
   /// kernel_preprocess: one-hot × embedding matrix.
   nn::Vector preprocess(nn::TokenId token) const;
@@ -98,8 +101,7 @@ class FloatDatapath {
   void ensure_scratch(FloatScratch& scratch) const;
 
   nn::LstmConfig config_;
-  const nn::LstmParams* params_;
-  nn::LstmParams owned_;
+  nn::LstmParams params_;
   nn::Matrix token_table_;  ///< vocab × 4·hidden: bias + W_x·embedding row
   nn::Matrix w_h_packed_;   ///< hidden × 4·hidden: w_h[g](i,j) at (i, g·hidden+j)
 };
@@ -110,11 +112,6 @@ struct FixedGateVectors {
   std::array<FixedVector, nn::kNumGates> act;
 };
 
-/// `values` pre-scaled to `scale` (rounded like ScaledFixed::from_double).
-FixedVector scaled(std::span<const double> values, std::int64_t scale);
-/// `m` pre-scaled and stored by column: entry j is column j of `m`.
-std::vector<FixedVector> scaled_columns(const nn::Matrix& m, std::int64_t scale);
-
 /// Raw-integer layouts of a fused fixed-point forward pass, every element
 /// at the datapath's one scale. Shared by the LSTM and GRU datapaths.
 struct FixedTables {
@@ -122,20 +119,23 @@ struct FixedTables {
   std::vector<std::int64_t> w_h_packed;   ///< w_h[g](i,j) at row i, col g·hidden+j
   std::int64_t w_h_limit{-1};             ///< fixedpt::row_x_limit over w_h_packed
   std::vector<std::int64_t> dense_w;      ///< hidden
+  std::int64_t dense_b{0};                ///< the dense layer's bias
 };
 
 /// Weight staging for both fixed datapaths: builds the fused tables from
-/// pre-scaled parameters. `w_x_cols[g][j]` / `w_h_cols[g][j]` hold column
-/// j of gate g's input / recurrent matrix, one span entry per gate (4 for
-/// the LSTM, 3 for the GRU). Every `w_x·x` product goes through the
-/// datapath's fixedpt::InvariantScale, one packed W_x row at a time in
+/// the `double` parameters, one span entry per gate (4 for the LSTM, 3 for
+/// the GRU). Each weight is scaled once (ScaledFixed::from_double, so a
+/// NaN or out-of-range weight throws its PreconditionError) straight into
+/// the layout the forward reads; W_x is packed the same way, for the table
+/// build only. Every `w_x·x` product goes through the datapath's
+/// fixedpt::InvariantScale, one packed W_x row at a time in
 /// fixedpt::mul_add_row, so the table is bit-identical to the reference
 /// operators' `bias + Σ w·x` while doing no 128-bit division in range.
-FixedTables build_fixed_tables(std::span<const FixedVector> embedding_rows,
-                               std::span<const std::vector<FixedVector>> w_x_cols,
-                               std::span<const std::vector<FixedVector>> w_h_cols,
-                               std::span<const FixedVector> bias,
-                               const FixedVector& dense_w,
+FixedTables build_fixed_tables(const nn::Matrix& embedding,
+                               std::span<const nn::Matrix> w_x,
+                               std::span<const nn::Matrix> w_h,
+                               std::span<const nn::Vector> bias,
+                               const nn::Vector& dense_w, double dense_b,
                                const fixedpt::InvariantScale& div);
 
 /// Reusable per-thread scratch for FixedDatapath::infer (raw-integer
@@ -146,14 +146,15 @@ struct FixedScratch {
   std::vector<std::int64_t> h;
 };
 
-/// Fixed datapath: all parameters pre-scaled by `scale` (paper: 10^6)
-/// at construction, every multiply corrected per the paper's scheme.
+/// Fixed datapath: the paper's integer arithmetic at `scale` (paper: 10^6),
+/// every multiply corrected per the paper's scheme.
 class FixedDatapath {
  public:
   FixedDatapath(const nn::LstmConfig& config, const nn::LstmParams& params,
                 std::int64_t scale = fixedpt::kPaperScale);
 
   const nn::LstmConfig& config() const { return config_; }
+  const nn::LstmParams& params() const { return params_; }
   std::int64_t scale() const { return div_.scale(); }
 
   FixedVector preprocess(nn::TokenId token) const;
@@ -171,16 +172,13 @@ class FixedDatapath {
 
  private:
   void ensure_scratch(FixedScratch& scratch) const;
+  fixedpt::ScaledFixed fx(double v) const {
+    return fixedpt::ScaledFixed::from_double(v, div_.scale());
+  }
 
   nn::LstmConfig config_;
+  nn::LstmParams params_;  ///< the reference path's operands
   const fixedpt::InvariantScale div_;  ///< the scale and its product correction
-  // Pre-scaled parameters, laid out like LstmParams.
-  std::vector<FixedVector> embedding_rows_;
-  std::array<std::vector<FixedVector>, nn::kNumGates> w_x_cols_;  // [gate][col]=column
-  std::array<std::vector<FixedVector>, nn::kNumGates> w_h_cols_;
-  std::array<FixedVector, nn::kNumGates> bias_;
-  FixedVector dense_w_;
-  fixedpt::ScaledFixed dense_b_;
   FixedTables tables_;  ///< fused-path layouts, 4 gates
 };
 

@@ -11,22 +11,10 @@ namespace csdml::kernels {
 FixedGruDatapath::FixedGruDatapath(const nn::GruConfig& config,
                                    const nn::GruParams& params,
                                    std::int64_t scale)
-    : config_(config), div_(scale) {
-  CSDML_REQUIRE(scale > 0, "scale must be positive");
+    : config_(config), params_(params), div_(scale) {
   CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
-  embedding_rows_.reserve(static_cast<std::size_t>(config.vocab_size));
-  for (std::size_t r = 0; r < params.embedding.rows(); ++r) {
-    embedding_rows_.push_back(scaled({params.embedding.row(r), config.embed_dim}, scale));
-  }
-  for (std::size_t g = 0; g < nn::kNumGruGates; ++g) {
-    w_x_cols_[g] = scaled_columns(params.w_x[g], scale);
-    w_h_cols_[g] = scaled_columns(params.w_h[g], scale);
-    bias_[g] = scaled(params.bias[g], scale);
-  }
-  dense_w_ = scaled(params.dense_w, scale);
-  dense_b_ = fx(params.dense_b);
-  tables_ = build_fixed_tables(embedding_rows_, w_x_cols_, w_h_cols_, bias_,
-                               dense_w_, div_);
+  tables_ = build_fixed_tables(params.embedding, params.w_x, params.w_h, params.bias,
+                               params.dense_w, params.dense_b, div_);
 }
 
 double FixedGruDatapath::infer_reference(nn::TokenSpan sequence) const {
@@ -38,30 +26,32 @@ double FixedGruDatapath::infer_reference(nn::TokenSpan sequence) const {
   std::vector<Fx> z(hidden, zero);
   std::vector<Fx> r(hidden, zero);
   std::vector<Fx> g(hidden, zero);
+  std::vector<Fx> x(config_.embed_dim, zero);
 
   for (const nn::TokenId token : sequence) {
     CSDML_REQUIRE(token >= 0 && token < config_.vocab_size, "token range");
-    const std::vector<Fx>& x = embedding_rows_[static_cast<std::size_t>(token)];
+    const double* row = params_.embedding.row(static_cast<std::size_t>(token));
+    for (std::size_t i = 0; i < x.size(); ++i) x[i] = fx(row[i]);
 
     // z and r gates (PLAN sigmoid).
     for (const std::size_t gate : {nn::kUpdate, nn::kReset}) {
       auto& out = gate == nn::kUpdate ? z : r;
       for (std::size_t j = 0; j < hidden; ++j) {
-        Fx acc = bias_[gate][j];
-        const auto& wx = w_x_cols_[gate][j];
-        for (std::size_t i = 0; i < x.size(); ++i) acc += wx[i] * x[i];
-        const auto& wh = w_h_cols_[gate][j];
-        for (std::size_t i = 0; i < hidden; ++i) acc += wh[i] * h[i];
+        Fx acc = fx(params_.bias[gate][j]);
+        const nn::Matrix& wx = params_.w_x[gate];
+        for (std::size_t i = 0; i < x.size(); ++i) acc += fx(wx(i, j)) * x[i];
+        const nn::Matrix& wh = params_.w_h[gate];
+        for (std::size_t i = 0; i < hidden; ++i) acc += fx(wh(i, j)) * h[i];
         out[j] = fixedpt::sigmoid_fixed(acc);
       }
     }
     // Candidate over r ⊙ h (softsign).
     for (std::size_t j = 0; j < hidden; ++j) {
-      Fx acc = bias_[nn::kCandidateGate][j];
-      const auto& wx = w_x_cols_[nn::kCandidateGate][j];
-      for (std::size_t i = 0; i < x.size(); ++i) acc += wx[i] * x[i];
-      const auto& wh = w_h_cols_[nn::kCandidateGate][j];
-      for (std::size_t i = 0; i < hidden; ++i) acc += wh[i] * (r[i] * h[i]);
+      Fx acc = fx(params_.bias[nn::kCandidateGate][j]);
+      const nn::Matrix& wx = params_.w_x[nn::kCandidateGate];
+      for (std::size_t i = 0; i < x.size(); ++i) acc += fx(wx(i, j)) * x[i];
+      const nn::Matrix& wh = params_.w_h[nn::kCandidateGate];
+      for (std::size_t i = 0; i < hidden; ++i) acc += fx(wh(i, j)) * (r[i] * h[i]);
       g[j] = fixedpt::softsign_fixed(acc);
     }
     // h' = (1 - z) h + z g.
@@ -70,8 +60,8 @@ double FixedGruDatapath::infer_reference(nn::TokenSpan sequence) const {
     }
   }
 
-  Fx logit = dense_b_;
-  for (std::size_t j = 0; j < hidden; ++j) logit += dense_w_[j] * h[j];
+  Fx logit = fx(params_.dense_b);
+  for (std::size_t j = 0; j < hidden; ++j) logit += fx(params_.dense_w[j]) * h[j];
   return fixedpt::sigmoid_fixed(logit).to_double();
 }
 
@@ -135,7 +125,7 @@ double FixedGruDatapath::infer(nn::TokenSpan sequence,
     }
   }
 
-  std::int64_t logit = dense_b_.raw();
+  std::int64_t logit = tables_.dense_b;
   for (std::size_t j = 0; j < hidden; ++j) {
     logit += div_.mul(tables_.dense_w[j], h[j]);
   }

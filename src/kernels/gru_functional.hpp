@@ -9,7 +9,6 @@
 // makes it bit-identical to `infer_reference`, the seed's naive loop.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,12 +32,14 @@ class FixedGruDatapath {
                    std::int64_t scale = fixedpt::kPaperScale);
 
   const nn::GruConfig& config() const { return config_; }
+  const nn::GruParams& params() const { return params_; }
   std::int64_t scale() const { return div_.scale(); }
 
   /// Forward pass -> ransomware probability (fused table-driven path).
   double infer(nn::TokenSpan sequence) const;
   double infer(nn::TokenSpan sequence, GruFixedScratch& scratch) const;
-  /// The seed's unoptimized loop — the parity oracle.
+  /// The seed's unoptimized loop — the parity oracle. It scales each
+  /// operand from the parameters when called and never reads the tables.
   double infer_reference(nn::TokenSpan sequence) const;
   int predict(nn::TokenSpan sequence) const {
     return infer(sequence) >= 0.5 ? 1 : 0;
@@ -49,13 +50,8 @@ class FixedGruDatapath {
   Fx fx(double v) const { return Fx::from_double(v, div_.scale()); }
 
   nn::GruConfig config_;
+  nn::GruParams params_;  ///< the reference path's operands
   const fixedpt::InvariantScale div_;  ///< the scale and its product correction
-  std::vector<std::vector<Fx>> embedding_rows_;
-  std::array<std::vector<std::vector<Fx>>, nn::kNumGruGates> w_x_cols_;
-  std::array<std::vector<std::vector<Fx>>, nn::kNumGruGates> w_h_cols_;
-  std::array<std::vector<Fx>, nn::kNumGruGates> bias_;
-  std::vector<Fx> dense_w_;
-  Fx dense_b_;
   FixedTables tables_;  ///< fused-path layouts, 3 gates
 };
 

@@ -126,11 +126,32 @@ TEST(CliExitCodes, ClassifyDistinguishesUsageFromMissingFiles) {
                  "/nonexistent/d.csv"}).code, 1);
 }
 
+TEST(CliExitCodes, TrainRealFlagsParseWholeBeforeTheDataset) {
+  // A malformed or non-finite real is a usage error naming its flag, and
+  // it is caught before the (here missing) dataset is read.
+  for (const char* lr : {"0.01x", "abc", "nan", "inf", ""}) {
+    const CliRun bad = run({"train", "--dataset", "/nonexistent/d.csv",
+                            "--weights", "/nonexistent/w.txt", "--lr", lr});
+    EXPECT_EQ(bad.code, 2) << lr;
+    EXPECT_NE(bad.err.find("--lr"), std::string::npos) << bad.err;
+  }
+  EXPECT_EQ(run({"train", "--dataset", "/nonexistent/d.csv", "--weights",
+                 "/nonexistent/w.txt", "--test-fraction", "1e999"}).code, 2);
+  EXPECT_EQ(run({"train", "--dataset", "/nonexistent/d.csv"}).code, 2);  // no --weights
+  // Well-formed flags reach the dataset, whose absence is a runtime error.
+  EXPECT_EQ(run({"train", "--dataset", "/nonexistent/d.csv", "--weights",
+                 "/nonexistent/w.txt", "--lr", "-0.5e-2"}).code, 1);
+}
+
 TEST(CliExitCodes, StatsUsageErrorsAndUnwritableTrace) {
   EXPECT_EQ(run({"stats", "--level", "turbo"}).code, 2);
   EXPECT_EQ(run({"stats", "--calls", "50"}).code, 2);       // below minimum
   EXPECT_EQ(run({"stats", "--fault-rate", "1.5"}).code, 2);  // out of range
   EXPECT_EQ(run({"stats", "--calls", "-1"}).code, 2);  // not a wrapped count
+  // Reals parse whole: 0.2x does not truncate to 0.2.
+  const CliRun real = run({"stats", "--calls", "200", "--fault-rate", "0.2x"});
+  EXPECT_EQ(real.code, 2);
+  EXPECT_NE(real.err.find("--fault-rate"), std::string::npos) << real.err;
   // The unwritable trace destination fails fast (before the workload).
   EXPECT_EQ(
       run({"stats", "--trace-out", "/nonexistent-dir/trace.json"}).code, 1);
@@ -144,6 +165,7 @@ TEST(CliExitCodes, TopUsageErrors) {
   EXPECT_EQ(run({"top", "--fault-rate", "1.5"}).code, 2);
   EXPECT_EQ(run({"top", "--level", "turbo"}).code, 2);
   EXPECT_EQ(run({"top", "--rounds", "-1"}).code, 2);
+  EXPECT_EQ(run({"top", "--fault-rate", "0.1abc"}).code, 2);
   // Flags a subcommand does not name are refused, not ignored.
   const CliRun unknown = run({"top", "--health"});
   EXPECT_EQ(unknown.code, 2);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -263,6 +265,34 @@ TEST(Engine, RejectsStagedWeightsForAnotherConfig) {
   EXPECT_EQ(engine.weight_updates(), 2u);
   EXPECT_EQ(engine.infer(seq).probability,
             FixedDatapath(f.model_config, fresh).infer(seq));
+}
+
+TEST(StagedWeights, ImageIsTheParamsSerializedFloatByFloat) {
+  // The DDR image is every parameter in LstmParams::parameter_pointers
+  // order as one little-endian float32, whatever the level; params() is
+  // the staged copy of exactly those values.
+  const EngineFixture f;
+  nn::LstmParams copy = f.params;
+  std::vector<std::uint8_t> expect;
+  std::vector<double> values;
+  for (const double* p : copy.parameter_pointers()) {
+    values.push_back(*p);
+    const auto word = std::bit_cast<std::uint32_t>(static_cast<float>(*p));
+    for (int byte = 0; byte < 4; ++byte) {
+      expect.push_back(static_cast<std::uint8_t>(word >> (8 * byte)));
+    }
+  }
+  for (const OptimizationLevel level :
+       {OptimizationLevel::FixedPoint, OptimizationLevel::II}) {
+    const StagedWeights staged(f.model_config, f.params, EngineConfig{.level = level});
+    EXPECT_EQ(staged.image(), expect);
+    nn::LstmParams staged_params = staged.params();
+    std::vector<double> staged_values;
+    for (const double* p : staged_params.parameter_pointers()) {
+      staged_values.push_back(*p);
+    }
+    EXPECT_EQ(staged_values, values);
+  }
 }
 
 TEST(Engine, UpdateWeightsDoesNotReloadXclbin) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -119,6 +122,132 @@ TEST(ScaledFixed, RejectsOutOfRangeConversion) {
   EXPECT_THROW(ScaledFixed::from_double(1e13), PreconditionError);
   EXPECT_THROW(ScaledFixed::from_double(1.0, 0), PreconditionError);
   EXPECT_THROW(ScaledFixed::from_double(1.0, -5), PreconditionError);
+}
+
+/// from_double rounds inline (truncate, then round the exact remainder);
+/// it must agree with std::llround(v · s) wherever that is representable
+/// and refuse, with the same error, every value it is not.
+constexpr std::int64_t kPropertyScales[] = {1, 3, 1'000, 999'983, 1'000'000,
+                                            1'000'000'000};
+
+void expect_matches_llround(double v, std::int64_t scale) {
+  const double scaled = v * static_cast<double>(scale);
+  ASSERT_LT(std::abs(scaled), 0x1p63) << v << " at " << scale;
+  EXPECT_EQ(ScaledFixed::from_double(v, scale).raw(), std::llround(scaled))
+      << std::hexfloat << v << " at scale " << scale;
+}
+
+void expect_out_of_range(double v, std::int64_t scale) {
+  try {
+    (void)ScaledFixed::from_double(v, scale);
+    ADD_FAILURE() << v << " at scale " << scale << " was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("value out of range for this scale"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+/// Either rule, whichever applies to `v` at `scale`.
+void expect_consistent(double v, std::int64_t scale) {
+  if (std::isfinite(v) && std::abs(v * static_cast<double>(scale)) < 0x1p63) {
+    expect_matches_llround(v, scale);
+  } else {
+    expect_out_of_range(v, scale);
+  }
+}
+
+/// `anchor` and its `steps` neighbours on either side, both signs.
+std::vector<double> around(double anchor, int steps) {
+  std::vector<double> out;
+  double up = anchor;
+  double down = anchor;
+  for (int i = 0; i <= steps; ++i) {
+    for (const double v : {up, down}) {
+      out.push_back(v);
+      out.push_back(-v);
+    }
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, 0.0);
+  }
+  return out;
+}
+
+TEST(ScaledFixedProperty, FromDoubleRoundsTiesAwayFromZeroLikeLlround) {
+  for (int k = 0; k <= 2'000; ++k) {
+    expect_matches_llround(k + 0.5, 1);
+    expect_matches_llround(-(k + 0.5), 1);
+  }
+  for (const double big : {0x1p40, 0x1p50, 0x1p51}) {
+    for (const double v : around(big + 0.5, 4)) expect_matches_llround(v, 1);
+  }
+  // The classic add-0.5-then-floor failure: the largest double below 0.5.
+  for (const double v : around(0.5, 4)) expect_matches_llround(v, 1);
+  // Ties after scaling: 0.0000005 · 10^6 and friends.
+  for (const double v : {0.0000005, 0.0000015, 0.0000025, 1.0000005, 2.5e-6}) {
+    expect_matches_llround(v, 1'000'000);
+    expect_matches_llround(-v, 1'000'000);
+  }
+  const ScaledFixed negative_zero = ScaledFixed::from_double(-0.0);
+  EXPECT_EQ(negative_zero.raw(), 0);
+  EXPECT_FALSE(std::signbit(negative_zero.to_double()));
+}
+
+TEST(ScaledFixedProperty, FromDoubleMatchesLlroundAtTheEdges) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double normal_min = std::numeric_limits<double>::min();
+  std::vector<double> values = around(denorm, 4);
+  for (const double anchor : {normal_min, 0x1p52, 0x1p53}) {
+    const std::vector<double> near = around(anchor, 8);
+    values.insert(values.end(), near.begin(), near.end());
+  }
+  for (const std::int64_t scale : kPropertyScales) {
+    for (const double v : values) expect_consistent(v, scale);
+  }
+  // The largest magnitudes below 2^63 (2^63 - 1024 down), at scale 1 and
+  // divided back down for the paper's scale.
+  for (const double v : around(std::nextafter(0x1p63, 0.0), 16)) {
+    if (std::abs(v) >= 0x1p63) continue;
+    expect_matches_llround(v, 1);
+    expect_consistent(v / 1'000'000, 1'000'000);
+  }
+}
+
+TEST(ScaledFixedProperty, FromDoubleMatchesLlroundOnRandomDoubles) {
+  Rng rng(2026);
+  for (const std::int64_t scale : kPropertyScales) {
+    for (const double magnitude : {1e-9, 1e-3, 1.0, 1e3, 1e9, 1e15}) {
+      for (int i = 0; i < 2'000; ++i) {
+        expect_consistent(rng.uniform(-magnitude, magnitude), scale);
+      }
+    }
+    // Random bit patterns: every finite double either rounds like llround
+    // or is refused.
+    for (int i = 0; i < 20'000; ++i) {
+      expect_consistent(std::bit_cast<double>(rng()), scale);
+    }
+    // Log-uniform magnitudes from subnormal up to 2^63, either sign.
+    for (int i = 0; i < 20'000; ++i) {
+      const int exponent = static_cast<int>(rng.uniform(-1'074.0, 63.0));
+      const double v = std::ldexp(rng.uniform(1.0, 2.0), exponent);
+      expect_consistent(rng.chance(0.5) ? v : -v, scale);
+    }
+  }
+}
+
+TEST(ScaledFixedProperty, FromDoubleRefusesWhatItCannotRepresent) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::int64_t scale : kPropertyScales) {
+    for (const double v : {nan, -nan, inf, -inf}) expect_out_of_range(v, scale);
+  }
+  for (const double v : {0x1p63, -0x1p63, 0x1p64, 1e19, -1e300}) {
+    expect_out_of_range(v, 1);
+  }
+  // |v · s| >= 2^63 only after scaling.
+  expect_out_of_range(9.3e12, 1'000'000);
+  expect_out_of_range(-9.3e12, 1'000'000);
+  expect_matches_llround(9.2e12, 1'000'000);
 }
 
 /// Parameterized accumulation property: a fixed-point dot product of n

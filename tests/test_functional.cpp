@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "kernels/gru_functional.hpp"
 
 namespace csdml::kernels {
 namespace {
@@ -185,6 +188,68 @@ TEST(Datapaths, RejectParamsShapedForAnotherConfig) {
     EXPECT_THROW(FloatDatapath(m.config, bad[i]), PreconditionError) << "case " << i;
     EXPECT_THROW(FixedDatapath(m.config, bad[i]), PreconditionError) << "case " << i;
   }
+}
+
+/// The first and the last scalar of every tensor a fixed staging scales:
+/// the embedding, each gate's w_x, w_h and bias, dense_w and dense_b.
+template <class Params>
+std::vector<double*> first_and_last_of_each_tensor(Params& p) {
+  std::vector<double*> slots;
+  const auto both = [&slots](double* data, std::size_t size) {
+    slots.push_back(data);
+    slots.push_back(data + size - 1);
+  };
+  both(p.embedding.data(), p.embedding.size());
+  for (std::size_t g = 0; g < p.w_x.size(); ++g) {
+    both(p.w_x[g].data(), p.w_x[g].size());
+    both(p.w_h[g].data(), p.w_h[g].size());
+    both(p.bias[g].data(), p.bias[g].size());
+  }
+  both(p.dense_w.data(), p.dense_w.size());
+  slots.push_back(&p.dense_b);
+  return slots;
+}
+
+/// Staging `build(params)` with one NaN, infinite or out-of-range weight,
+/// in any tensor, throws from_double's PreconditionError.
+template <class Params, class Build>
+void expect_every_bad_weight_refused(const Params& good, Build build) {
+  const std::size_t slots = [&good] {
+    Params copy = good;
+    return first_and_last_of_each_tensor(copy).size();
+  }();
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::infinity(),
+                               1e13,  // 10^19 at the paper's scale: past 2^63
+                               -1e13};
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    for (const double bad : bad_values) {
+      Params params = good;
+      *first_and_last_of_each_tensor(params)[slot] = bad;
+      try {
+        build(params);
+        ADD_FAILURE() << "slot " << slot << " accepted " << bad;
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("value out of range for this scale"),
+                  std::string::npos)
+            << "slot " << slot << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(FixedStaging, LstmRefusesABadWeightInEveryTensor) {
+  const Models m;
+  expect_every_bad_weight_refused(
+      m.params, [&m](const nn::LstmParams& p) { FixedDatapath(m.config, p); });
+}
+
+TEST(FixedStaging, GruRefusesABadWeightInEveryTensor) {
+  const nn::GruConfig config;
+  Rng rng(8);
+  const nn::GruParams params = nn::GruParams::glorot(config, rng);
+  expect_every_bad_weight_refused(
+      params, [&config](const nn::GruParams& p) { FixedGruDatapath(config, p); });
 }
 
 }  // namespace
