@@ -84,8 +84,8 @@ commands:
                is DOWN, a critical alert is latched or conservation is
                violated)
   serve        [--level L] [--calls N] [--seed N] [--ingest-threads N]
-               [--serve-shards N] [--coalesce-max N]
-               [--coalesce-deadline-us N] [--boards N] [--kill-board K@CALL]
+               [--serve-shards N] [--coalesce-max N] [--boards N]
+               [--kill-board K@CALL]
                run the sample streams through a consistent-hashed CSD fleet
                (--boards, default 1) of sharded asynchronous serving
                pipelines (lock-free rings + micro-batch coalescing) and
@@ -582,8 +582,6 @@ int cmd_serve(const Flags& flags, std::ostream& out) {
   fleet_config.serve.shards = flags.get_count("serve-shards", 4, 1, 64);
   fleet_config.serve.coalesce_max =
       flags.get_count("coalesce-max", 32, 1, 1'024);
-  fleet_config.serve.coalesce_deadline = std::chrono::microseconds(
-      flags.get_count("coalesce-deadline-us", 200, 0, 10'000'000));
   fleet_config.serve.detector = detect::DetectorConfig{
       .window_length = 100, .hop = 25, .consecutive_alerts = 2};
 
@@ -1367,7 +1365,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
        {"once", "json"}},
       {"serve", cmd_serve,
        {"level", "calls", "seed", "ingest-threads", "serve-shards",
-        "coalesce-max", "coalesce-deadline-us", "boards", "kill-board"},
+        "coalesce-max", "boards", "kill-board"},
        {}},
       {"attribute", cmd_attribute, {"weights", "dataset", "row", "top"}, {}},
       {"timings", cmd_timings, {"level", "cus"}, {"stream"}},

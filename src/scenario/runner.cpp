@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <vector>
 
 #include "common/error.hpp"
 #include "ransomware/families.hpp"
@@ -94,7 +95,6 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
   // magnitude of headroom, so shedding (timing-dependent) cannot happen.
   fleet_config.serve.ring_capacity = 1024;
   fleet_config.serve.coalesce_max = 32;
-  fleet_config.serve.coalesce_deadline = std::chrono::microseconds(200);
   fleet_config.serve.detector.window_length = scenario.window;
   fleet_config.serve.detector.hop = scenario.hop;
   fleet_config.serve.detector.consecutive_alerts = scenario.debounce;
@@ -109,14 +109,29 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
         result.verdicts.push_back(verdict);
       });
 
-  const auto quiesce = [&fleet] {
+  // Between quiescent points the runner holds every board's device lock,
+  // so no batch completes while calls are being fed: a deferral cannot
+  // land mid-hop and re-arm a retry on the process's next call, whatever
+  // the coalescers' timing. Released for every flush.
+  std::vector<std::unique_lock<std::recursive_mutex>> held;
+  const auto hold = [&] {
+    for (std::size_t k = 0; k < fleet.board_count(); ++k) {
+      held.push_back(fleet.engine(k).lock_device());
+    }
+  };
+  const auto flush = [&] {
+    held.clear();
     fleet.flush();
+  };
+  const auto quiesce = [&] {
+    flush();
     fleet.check_health();
     fleet.flush();  // a failover's re-imports may owe verdicts already
+    hold();
   };
 
   const auto apply_event = [&](const EventSpec& event) {
-    fleet.flush();
+    flush();
     switch (event.kind) {
       case EventSpec::Kind::KillBoard:
         fleet.kill_board(event.board);
@@ -134,10 +149,12 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
         fleet.update_weights(model.params);
         break;
     }
+    hold();
   };
 
   const std::uint64_t horizon = scenario.horizon();
   std::size_t next_event = 0;
+  hold();
   for (std::uint64_t round = 0; round < horizon; ++round) {
     while (next_event < scenario.events.size() &&
            scenario.events[next_event].at <= round) {
@@ -179,7 +196,7 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
     }
     quiesce();
   }
-  fleet.flush();
+  flush();
 
   const serve::BoardFleet::Stats stats = fleet.stats();
   fleet.stop();

@@ -6,6 +6,10 @@
 //   * The fleet is flushed (fully quiescent) before every control event,
 //     at every hop boundary, and before every health sweep — so sweep
 //     decisions, failovers, and rollouts always observe the same state.
+//   * Between those points the runner holds every board's device lock, so
+//     no batch completes while calls are fed: a deferral never lands
+//     mid-hop to re-arm a retry on the next call, however the coalescers
+//     group or time their batches.
 //   * Health sweeps run only at those explicit points
 //     (health_check_interval = 0), and the fleet carries no alert rules, so
 //     the only path to a drain is the engine latch — wall-clock timing can

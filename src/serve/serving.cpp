@@ -75,10 +75,7 @@ void ServingPipeline::ingest(detect::ProcessId process, nn::TokenId token) {
       obs::registry().add_counter(metric("shed"));
     }
   }
-  if (pushed && sleeping_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> wake_lock(wake_mutex_);
-    wake_cv_.notify_one();
-  }
+  if (pushed) ring_doorbell();
 }
 
 void ServingPipeline::forget(detect::ProcessId process) {
@@ -127,24 +124,18 @@ void ServingPipeline::import_process(const ProcessSnapshot& snapshot) {
 
 void ServingPipeline::flush() {
   while (outstanding_.load(std::memory_order_seq_cst) != 0) {
-    {
-      std::lock_guard<std::mutex> wake_lock(wake_mutex_);
-      wake_cv_.notify_one();
-    }
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }
 
 void ServingPipeline::stop() {
-  if (stopping_.exchange(true)) {
-    if (coalescer_.joinable()) coalescer_.join();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> wake_lock(wake_mutex_);
-    wake_cv_.notify_one();
-  }
+  if (!stopping_.exchange(true)) ring_doorbell();
   if (coalescer_.joinable()) coalescer_.join();
+}
+
+void ServingPipeline::ring_doorbell() {
+  doorbell_.fetch_add(1);
+  doorbell_.notify_one();
 }
 
 ServingPipeline::Stats ServingPipeline::stats() const {
@@ -178,44 +169,29 @@ void ServingPipeline::coalescer_main() {
       if (pending_.load(std::memory_order_acquire) == 0) return;
       continue;
     }
-    // Idle: publish the intent to sleep, re-check, then wait with a bound
-    // so a wake racing the flag costs one tick instead of a hang.
-    std::unique_lock<std::mutex> wake_lock(wake_mutex_);
-    sleeping_.store(true, std::memory_order_release);
+    // Idle. A push or stop() before this read shows in the re-check; one
+    // after it moves the doorbell past `rung`, so the wait returns at once.
+    // atomic::wait spins briefly before it parks.
+    const std::uint32_t rung = doorbell_.load();
     if (pending_.load(std::memory_order_acquire) == 0 &&
         !stopping_.load(std::memory_order_acquire)) {
-      wake_cv_.wait_for(wake_lock, std::chrono::milliseconds(1));
+      doorbell_.wait(rung);
     }
-    sleeping_.store(false, std::memory_order_release);
   }
 }
 
 void ServingPipeline::gather(std::vector<Request>& batch) {
-  Clock::time_point deadline{};
-  std::size_t cursor = 0;
-  for (;;) {
-    bool drained = false;
-    for (std::size_t i = 0; i < shards_.size() && batch.size() < config_.coalesce_max;
-         ++i) {
-      Shard& shard = *shards_[(cursor + i) % shards_.size()];
-      Request request;
-      while (batch.size() < config_.coalesce_max &&
-             shard.ring.try_pop(request)) {
-        pending_.fetch_sub(1, std::memory_order_acq_rel);
-        if (batch.empty()) deadline = Clock::now() + config_.coalesce_deadline;
-        batch.push_back(std::move(request));
-        drained = true;
-      }
+  const std::size_t shards = shards_.size();
+  for (std::size_t i = 0; i < shards; ++i) {
+    Shard& shard = *shards_[(next_shard_ + i) % shards];
+    Request request;
+    while (batch.size() < config_.coalesce_max &&
+           shard.ring.try_pop(request)) {
+      pending_.fetch_sub(1, std::memory_order_acq_rel);
+      batch.push_back(std::move(request));
     }
-    cursor = (cursor + 1) % shards_.size();
-    if (batch.size() >= config_.coalesce_max) return;
-    if (batch.empty()) return;
-    // Partial batch: dispatch once the deadline passes (or immediately on
-    // shutdown — no reason to ripen a batch nobody is feeding).
-    if (stopping_.load(std::memory_order_acquire)) return;
-    if (Clock::now() >= deadline) return;
-    if (!drained) std::this_thread::yield();
   }
+  next_shard_ = (next_shard_ + 1) % shards;
 }
 
 void ServingPipeline::process_batch(std::vector<Request>& batch) {
@@ -262,7 +238,6 @@ void ServingPipeline::process_batch(std::vector<Request>& batch) {
   } else {
     complete(batch, result);
   }
-  publish_queue_depths();
 }
 
 void ServingPipeline::complete(
@@ -332,14 +307,6 @@ void ServingPipeline::defer_failed(std::vector<Request>& batch) {
     deferred_.fetch_add(1, std::memory_order_relaxed);
     metrics.add_counter(metric("deferred"));
     outstanding_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-}
-
-void ServingPipeline::publish_queue_depths() {
-  obs::MetricsRegistry& metrics = obs::registry();
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    metrics.set_gauge(metric("shard") + std::to_string(i) + ".queue_depth",
-                      static_cast<double>(shards_[i]->ring.size()));
   }
 }
 

@@ -19,9 +19,10 @@
 // Process state is sharded by pid so ingestion threads rarely contend;
 // each shard hands due windows to the single coalescer thread through a
 // bounded SPSC ring (the shard mutex serialises producers, the coalescer
-// is the only consumer). The coalescer gathers up to `coalesce_max`
-// windows — waiting at most `coalesce_deadline` past the first one — and
-// feeds them to the engine as one batch, so the engine-side cost
+// is the only consumer). The coalescer is work-conserving: it dispatches
+// as soon as the engine is free, taking whatever piled up in the rings
+// while the previous infer_batch ran (up to `coalesce_max` windows). A
+// lone window never waits for company; under load the engine-side cost
 // (availability probe, span framing, pool dispatch) amortises across the
 // batch. A full ring is backpressure, not loss: the due classification is
 // deferred exactly like the CSD-unavailable path (retried on the process's
@@ -30,7 +31,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,9 +56,6 @@ struct ServeConfig {
   /// Micro-batch cap: the coalescer never hands the engine more windows
   /// than this in one infer_batch call.
   std::size_t coalesce_max{32};
-  /// How long the coalescer waits past the first gathered window for the
-  /// batch to fill before dispatching a partial one.
-  std::chrono::microseconds coalesce_deadline{200};
   /// Window/hop/threshold/debounce semantics, identical to the
   /// synchronous StreamingDetector.
   detect::DetectorConfig detector{};
@@ -188,8 +185,9 @@ class ServingPipeline {
   }
 
   void coalescer_main();
-  /// Drains rings round-robin into `batch` until coalesce_max, or until
-  /// `coalesce_deadline` elapsed past the first gathered request.
+  /// One pass over the rings, round-robin from a rotating start shard,
+  /// moving what is already queued into `batch` (at most coalesce_max).
+  /// Never waits for more: an empty batch means the rings were empty.
   void gather(std::vector<Request>& batch);
   void process_batch(std::vector<Request>& batch);
   /// Successful batch: fold probabilities back into shard state (streaks,
@@ -199,25 +197,27 @@ class ServingPipeline {
   /// Failed batch (CSD unavailable, no fallback): re-arm every window's
   /// process for retry on its next call — deferred, never dropped.
   void defer_failed(std::vector<Request>& batch);
-  void publish_queue_depths();
+  /// Bumps `doorbell_` and wakes the coalescer if it is parked on it.
+  void ring_doorbell();
 
   kernels::CsdLstmEngine& engine_;
   ServeConfig config_;
   VerdictSink sink_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Requests sitting in rings, not yet gathered. The producer-side bump
-  /// plus the `sleeping_` check below is the wake protocol; the bounded
-  /// wait_for in the coalescer makes a lost race cost one tick, not a
-  /// hang.
+  /// Requests sitting in rings, not yet gathered.
   std::atomic<std::uint64_t> pending_{0};
   /// Requests enqueued but not yet completed (verdict or deferral) —
   /// what flush() waits on.
   std::atomic<std::uint64_t> outstanding_{0};
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> sleeping_{false};
-  std::mutex wake_mutex_;
-  std::condition_variable wake_cv_;
+  /// The wake protocol: ingest() rings it after a push, stop() after
+  /// setting `stopping_`. The idle coalescer reads it, re-checks
+  /// `pending_`/`stopping_`, then waits for it to move past the value it
+  /// read, so a ring between the read and the wait cannot be lost.
+  std::atomic<std::uint32_t> doorbell_{0};
+  /// Coalescer-only: the shard the next gather() starts from.
+  std::size_t next_shard_{0};
 
   std::atomic<std::uint64_t> ingested_{0};
   std::atomic<std::uint64_t> enqueued_{0};

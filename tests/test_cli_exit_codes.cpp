@@ -231,6 +231,11 @@ TEST(CliExitCodes, ServeUsageErrors) {
   EXPECT_EQ(run({"serve", "--calls", "-1", "--ingest-threads", "1"}).code, 2);
   EXPECT_EQ(run({"serve", "--calls", "200x"}).code, 2);
   EXPECT_EQ(run({"serve", "--boards4", "2"}).code, 2);
+  // The coalescer has no batching deadline, so its old flag is unknown.
+  const CliRun deadline = run({"serve", "--coalesce-deadline-us", "200"});
+  EXPECT_EQ(deadline.code, 2);
+  EXPECT_NE(deadline.err.find("--coalesce-deadline-us"), std::string::npos)
+      << deadline.err;
 }
 
 TEST(CliExitCodes, ServeFailoverCount) {

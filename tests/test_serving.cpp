@@ -218,6 +218,68 @@ TEST(Serving, ShedsToDeferralUnderBackpressureWithoutLoss) {
   EXPECT_EQ(delivered, stats.verdicts);
 }
 
+TEST(Serving, BatchesWhatPiledUpDuringABatch) {
+  const nn::LstmConfig model = tiny_model();
+  Rng rng(41);
+  const nn::LstmParams params = nn::LstmParams::glorot(model, rng);
+  csd::SmartSsd board{csd::SmartSsdConfig{}};
+  xrt::Device device{board};
+  kernels::CsdLstmEngine engine(device, model, params, {});
+
+  ServeConfig config;
+  config.shards = 2;
+  config.coalesce_max = 8;
+  config.detector = detect::DetectorConfig{.window_length = 4, .hop = 4};
+
+  // The sink wedges on the first verdict, so the engine stays busy with a
+  // one-window batch while the other windows pile up in the rings.
+  std::mutex sink_mutex;
+  std::condition_variable sink_cv;
+  bool in_flight = false;
+  bool released = false;
+  std::map<detect::ProcessId, double> probabilities;
+  ServingPipeline pipeline(engine, config, [&](const Verdict& verdict) {
+    std::unique_lock<std::mutex> lock(sink_mutex);
+    in_flight = true;
+    sink_cv.notify_all();
+    sink_cv.wait(lock, [&] { return released; });
+    probabilities[verdict.process] = verdict.probability;
+  });
+
+  // One due window per process: pid 1 first, then N = coalesce_max more.
+  std::map<detect::ProcessId, std::vector<nn::TokenId>> windows;
+  const detect::ProcessId last = 1 + config.coalesce_max;
+  for (detect::ProcessId pid = 1; pid <= last; ++pid) {
+    windows[pid] = random_stream(300 + pid, 4, model.vocab_size);
+  }
+  for (const nn::TokenId token : windows[1]) pipeline.ingest(1, token);
+  {
+    std::unique_lock<std::mutex> lock(sink_mutex);
+    sink_cv.wait(lock, [&] { return in_flight; });
+  }
+  for (detect::ProcessId pid = 2; pid <= last; ++pid) {
+    for (const nn::TokenId token : windows[pid]) pipeline.ingest(pid, token);
+  }
+  {
+    std::lock_guard<std::mutex> lock(sink_mutex);
+    released = true;
+  }
+  sink_cv.notify_all();
+  pipeline.flush();
+  pipeline.stop();
+
+  // The lone first window went out alone; everything that queued behind
+  // it went out together as soon as the engine was free.
+  const ServingPipeline::Stats stats = pipeline.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.verdicts, config.coalesce_max + 1);
+  EXPECT_EQ(stats.shed, 0u);
+  ASSERT_EQ(probabilities.size(), windows.size());
+  for (const auto& [pid, window] : windows) {
+    EXPECT_EQ(probabilities[pid], engine.infer(window).probability) << pid;
+  }
+}
+
 TEST(Serving, DestructorFlushesFullRingAndInFlightBatch) {
   const nn::LstmConfig model = tiny_model();
   Rng rng(77);
