@@ -15,7 +15,6 @@
 #include "fixed/scaled_fixed.hpp"
 #include "kernels/engine.hpp"
 #include "kernels/functional.hpp"
-#include "kernels/gru_functional.hpp"
 #include "nn/train.hpp"
 
 namespace {
@@ -25,14 +24,11 @@ using namespace csdml;
 struct Shared {
   nn::LstmConfig config;
   nn::LstmParams params;
-  nn::GruConfig gru_config;
-  nn::GruParams gru_params;
   nn::Sequence sequence;
 
   Shared() {
     Rng rng(3);
     params = nn::LstmParams::glorot(config, rng);
-    gru_params = nn::GruParams::glorot(gru_config, rng);
     Rng token_rng(5);
     for (int i = 0; i < 100; ++i) {
       sequence.push_back(static_cast<nn::TokenId>(
@@ -100,14 +96,6 @@ void BM_EngineConstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineConstruct)->ArgName("staged")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
-
-void BM_FixedGruDatapathBuild(benchmark::State& state) {
-  for (auto _ : state) {
-    const kernels::FixedGruDatapath path(shared().gru_config, shared().gru_params);
-    benchmark::DoNotOptimize(&path);
-  }
-}
-BENCHMARK(BM_FixedGruDatapathBuild)->Unit(benchmark::kMicrosecond);
 
 void BM_ClassifierForward(benchmark::State& state) {
   const nn::LstmClassifier model(shared().config, shared().params);

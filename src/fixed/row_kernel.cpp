@@ -24,12 +24,16 @@ bool use_ifma() {
 
 }  // namespace
 
-std::int64_t row_x_limit(const InvariantScale& div, std::span<const std::int64_t> w) {
+std::int64_t x_limit_for_max(const InvariantScale& div, std::uint64_t max_w) {
   if (!div.has_reciprocal52()) return -1;
-  std::uint64_t max_w = 1;
-  for (const std::int64_t v : w) max_w = std::max(max_w, magnitude(v));
   const std::uint64_t room = ((std::uint64_t{1} << 52) - 1) - div.half();
-  return static_cast<std::int64_t>(room / max_w);
+  return static_cast<std::int64_t>(room / std::max<std::uint64_t>(max_w, 1));
+}
+
+std::int64_t row_x_limit(const InvariantScale& div, std::span<const std::int64_t> w) {
+  std::uint64_t max_w = 0;
+  for (const std::int64_t v : w) max_w = std::max(max_w, magnitude(v));
+  return x_limit_for_max(div, max_w);
 }
 
 void mul_add_row_scalar(const InvariantScale& div, const std::int64_t* w,

@@ -1,6 +1,6 @@
 // The fixed-point row kernel: acc[c] += div.mul(w[c], x) for c in [0, n).
 //
-// This is the one inner loop of the fused fixed datapaths: the token-table
+// This is the one inner loop of the fused fixed datapath: the token-table
 // build (a packed W_x row against one embedding element) and the recurrent
 // pass (a packed W_h row against one h element) both accumulate a
 // unit-stride weight row scaled by one operand. On x86-64 CPUs with
@@ -18,11 +18,14 @@
 
 namespace csdml::fixedpt {
 
-/// Largest |x| for which every product of `w` stays inside the vector
-/// body's exact window, |w[c]|·|x| + scale/2 < 2^52:
-/// (2^52 - 1 - scale/2) / max|w|. -1 when the divisor has no 52-bit
-/// reciprocal (scale 1 or above 2^52), so every call takes the scalar loop.
-/// Computed once per packed matrix at weight staging.
+/// Largest |x| for which every product of a weight of magnitude at most
+/// `max_w` stays inside the vector body's exact window,
+/// |w|·|x| + scale/2 < 2^52: (2^52 - 1 - scale/2) / max(max_w, 1). -1 when
+/// the divisor has no 52-bit reciprocal (scale 1 or above 2^52), so every
+/// call takes the scalar loop. Weight staging takes max_w while it scales.
+std::int64_t x_limit_for_max(const InvariantScale& div, std::uint64_t max_w);
+
+/// x_limit_for_max over the largest |w[c]|.
 std::int64_t row_x_limit(const InvariantScale& div, std::span<const std::int64_t> w);
 
 /// acc[c] += div.mul(w[c], x) for c in [0, n), bit-identical to that loop

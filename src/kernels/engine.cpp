@@ -71,6 +71,37 @@ std::vector<std::uint8_t> weight_image(const nn::LstmParams& params) {
   return bytes;
 }
 
+/// Steady-state per-item timings of the three kernels under `model`.
+KernelTimings timings_of(const hls::HlsCostModel& model, const EngineConfig& config,
+                         const hls::KernelSpec& preprocess,
+                         const hls::KernelSpec& gates,
+                         const hls::KernelSpec& hidden_state) {
+  const Frequency clock = model.clock();
+  const hls::KernelReport pre = model.analyze(preprocess);
+  const hls::KernelReport gate = model.analyze(gates);
+  const hls::KernelReport hidden = model.analyze(hidden_state);
+
+  KernelTimings timings;
+  timings.preprocess = clock.duration_of(pre.total);
+
+  // The four gate vectors are computed by `gate_cu_count` parallel CUs; with
+  // fewer CUs than gates, the CUs run ceil(4 / count) rounds.
+  const std::uint32_t rounds =
+      (static_cast<std::uint32_t>(nn::kNumGates) + config.gate_cu_count - 1) /
+      config.gate_cu_count;
+  if (gates_reports_amortized_ii(config.level)) {
+    // Steady state: the fully partitioned pipeline accepts a new item every
+    // II cycles (see specs.hpp).
+    const std::uint64_t ii = gate.loops.empty() ? 1 : gate.loops.front().achieved_ii;
+    timings.gates = clock.duration_of(Cycles{std::max<std::uint64_t>(ii, 1)}) *
+                    static_cast<std::int64_t>(rounds);
+  } else {
+    timings.gates = clock.duration_of(gate.total) * static_cast<std::int64_t>(rounds);
+  }
+  timings.hidden_state = clock.duration_of(hidden.total);
+  return timings;
+}
+
 std::vector<std::uint8_t> sequence_image(const nn::Sequence& sequence) {
   std::vector<std::uint8_t> bytes(sequence.size() * sizeof(nn::TokenId));
   std::memcpy(bytes.data(), sequence.data(), bytes.size());
@@ -119,20 +150,23 @@ CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_co
 
   // Build the xclbin: one preprocess kernel, `gate_cu_count` gate CUs, one
   // hidden-state kernel.
-  xrt::Xclbin xclbin;
-  xclbin.name = std::string("lstm_") + optimization_name(config_.level);
-  xclbin.kernels["kernel_preprocess"] = make_preprocess_spec(
+  const hls::KernelSpec preprocess = make_preprocess_spec(
       model_config_, config_.level, config_.gate_cu_count, config_.link);
   const hls::KernelSpec gate =
       make_gates_spec(model_config_, config_.level, config_.link);
+  const hls::KernelSpec hidden = make_hidden_state_spec(
+      model_config_, config_.level, config_.gate_cu_count, config_.link);
+  xrt::Xclbin xclbin;
+  xclbin.name = std::string("lstm_") + optimization_name(config_.level);
+  xclbin.kernels["kernel_preprocess"] = preprocess;
   for (std::uint32_t cu = 0; cu < config_.gate_cu_count; ++cu) {
     hls::KernelSpec copy = gate;
     copy.name = "kernel_gates_cu" + std::to_string(cu);
     xclbin.kernels[copy.name] = std::move(copy);
   }
-  xclbin.kernels["kernel_hidden_state"] = make_hidden_state_spec(
-      model_config_, config_.level, config_.gate_cu_count, config_.link);
+  xclbin.kernels["kernel_hidden_state"] = hidden;
   device_.load_xclbin(xclbin);
+  per_item_timings_ = timings_of(device_.cost_model(), config_, preprocess, gate, hidden);
 
   initialise();
 }
@@ -349,38 +383,6 @@ void CsdLstmEngine::update_weights(std::shared_ptr<const StagedWeights> weights)
                            << kv("update", update_number);
 }
 
-KernelTimings CsdLstmEngine::per_item_timings() const {
-  const hls::HlsCostModel& model = device_.cost_model();
-  const Frequency clock = model.clock();
-
-  const hls::KernelReport pre = model.analyze(make_preprocess_spec(
-      model_config_, config_.level, config_.gate_cu_count, config_.link));
-  const hls::KernelReport gate =
-      model.analyze(make_gates_spec(model_config_, config_.level, config_.link));
-  const hls::KernelReport hidden = model.analyze(make_hidden_state_spec(
-      model_config_, config_.level, config_.gate_cu_count, config_.link));
-
-  KernelTimings timings;
-  timings.preprocess = clock.duration_of(pre.total);
-
-  // The four gate vectors are computed by `gate_cu_count` parallel CUs; with
-  // fewer CUs than gates, the CUs run ceil(4 / count) rounds.
-  const std::uint32_t rounds =
-      (static_cast<std::uint32_t>(nn::kNumGates) + config_.gate_cu_count - 1) /
-      config_.gate_cu_count;
-  if (gates_reports_amortized_ii(config_.level)) {
-    // Steady state: the fully partitioned pipeline accepts a new item every
-    // II cycles (see specs.hpp).
-    const std::uint64_t ii = gate.loops.empty() ? 1 : gate.loops.front().achieved_ii;
-    timings.gates = clock.duration_of(Cycles{std::max<std::uint64_t>(ii, 1)}) *
-                    static_cast<std::int64_t>(rounds);
-  } else {
-    timings.gates = clock.duration_of(gate.total) * static_cast<std::int64_t>(rounds);
-  }
-  timings.hidden_state = clock.duration_of(hidden.total);
-  return timings;
-}
-
 InferenceResult CsdLstmEngine::infer(nn::TokenSpan sequence) {
   CSDML_REQUIRE(!sequence.empty(), "empty sequence");
   // The device lock serialises concurrent infer/infer_batch callers and
@@ -391,7 +393,7 @@ InferenceResult CsdLstmEngine::infer(nn::TokenSpan sequence) {
   obs::SpanTrace& spans = device_.board().span_trace();
   ScopedRequestSpan scope(spans, device_, "engine.infer");
   if (!ensure_csd_available()) return degraded_infer(sequence);
-  const KernelTimings per_item = per_item_timings();
+  const KernelTimings& per_item = per_item_timings_;
 
   // Functional result through the configured datapath (fused table path,
   // engine-owned scratch: allocation-free in steady state).
@@ -483,7 +485,7 @@ CsdLstmEngine::BatchResult CsdLstmEngine::infer_batch(
     return result;
   }
 
-  const KernelTimings per_item = per_item_timings();
+  const KernelTimings& per_item = per_item_timings_;
   const Duration steady = per_item.gates + per_item.hidden_state;
 
   // Fan the functional forward passes out across the pool; each executor
@@ -509,7 +511,6 @@ CsdLstmEngine::BatchResult CsdLstmEngine::infer_batch(
 
   const TimePoint start = device_.now();
   device_.advance_to(start + result.device_time);
-  device_.board().trace().record("lstm_batch", start, start + result.device_time);
   obs::record_span(spans, "lstm_batch", start, start + result.device_time);
   obs::MetricsRegistry& metrics = obs::registry();
   metrics.add_counter("engine.batch_inferences");

@@ -150,8 +150,9 @@ class CsdLstmEngine {
   const EngineConfig& config() const { return config_; }
   const nn::LstmConfig& model_config() const { return model_config_; }
 
-  /// Steady-state per-item kernel timings under the cost model.
-  KernelTimings per_item_timings() const;
+  /// Steady-state per-item kernel timings under the cost model, fixed at
+  /// construction (neither the cost model nor the config can change).
+  const KernelTimings& per_item_timings() const { return per_item_timings_; }
 
   /// Classifies a sequence already resident in FPGA DRAM (the steady-state
   /// in-storage path). Accepts any contiguous token window (e.g. a ring
@@ -301,6 +302,7 @@ class CsdLstmEngine {
   xrt::Device& device_;
   nn::LstmConfig model_config_;
   EngineConfig config_;
+  KernelTimings per_item_timings_;
   /// Two-slot version store: slot `epoch_ & 1` is live, the other is the
   /// writer's target. A bumped epoch publishes the newly stored version.
   DatapathSlot slots_[2];

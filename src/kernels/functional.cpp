@@ -174,8 +174,7 @@ FixedDatapath::FixedDatapath(const nn::LstmConfig& config,
                              const nn::LstmParams& params, std::int64_t scale)
     : config_(config), params_(params), div_(scale) {
   CSDML_REQUIRE(params_match_config(config, params), "params do not match config");
-  tables_ = build_fixed_tables(params.embedding, params.w_x, params.w_h, params.bias,
-                               params.dense_w, params.dense_b, div_);
+  tables_ = build_fixed_tables(params, div_);
 }
 
 namespace {
@@ -184,38 +183,40 @@ std::int64_t scaled_raw(double v, std::int64_t scale) {
   return fixedpt::ScaledFixed::from_double(v, scale).raw();
 }
 
-/// Per-gate matrices scaled and packed row-major in one pass: entry
-/// (i, g·cols + j) is m[g](i, j), so one row spans every gate with unit
-/// stride.
-std::vector<std::int64_t> scaled_packed(std::span<const nn::Matrix> m,
-                                        std::int64_t scale) {
-  const std::size_t rows = m.empty() ? 0 : m[0].rows();
-  const std::size_t cols = m.empty() ? 0 : m[0].cols();
-  const std::size_t width = m.size() * cols;
-  std::vector<std::int64_t> packed(rows * width);
+/// The per-gate matrices scaled and packed row-major in one pass into
+/// `packed`: entry (i, g·cols + j) is m[g](i, j), so one row spans every
+/// gate with unit stride. Returns fixedpt::row_x_limit over `packed`,
+/// from the largest magnitude written.
+std::int64_t scaled_packed(const std::array<nn::Matrix, nn::kNumGates>& m,
+                           const fixedpt::InvariantScale& div,
+                           std::vector<std::int64_t>& packed) {
+  const std::int64_t scale = div.scale();
+  const std::size_t rows = m[0].rows();
+  const std::size_t cols = m[0].cols();
+  packed.resize(rows * nn::kNumGates * cols);
+  std::int64_t* dst = packed.data();
+  std::uint64_t max_w = 0;
   for (std::size_t i = 0; i < rows; ++i) {
-    std::int64_t* dst = packed.data() + i * width;
     for (const nn::Matrix& gate : m) {
       const double* src = gate.row(i);
       for (std::size_t j = 0; j < cols; ++j) {
-        *dst++ = scaled_raw(src[j], scale);
+        const std::int64_t raw = scaled_raw(src[j], scale);
+        max_w = std::max(max_w, fixedpt::magnitude(raw));
+        *dst++ = raw;
       }
     }
   }
-  return packed;
+  return fixedpt::x_limit_for_max(div, max_w);
 }
 
 }  // namespace
 
-FixedTables build_fixed_tables(const nn::Matrix& embedding,
-                               std::span<const nn::Matrix> w_x,
-                               std::span<const nn::Matrix> w_h,
-                               std::span<const nn::Vector> bias,
-                               const nn::Vector& dense_w, double dense_b,
+FixedTables build_fixed_tables(const nn::LstmParams& params,
                                const fixedpt::InvariantScale& div) {
   const std::int64_t scale = div.scale();
-  const std::size_t hidden = dense_w.size();
-  const std::size_t gate_width = w_x.size() * hidden;
+  const std::size_t hidden = params.dense_w.size();
+  const std::size_t gate_width = nn::kNumGates * hidden;
+  const nn::Matrix& embedding = params.embedding;
   const std::size_t embed = embedding.cols();
   FixedTables tables;
 
@@ -225,11 +226,11 @@ FixedTables build_fixed_tables(const nn::Matrix& embedding,
   // result bit-identical to the reference accumulation order.
   std::vector<std::int64_t> bias_row;
   bias_row.reserve(gate_width);
-  for (const nn::Vector& b : bias) {
+  for (const nn::Vector& b : params.bias) {
     for (const double v : b) bias_row.push_back(scaled_raw(v, scale));
   }
-  const std::vector<std::int64_t> w_x_packed = scaled_packed(w_x, scale);
-  const std::int64_t w_x_limit = fixedpt::row_x_limit(div, w_x_packed);
+  std::vector<std::int64_t> w_x_packed;
+  const std::int64_t w_x_limit = scaled_packed(params.w_x, div, w_x_packed);
   tables.token_table.reserve(embedding.rows() * gate_width);
   for (std::size_t t = 0; t < embedding.rows(); ++t) {
     tables.token_table.insert(tables.token_table.end(), bias_row.begin(),
@@ -242,11 +243,10 @@ FixedTables build_fixed_tables(const nn::Matrix& embedding,
     }
   }
 
-  tables.w_h_packed = scaled_packed(w_h, scale);
-  tables.w_h_limit = fixedpt::row_x_limit(div, tables.w_h_packed);
+  tables.w_h_limit = scaled_packed(params.w_h, div, tables.w_h_packed);
   tables.dense_w.reserve(hidden);
-  for (const double w : dense_w) tables.dense_w.push_back(scaled_raw(w, scale));
-  tables.dense_b = scaled_raw(dense_b, scale);
+  for (const double w : params.dense_w) tables.dense_w.push_back(scaled_raw(w, scale));
+  tables.dense_b = scaled_raw(params.dense_b, scale);
   return tables;
 }
 

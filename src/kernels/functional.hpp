@@ -27,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "fixed/scaled_fixed.hpp"
@@ -37,16 +36,16 @@ namespace csdml::kernels {
 
 /// True when every parameter tensor has the shape `config` implies:
 /// embedding vocab × embed, each w_x embed × hidden, each w_h
-/// hidden × hidden, each bias and dense_w hidden. Serves nn::LstmParams
-/// and nn::GruParams alike; the datapaths index these tensors unchecked.
-template <class Config, class Params>
-bool params_match_config(const Config& config, const Params& params) {
+/// hidden × hidden, each bias and dense_w hidden. The datapaths index
+/// these tensors unchecked.
+inline bool params_match_config(const nn::LstmConfig& config,
+                                const nn::LstmParams& params) {
   const std::size_t embed = config.embed_dim;
   const std::size_t hidden = config.hidden_dim;
   bool ok = config.vocab_size >= 0 &&
             params.embedding.rows() == static_cast<std::size_t>(config.vocab_size) &&
             params.embedding.cols() == embed && params.dense_w.size() == hidden;
-  for (std::size_t g = 0; g < params.w_x.size(); ++g) {
+  for (std::size_t g = 0; g < nn::kNumGates; ++g) {
     ok = ok && params.w_x[g].rows() == embed && params.w_x[g].cols() == hidden &&
          params.w_h[g].rows() == hidden && params.w_h[g].cols() == hidden &&
          params.bias[g].size() == hidden;
@@ -112,30 +111,25 @@ struct FixedGateVectors {
   std::array<FixedVector, nn::kNumGates> act;
 };
 
-/// Raw-integer layouts of a fused fixed-point forward pass, every element
-/// at the datapath's one scale. Shared by the LSTM and GRU datapaths.
+/// Raw-integer layouts of the fused fixed-point forward pass, every
+/// element at the datapath's one scale, gates in nn::Gate order.
 struct FixedTables {
-  std::vector<std::int64_t> token_table;  ///< vocab × gates·hidden: bias + W_x·x_t
+  std::vector<std::int64_t> token_table;  ///< vocab × 4·hidden: bias + W_x·x_t
   std::vector<std::int64_t> w_h_packed;   ///< w_h[g](i,j) at row i, col g·hidden+j
   std::int64_t w_h_limit{-1};             ///< fixedpt::row_x_limit over w_h_packed
   std::vector<std::int64_t> dense_w;      ///< hidden
   std::int64_t dense_b{0};                ///< the dense layer's bias
 };
 
-/// Weight staging for both fixed datapaths: builds the fused tables from
-/// the `double` parameters, one span entry per gate (4 for the LSTM, 3 for
-/// the GRU). Each weight is scaled once (ScaledFixed::from_double, so a
-/// NaN or out-of-range weight throws its PreconditionError) straight into
-/// the layout the forward reads; W_x is packed the same way, for the table
-/// build only. Every `w_x·x` product goes through the datapath's
-/// fixedpt::InvariantScale, one packed W_x row at a time in
+/// Weight staging for the fixed datapath: builds the fused tables from the
+/// `double` parameters. Each weight is scaled once
+/// (ScaledFixed::from_double, so a NaN or out-of-range weight throws its
+/// PreconditionError) straight into the layout the forward reads; W_x is
+/// packed the same way, for the table build only. Every `w_x·x` product
+/// goes through `div`, one packed W_x row at a time in
 /// fixedpt::mul_add_row, so the table is bit-identical to the reference
 /// operators' `bias + Σ w·x` while doing no 128-bit division in range.
-FixedTables build_fixed_tables(const nn::Matrix& embedding,
-                               std::span<const nn::Matrix> w_x,
-                               std::span<const nn::Matrix> w_h,
-                               std::span<const nn::Vector> bias,
-                               const nn::Vector& dense_w, double dense_b,
+FixedTables build_fixed_tables(const nn::LstmParams& params,
                                const fixedpt::InvariantScale& div);
 
 /// Reusable per-thread scratch for FixedDatapath::infer (raw-integer
@@ -179,7 +173,7 @@ class FixedDatapath {
   nn::LstmConfig config_;
   nn::LstmParams params_;  ///< the reference path's operands
   const fixedpt::InvariantScale div_;  ///< the scale and its product correction
-  FixedTables tables_;  ///< fused-path layouts, 4 gates
+  FixedTables tables_;  ///< fused-path layouts
 };
 
 }  // namespace csdml::kernels

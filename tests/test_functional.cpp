@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "kernels/gru_functional.hpp"
 
 namespace csdml::kernels {
 namespace {
@@ -192,8 +191,7 @@ TEST(Datapaths, RejectParamsShapedForAnotherConfig) {
 
 /// The first and the last scalar of every tensor a fixed staging scales:
 /// the embedding, each gate's w_x, w_h and bias, dense_w and dense_b.
-template <class Params>
-std::vector<double*> first_and_last_of_each_tensor(Params& p) {
+std::vector<double*> first_and_last_of_each_tensor(nn::LstmParams& p) {
   std::vector<double*> slots;
   const auto both = [&slots](double* data, std::size_t size) {
     slots.push_back(data);
@@ -210,12 +208,12 @@ std::vector<double*> first_and_last_of_each_tensor(Params& p) {
   return slots;
 }
 
-/// Staging `build(params)` with one NaN, infinite or out-of-range weight,
-/// in any tensor, throws from_double's PreconditionError.
-template <class Params, class Build>
-void expect_every_bad_weight_refused(const Params& good, Build build) {
-  const std::size_t slots = [&good] {
-    Params copy = good;
+TEST(FixedStaging, LstmRefusesABadWeightInEveryTensor) {
+  // One NaN, infinite or out-of-range weight, in any tensor, throws
+  // from_double's PreconditionError.
+  const Models m;
+  const std::size_t slots = [&m] {
+    nn::LstmParams copy = m.params;
     return first_and_last_of_each_tensor(copy).size();
   }();
   const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
@@ -224,10 +222,10 @@ void expect_every_bad_weight_refused(const Params& good, Build build) {
                                -1e13};
   for (std::size_t slot = 0; slot < slots; ++slot) {
     for (const double bad : bad_values) {
-      Params params = good;
+      nn::LstmParams params = m.params;
       *first_and_last_of_each_tensor(params)[slot] = bad;
       try {
-        build(params);
+        FixedDatapath(m.config, params);
         ADD_FAILURE() << "slot " << slot << " accepted " << bad;
       } catch (const PreconditionError& e) {
         EXPECT_NE(std::string(e.what()).find("value out of range for this scale"),
@@ -236,20 +234,6 @@ void expect_every_bad_weight_refused(const Params& good, Build build) {
       }
     }
   }
-}
-
-TEST(FixedStaging, LstmRefusesABadWeightInEveryTensor) {
-  const Models m;
-  expect_every_bad_weight_refused(
-      m.params, [&m](const nn::LstmParams& p) { FixedDatapath(m.config, p); });
-}
-
-TEST(FixedStaging, GruRefusesABadWeightInEveryTensor) {
-  const nn::GruConfig config;
-  Rng rng(8);
-  const nn::GruParams params = nn::GruParams::glorot(config, rng);
-  expect_every_bad_weight_refused(
-      params, [&config](const nn::GruParams& p) { FixedGruDatapath(config, p); });
 }
 
 }  // namespace

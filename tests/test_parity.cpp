@@ -15,8 +15,6 @@
 #include "fixed/row_kernel.hpp"
 #include "kernels/engine.hpp"
 #include "kernels/functional.hpp"
-#include "kernels/gru_functional.hpp"
-#include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "xrt/runtime.hpp"
 #include "invariant_scale_oracle.hpp"
@@ -122,36 +120,12 @@ TEST(FusedParity, FixedBitIdenticalToReference) {
   }
 }
 
-TEST(FusedParity, GruFixedBitIdenticalToReference) {
-  for (std::uint64_t model_seed = 300; model_seed < 303; ++model_seed) {
-    nn::GruConfig config;
-    if (model_seed == 301) {
-      config.vocab_size = 37;
-      config.embed_dim = 5;
-      config.hidden_dim = 13;
-    }
-    Rng rng(model_seed);
-    const nn::GruParams params = nn::GruParams::glorot(config, rng);
-    for (const std::int64_t scale : kStagingScales) {
-      const FixedGruDatapath path(config, params, scale);
-      GruFixedScratch scratch;
-      for (std::uint64_t seed = 0; seed < 8; ++seed) {
-        const nn::Sequence seq =
-            random_sequence(seed, config.vocab_size, 35 + static_cast<int>(seed));
-        const double reference = path.infer_reference(seq);
-        EXPECT_EQ(path.infer(seq), reference) << "scale " << scale;
-        EXPECT_EQ(path.infer(seq, scratch), reference) << "scale " << scale;
-      }
-    }
-  }
-}
-
 /// Sets one recurrent weight so large that fixedpt::row_x_limit over the
 /// packed W_h block falls to `fraction`·scale: recurrent operands below
 /// that take the row kernel's vector body, larger ones its scalar loop.
 /// Returns the limit.
-template <class Params>
-std::int64_t pin_recurrent_limit(Params& params, std::int64_t scale, double fraction) {
+std::int64_t pin_recurrent_limit(nn::LstmParams& params, std::int64_t scale,
+                                 double fraction) {
   const double room = std::ldexp(1.0, 52) - 1.0 - static_cast<double>(scale / 2);
   params.w_h[0](0, 0) = room / (fraction * static_cast<double>(scale)) /
                         static_cast<double>(scale);
@@ -164,6 +138,33 @@ std::int64_t pin_recurrent_limit(Params& params, std::int64_t scale, double frac
     }
   }
   return fixedpt::row_x_limit(fixedpt::InvariantScale(scale), raw);
+}
+
+TEST(FixedStaging, RecurrentLimitIsRowXLimitOfThePackedBlock) {
+  // Staging takes the limit from the largest magnitude it writes while it
+  // scales W_h; a second pass over the packed block must agree, wherever
+  // in the block that magnitude sits.
+  nn::LstmConfig config;
+  Rng rng(402);
+  const nn::LstmParams glorot = nn::LstmParams::glorot(config, rng);
+  for (const std::int64_t scale : kStagingScales) {
+    const fixedpt::InvariantScale div(scale);
+    const FixedTables tables = build_fixed_tables(glorot, div);
+    EXPECT_EQ(tables.w_h_limit, fixedpt::row_x_limit(div, tables.w_h_packed))
+        << "scale " << scale;
+  }
+  const fixedpt::InvariantScale div(fixedpt::kPaperScale);
+  nn::LstmParams pinned = glorot;
+  const std::int64_t limit = pin_recurrent_limit(pinned, div.scale(), 0.02);
+  const std::size_t last = config.hidden_dim - 1;
+  for (std::size_t g = 0; g < nn::kNumGates; ++g) {
+    nn::LstmParams params = glorot;
+    params.w_h[g](last, last) = pinned.w_h[0](0, 0);
+    const FixedTables tables = build_fixed_tables(params, div);
+    EXPECT_EQ(tables.w_h_limit, fixedpt::row_x_limit(div, tables.w_h_packed))
+        << "gate " << g;
+    EXPECT_EQ(tables.w_h_limit, limit) << "gate " << g;
+  }
 }
 
 /// Counts the nonzero recurrent operands at or under `limit` (vector body)
@@ -198,39 +199,6 @@ TEST(FusedParity, FixedMixesVectorAndScalarRowsInOneWindow) {
     }
     EXPECT_GT(split.vector, 0) << "seed " << seed;
     EXPECT_GT(split.scalar, 0) << "seed " << seed;
-  }
-}
-
-TEST(FusedParity, GruFixedMixesVectorAndScalarRowsInOneWindow) {
-  nn::GruConfig config;
-  Rng rng(401);
-  nn::GruParams params = nn::GruParams::glorot(config, rng);
-  const std::int64_t scale = fixedpt::kPaperScale;
-  const std::int64_t limit = pin_recurrent_limit(params, scale, 0.02);
-  ASSERT_GT(limit, 0);
-  const FixedGruDatapath path(config, params, scale);
-  const fixedpt::InvariantScale div(scale);
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const nn::Sequence seq = random_sequence(seed, config.vocab_size, 100);
-    EXPECT_EQ(path.infer(seq), path.infer_reference(seq)) << "seed " << seed;
-    // After t tokens, the next token's z/r pass multiplies by h and its
-    // candidate pass by r ⊙ h, with r from that next token's own step.
-    GuardSplit zr;
-    GuardSplit candidate;
-    GruFixedScratch before;
-    GruFixedScratch after;
-    for (std::size_t t = 1; t < seq.size(); ++t) {
-      path.infer(nn::TokenSpan(seq).first(t), before);
-      path.infer(nn::TokenSpan(seq).first(t + 1), after);
-      for (std::size_t i = 0; i < config.hidden_dim; ++i) {
-        zr.add(before.h[i], limit);
-        candidate.add(div.mul(after.r[i], before.h[i]), limit);
-      }
-    }
-    EXPECT_GT(zr.vector, 0) << "seed " << seed;
-    EXPECT_GT(zr.scalar, 0) << "seed " << seed;
-    EXPECT_GT(candidate.vector, 0) << "seed " << seed;
-    EXPECT_GT(candidate.scalar, 0) << "seed " << seed;
   }
 }
 
