@@ -5,8 +5,11 @@
 // device times the other benches report.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -62,8 +65,8 @@ void BM_FixedDatapathInfer(benchmark::State& state) {
 }
 BENCHMARK(BM_FixedDatapathInfer);
 
-// Weight staging: pre-scaling plus the fused-table build, paid once per
-// engine construction and once per hot swap.
+// Weight staging: scaling every parameter into the fused layouts, paid
+// once per engine construction and once per hot swap.
 void BM_FixedDatapathBuild(benchmark::State& state) {
   for (auto _ : state) {
     const kernels::FixedDatapath path(shared().config, shared().params);
@@ -124,9 +127,9 @@ void BM_ScaledFixedMultiply(benchmark::State& state) {
 BENCHMARK(BM_ScaledFixedMultiply);
 
 // The fused datapaths' one arithmetic primitive, at the paper's scale on
-// LSTM-range raws (|value| ≲ 1). Arg 0 is the shape of the forward's
-// recurrent pass and of the table build: a unit-stride weight row against
-// one fixed operand, accumulated in place. Arg 1 varies both operands and
+// LSTM-range raws (|value| ≲ 1). Arg 0 is the shape of one row of the
+// forward's GEMV: a unit-stride weight row against one fixed operand,
+// accumulated in place. Arg 1 varies both operands and
 // sums them as a dot product, so neither is loop-invariant.
 void BM_InvariantScaleMul(benchmark::State& state) {
   const fixedpt::InvariantScale div(fixedpt::kPaperScale);
@@ -156,39 +159,76 @@ void BM_InvariantScaleMul(benchmark::State& state) {
 }
 BENCHMARK(BM_InvariantScaleMul)->ArgName("both_vary")->Arg(0)->Arg(1);
 
-// One token's recurrent pass in the fused LSTM forward: hidden rows of the
-// packed 4·hidden-wide W_h block, each accumulated against one h element
-// (the table build has the same shape over W_x). Arg 0 runs the
-// dispatched fixedpt::mul_add_row, the ISA it selects is in the context
-// as row_kernel; arg 1 runs its scalar body, the loop of
-// InvariantScale::mul.
+// One token's GEMV in the fused LSTM forward: the packed (embed+hidden) ×
+// 4·hidden [W_x; W_h] block against one [x_t; h] operand per row. Arg
+// scalar:1 runs the loop of mul_add_row_scalar over the rows, the oracle.
+// Otherwise fixedpt::mul_add_rows runs (the ISA it selects is in the
+// context as row_kernel): multi_row:1 is one call over the block, as the
+// forward makes, multi_row:0 one call per row, so the accumulator row
+// round-trips through memory per row; aligned:1 reads a copy of the block
+// whose magnitudes and sign masks start on a 64-byte boundary, aligned:0
+// the block as allocated (its offset from 64 bytes is the label).
 void BM_FixedRowKernel(benchmark::State& state) {
   const fixedpt::InvariantScale div(fixedpt::kPaperScale);
-  const std::size_t hidden = shared().config.hidden_dim;
-  const std::size_t width = nn::kNumGates * hidden;
+  const std::size_t rows = shared().config.embed_dim + shared().config.hidden_dim;
+  const std::size_t width = nn::kNumGates * shared().config.hidden_dim;
   Rng rng(11);
-  std::vector<std::int64_t> w(hidden * width);
+  std::vector<std::int64_t> w(rows * width);
   for (std::int64_t& v : w) v = rng.uniform_int(-fixedpt::kPaperScale, fixedpt::kPaperScale);
-  std::vector<std::int64_t> h(hidden);
-  for (std::int64_t& v : h) v = rng.uniform_int(-fixedpt::kPaperScale, fixedpt::kPaperScale);
-  const std::int64_t limit = fixedpt::row_x_limit(div, w);
-  std::vector<std::int64_t> acc(width, 0);
+  std::vector<std::int64_t> x(rows);
+  for (std::int64_t& v : x) v = rng.uniform_int(-fixedpt::kPaperScale, fixedpt::kPaperScale);
+  fixedpt::PackedRows packed(div, rows, width);
+  for (std::size_t i = 0; i < rows; ++i) {
+    packed.set_row(i, std::span(w).subspan(i * width, width));
+  }
+  fixedpt::RowBlock block = packed.block();
+  const std::size_t sign_pitch = fixedpt::sign_bytes(width);
+  // 64-byte aligned copies, carved out of storage 64 bytes longer.
+  std::vector<std::uint64_t> magnitude_storage(rows * width + 8);
+  std::vector<std::uint8_t> sign_storage(rows * sign_pitch + 64);
+  const auto align64 = [](auto* p) {
+    const auto address = reinterpret_cast<std::uintptr_t>(p);
+    return reinterpret_cast<decltype(p)>((address + 63) & ~std::uintptr_t{63});
+  };
   const bool scalar = state.range(0) != 0;
+  const bool multi_row = state.range(1) != 0;
+  if (state.range(2) != 0) {
+    std::uint64_t* magnitude = align64(magnitude_storage.data());
+    std::uint8_t* sign = align64(sign_storage.data());
+    std::copy_n(block.magnitude, rows * width, magnitude);
+    std::copy_n(block.sign, rows * sign_pitch, sign);
+    block.magnitude = magnitude;
+    block.sign = sign;
+  }
+  state.SetLabel("offset " +
+                 std::to_string(reinterpret_cast<std::uintptr_t>(block.magnitude) % 64));
+  std::vector<std::int64_t> acc(width, 0);
   for (auto _ : state) {
-    for (std::size_t i = 0; i < hidden; ++i) {
-      if (scalar) {
-        fixedpt::mul_add_row_scalar(div, w.data() + i * width, h[i], acc.data(), width);
-      } else {
-        fixedpt::mul_add_row(div, w.data() + i * width, h[i], limit, acc.data(), width);
+    if (scalar) {
+      for (std::size_t i = 0; i < rows; ++i) {
+        fixedpt::mul_add_row_scalar(div, w.data() + i * width, x[i], acc.data(), width);
+      }
+    } else if (multi_row) {
+      fixedpt::mul_add_rows(div, block, x.data(), acc.data(), width);
+    } else {
+      for (std::size_t i = 0; i < rows; ++i) {
+        const fixedpt::RowBlock row{block.magnitude + i * width, block.sign + i * sign_pitch,
+                                    1, width, block.x_limit};
+        fixedpt::mul_add_rows(div, row, x.data() + i, acc.data(), width);
       }
     }
     benchmark::DoNotOptimize(acc.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(hidden * width));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows * width));
 }
-BENCHMARK(BM_FixedRowKernel)->ArgName("scalar")->Arg(0)->Arg(1);
+BENCHMARK(BM_FixedRowKernel)
+    ->ArgNames({"scalar", "multi_row", "aligned"})
+    ->Args({1, 0, 0})
+    ->Args({0, 0, 0})
+    ->Args({0, 0, 1})
+    ->Args({0, 1, 0})
+    ->Args({0, 1, 1});
 
 void BM_SigmoidFixed(benchmark::State& state) {
   const auto x = fixedpt::ScaledFixed::from_double(1.5);

@@ -7,12 +7,17 @@
 // classic two-index Lamport queue applies — a push and a pop never touch
 // the same index, and a full ring is a clean, observable rejection
 // (backpressure) instead of an unbounded queue hiding overload.
+//
+// Slots are raw storage: an item is constructed in its slot on push and
+// destroyed on pop (or when the ring is destroyed), so building a ring
+// constructs no T.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <utility>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -27,8 +32,15 @@ class SpscRing {
     CSDML_REQUIRE(min_capacity > 0, "ring capacity must be positive");
     std::size_t capacity = 1;
     while (capacity < min_capacity) capacity <<= 1;
-    slots_.resize(capacity);
+    slots_.reset(new Slot[capacity]);
     mask_ = capacity - 1;
+  }
+
+  ~SpscRing() {
+    const std::size_t tail = tail_.load(std::memory_order_acquire);
+    for (std::size_t head = head_.load(std::memory_order_relaxed); head != tail; ++head) {
+      std::destroy_at(item(head));
+    }
   }
 
   SpscRing(const SpscRing&) = delete;
@@ -39,8 +51,8 @@ class SpscRing {
   bool try_push(T&& item) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail - head == slots_.size()) return false;
-    slots_[tail & mask_] = std::move(item);
+    if (tail - head == capacity()) return false;
+    ::new (static_cast<void*>(slots_[tail & mask_].bytes)) T(std::move(item));
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
@@ -50,7 +62,9 @@ class SpscRing {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
     if (head == tail) return false;
-    out = std::move(slots_[head & mask_]);
+    T* slot = item(head);
+    out = std::move(*slot);
+    std::destroy_at(slot);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }
@@ -61,10 +75,18 @@ class SpscRing {
            head_.load(std::memory_order_acquire);
   }
   bool empty() const { return size() == 0; }
-  std::size_t capacity() const { return slots_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
 
  private:
-  std::vector<T> slots_;
+  struct Slot {
+    alignas(T) std::byte bytes[sizeof(T)];
+  };
+
+  T* item(std::size_t index) {
+    return std::launder(reinterpret_cast<T*>(slots_[index & mask_].bytes));
+  }
+
+  std::unique_ptr<Slot[]> slots_;
   std::size_t mask_{0};
   /// Producer and consumer indices live on their own cache lines so a
   /// pushing ingestion thread never invalidates the coalescer's line.

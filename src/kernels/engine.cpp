@@ -117,8 +117,8 @@ StagedWeights::StagedWeights(const nn::LstmConfig& model_config,
       fixed_scale_(config.fixed_scale) {
   CSDML_REQUIRE(params_match_config(model_config_, params),
                 "staged weights: params do not match the model architecture");
-  // Staging time (the token-table build and the DDR image) is tracked so
-  // CTI hot swaps stay observable.
+  // Staging time (scaling or, for the float path, the token table, and
+  // the DDR image) is tracked so CTI hot swaps stay observable.
   const auto start = std::chrono::steady_clock::now();
   if (level_ == OptimizationLevel::FixedPoint) {
     fixed_path_.emplace(model_config_, params, fixed_scale_);
@@ -346,7 +346,7 @@ void CsdLstmEngine::update_weights(const nn::LstmParams& params) {
 
 void CsdLstmEngine::update_weights(std::shared_ptr<const StagedWeights> weights) {
   // Writers serialise among themselves; readers are never blocked. The
-  // version was staged (token table included) before it got here, so a
+  // version was staged (its datapath included) before it got here, so a
   // swap is a pointer store plus the image DMA.
   std::lock_guard<std::mutex> update_guard(update_mutex_);
   check_adoptable(weights.get());

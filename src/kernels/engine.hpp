@@ -66,8 +66,8 @@ struct EngineConfig {
 };
 
 /// One immutable weight version, staged for one optimization level and
-/// fixed scale: exactly one functional datapath (its parameters and token
-/// table included; fixed-point mode never reads a float path, and
+/// fixed scale: exactly one functional datapath (its parameters and fused
+/// layouts included; fixed-point mode never reads a float path, and
 /// Vanilla/II change timing, not arithmetic), and the float32 image the
 /// host program DMAs into FPGA DDR. Engines share it through
 /// `std::shared_ptr<const StagedWeights>`, so a fleet stages each version

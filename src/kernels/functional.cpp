@@ -183,30 +183,21 @@ std::int64_t scaled_raw(double v, std::int64_t scale) {
   return fixedpt::ScaledFixed::from_double(v, scale).raw();
 }
 
-/// The per-gate matrices scaled and packed row-major in one pass into
-/// `packed`: entry (i, g·cols + j) is m[g](i, j), so one row spans every
-/// gate with unit stride. Returns fixedpt::row_x_limit over `packed`,
-/// from the largest magnitude written.
-std::int64_t scaled_packed(const std::array<nn::Matrix, nn::kNumGates>& m,
-                           const fixedpt::InvariantScale& div,
-                           std::vector<std::int64_t>& packed) {
-  const std::int64_t scale = div.scale();
-  const std::size_t rows = m[0].rows();
+/// Scales the per-gate matrices into rows [first, first + m[g].rows()) of
+/// `packed`: entry (first + i, g·cols + j) is m[g](i, j), so one row spans
+/// every gate with unit stride. `row` is the one-row staging buffer.
+void scale_gates_into(const std::array<nn::Matrix, nn::kNumGates>& m,
+                      std::int64_t scale, std::size_t first,
+                      fixedpt::PackedRows& packed, std::vector<std::int64_t>& row) {
   const std::size_t cols = m[0].cols();
-  packed.resize(rows * nn::kNumGates * cols);
-  std::int64_t* dst = packed.data();
-  std::uint64_t max_w = 0;
-  for (std::size_t i = 0; i < rows; ++i) {
+  for (std::size_t i = 0; i < m[0].rows(); ++i) {
+    std::int64_t* dst = row.data();
     for (const nn::Matrix& gate : m) {
       const double* src = gate.row(i);
-      for (std::size_t j = 0; j < cols; ++j) {
-        const std::int64_t raw = scaled_raw(src[j], scale);
-        max_w = std::max(max_w, fixedpt::magnitude(raw));
-        *dst++ = raw;
-      }
+      for (std::size_t j = 0; j < cols; ++j) *dst++ = scaled_raw(src[j], scale);
     }
+    packed.set_row(first + i, row);
   }
-  return fixedpt::x_limit_for_max(div, max_w);
 }
 
 }  // namespace
@@ -215,35 +206,21 @@ FixedTables build_fixed_tables(const nn::LstmParams& params,
                                const fixedpt::InvariantScale& div) {
   const std::int64_t scale = div.scale();
   const std::size_t hidden = params.dense_w.size();
-  const std::size_t gate_width = nn::kNumGates * hidden;
-  const nn::Matrix& embedding = params.embedding;
-  const std::size_t embed = embedding.cols();
+  const std::size_t embed = params.embedding.cols();
   FixedTables tables;
-
-  // Raw-integer `bias + W_x·x_t` per token. Integer addition is exact, so
-  // folding the x half here, one embedding element at a time over a
-  // packed W_x row (the forward's unit-stride shape), leaves the fused
-  // result bit-identical to the reference accumulation order.
-  std::vector<std::int64_t> bias_row;
-  bias_row.reserve(gate_width);
+  const double* embedding = params.embedding.data();
+  tables.embedding.reserve(params.embedding.size());
+  for (std::size_t k = 0; k < params.embedding.size(); ++k) {
+    tables.embedding.push_back(scaled_raw(embedding[k], scale));
+  }
+  tables.bias.reserve(nn::kNumGates * hidden);
   for (const nn::Vector& b : params.bias) {
-    for (const double v : b) bias_row.push_back(scaled_raw(v, scale));
+    for (const double v : b) tables.bias.push_back(scaled_raw(v, scale));
   }
-  std::vector<std::int64_t> w_x_packed;
-  const std::int64_t w_x_limit = scaled_packed(params.w_x, div, w_x_packed);
-  tables.token_table.reserve(embedding.rows() * gate_width);
-  for (std::size_t t = 0; t < embedding.rows(); ++t) {
-    tables.token_table.insert(tables.token_table.end(), bias_row.begin(),
-                              bias_row.end());
-    std::int64_t* row = tables.token_table.data() + t * gate_width;
-    const double* x = embedding.row(t);
-    for (std::size_t i = 0; i < embed; ++i) {
-      fixedpt::mul_add_row(div, w_x_packed.data() + i * gate_width,
-                           scaled_raw(x[i], scale), w_x_limit, row, gate_width);
-    }
-  }
-
-  tables.w_h_limit = scaled_packed(params.w_h, div, tables.w_h_packed);
+  tables.w_xh = fixedpt::PackedRows(div, embed + hidden, nn::kNumGates * hidden);
+  std::vector<std::int64_t> row(nn::kNumGates * hidden);
+  scale_gates_into(params.w_x, scale, 0, tables.w_xh, row);
+  scale_gates_into(params.w_h, scale, embed, tables.w_xh, row);
   tables.dense_w.reserve(hidden);
   for (const double w : params.dense_w) tables.dense_w.push_back(scaled_raw(w, scale));
   tables.dense_b = scaled_raw(params.dense_b, scale);
@@ -311,7 +288,7 @@ void FixedDatapath::ensure_scratch(FixedScratch& scratch) const {
   const std::size_t hidden = config_.hidden_dim;
   scratch.pre.resize(nn::kNumGates * hidden);
   scratch.c.assign(hidden, 0);
-  scratch.h.assign(hidden, 0);
+  scratch.xh.assign(config_.embed_dim + hidden, 0);
 }
 
 double FixedDatapath::infer(nn::TokenSpan sequence) const {
@@ -322,24 +299,25 @@ double FixedDatapath::infer(nn::TokenSpan sequence) const {
 double FixedDatapath::infer(nn::TokenSpan sequence, FixedScratch& scratch) const {
   CSDML_REQUIRE(!sequence.empty(), "empty sequence");
   const std::size_t hidden = config_.hidden_dim;
+  const std::size_t embed = config_.embed_dim;
   const std::int64_t scale = div_.scale();
   ensure_scratch(scratch);
   std::int64_t* pre = scratch.pre.data();
   std::int64_t* c = scratch.c.data();
-  std::int64_t* h = scratch.h.data();
+  std::int64_t* x = scratch.xh.data();
+  std::int64_t* h = x + embed;
   const std::size_t gate_width = nn::kNumGates * hidden;
+  const fixedpt::RowBlock w_xh = tables_.w_xh.block();
   using Fx = fixedpt::ScaledFixed;
 
   for (const nn::TokenId token : sequence) {
     CSDML_REQUIRE(token >= 0 && token < config_.vocab_size, "token out of range");
-    const std::int64_t* row =
-        tables_.token_table.data() + static_cast<std::size_t>(token) * gate_width;
-    std::copy(row, row + gate_width, pre);
-    for (std::size_t i = 0; i < hidden; ++i) {
-      if (h[i] == 0) continue;  // exact: skipped products are exactly zero
-      fixedpt::mul_add_row(div_, tables_.w_h_packed.data() + i * gate_width, h[i],
-                           tables_.w_h_limit, pre, gate_width);
-    }
+    // kernel_preprocess, then the four kernel_gates CUs as one GEMV of the
+    // packed [W_x; W_h] block against [x_t; h_{t-1}] from the bias row.
+    std::copy_n(tables_.embedding.data() + static_cast<std::size_t>(token) * embed,
+                embed, x);
+    std::copy(tables_.bias.begin(), tables_.bias.end(), pre);
+    fixedpt::mul_add_rows(div_, w_xh, x, pre, gate_width);
     for (std::size_t g = 0; g < nn::kNumGates; ++g) {
       std::int64_t* seg = pre + g * hidden;
       if (g == nn::kCandidate) {

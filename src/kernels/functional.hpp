@@ -14,21 +14,24 @@
 //     stage. Kept as the parity oracle and for stage-level tests. They read
 //     only the datapath's parameters (the fixed ones scale each operand
 //     with ScaledFixed::from_double when called), never the fused tables.
-//   - the *fused* path (`infer`): since x_t is always one of vocab_size
-//     embedding rows, `bias + W_x·x_t` is precomputed per token into a
-//     vocab_size × 4·hidden table at weight-staging time (the software
-//     analogue of widening kernel_preprocess to emit gate pre-activations),
-//     the four per-gate recurrent matrices are packed into one row-major
-//     hidden × 4·hidden block walked with unit stride, and all per-token
-//     state lives in a reusable scratch — no allocation after warm-up.
-//     Results are bit-identical to the reference (same per-accumulator
-//     operation order for float; integer arithmetic is exact for fixed).
+//   - the *fused* path (`infer`): every per-token state lives in a
+//     reusable scratch, so there is no allocation after warm-up. The float
+//     path precomputes `bias + W_x·x_t` per token into a vocab_size ×
+//     4·hidden table (x_t is always one of vocab_size embedding rows) and
+//     walks the four per-gate recurrent matrices packed into one row-major
+//     hidden × 4·hidden block with unit stride. The fixed path stages only
+//     the scaled parameters, like the paper's host program, and runs one
+//     (embed+hidden)-wide GEMV per step over a packed [W_x; W_h] block
+//     against [x_t; h_{t-1}], as each kernel_gates CU does. Results are
+//     bit-identical to the reference (same per-accumulator operation order
+//     for float; integer arithmetic is exact for fixed).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "fixed/row_kernel.hpp"
 #include "fixed/scaled_fixed.hpp"
 #include "nn/lstm.hpp"
 
@@ -111,24 +114,22 @@ struct FixedGateVectors {
   std::array<FixedVector, nn::kNumGates> act;
 };
 
-/// Raw-integer layouts of the fused fixed-point forward pass, every
-/// element at the datapath's one scale, gates in nn::Gate order.
+/// The scaled parameters in the layouts the fused fixed-point forward
+/// reads, every element at the datapath's one scale, gates in nn::Gate
+/// order. Nothing else: the forward computes every product per step.
 struct FixedTables {
-  std::vector<std::int64_t> token_table;  ///< vocab × 4·hidden: bias + W_x·x_t
-  std::vector<std::int64_t> w_h_packed;   ///< w_h[g](i,j) at row i, col g·hidden+j
-  std::int64_t w_h_limit{-1};             ///< fixedpt::row_x_limit over w_h_packed
-  std::vector<std::int64_t> dense_w;      ///< hidden
-  std::int64_t dense_b{0};                ///< the dense layer's bias
+  std::vector<std::int64_t> embedding;  ///< vocab × embed, row t is x_t
+  std::vector<std::int64_t> bias;       ///< 4·hidden: bias[g][j] at g·hidden+j
+  /// (embed+hidden) × 4·hidden: w_x[g](i,j) at row i, col g·hidden+j, then
+  /// w_h[g](i,j) at row embed+i; its x_limit covers the whole block.
+  fixedpt::PackedRows w_xh;
+  std::vector<std::int64_t> dense_w;  ///< hidden
+  std::int64_t dense_b{0};            ///< the dense layer's bias
 };
 
-/// Weight staging for the fixed datapath: builds the fused tables from the
-/// `double` parameters. Each weight is scaled once
-/// (ScaledFixed::from_double, so a NaN or out-of-range weight throws its
-/// PreconditionError) straight into the layout the forward reads; W_x is
-/// packed the same way, for the table build only. Every `w_x·x` product
-/// goes through `div`, one packed W_x row at a time in
-/// fixedpt::mul_add_row, so the table is bit-identical to the reference
-/// operators' `bias + Σ w·x` while doing no 128-bit division in range.
+/// Weight staging for the fixed datapath: scales each `double` parameter
+/// once (ScaledFixed::from_double, so a NaN or out-of-range weight throws
+/// its PreconditionError) straight into the layout the forward reads.
 FixedTables build_fixed_tables(const nn::LstmParams& params,
                                const fixedpt::InvariantScale& div);
 
@@ -137,7 +138,7 @@ FixedTables build_fixed_tables(const nn::LstmParams& params,
 struct FixedScratch {
   std::vector<std::int64_t> pre;  ///< 4·hidden raw pre-activations/activations
   std::vector<std::int64_t> c;
-  std::vector<std::int64_t> h;
+  std::vector<std::int64_t> xh;   ///< [x_t; h]: embed, then hidden elements
 };
 
 /// Fixed datapath: the paper's integer arithmetic at `scale` (paper: 10^6),
@@ -157,7 +158,7 @@ class FixedDatapath {
                     FixedVector& h) const;
   double dense(const FixedVector& h) const;
 
-  /// Fused table-driven forward pass; bit-identical to infer_reference.
+  /// Fused forward pass; bit-identical to infer_reference.
   double infer(nn::TokenSpan sequence) const;
   double infer(nn::TokenSpan sequence, FixedScratch& scratch) const;
 

@@ -37,7 +37,7 @@
 // carried deferral resolves is counted once, not per hop.
 //
 // Weight rollout is coordinated: update_weights() stages the new weights
-// once (one kernels::StagedWeights, token table included) and flips boards
+// once (one kernels::StagedWeights, its datapath staged) and flips boards
 // one at a time through the engine's epoch-swap path, each adopting that
 // shared version and DMAing its image over its own PCIe link. The flips
 // are gated by a canary — the first board must reproduce a golden batch

@@ -2,15 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fixed/row_kernel.hpp"
 
 namespace csdml::fixedpt {
 namespace {
@@ -272,6 +275,111 @@ TEST_P(DotProductErrorTest, AccumulatedErrorScalesLinearly) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, DotProductErrorTest,
                          ::testing::Values(8, 32, 40, 128, 1024));
+
+// --- the row kernel ----------------------------------------------------------
+
+/// A rows × stride block of LSTM-range weights (|w| <= 10^6, about one in
+/// five exactly zero), signed and row-major.
+std::vector<std::int64_t> random_block(Rng& rng, std::size_t rows, std::size_t stride) {
+  std::vector<std::int64_t> w(rows * stride);
+  for (std::int64_t& v : w) {
+    v = rng.uniform_int(0, 4) == 0 ? 0 : rng.uniform_int(-1'000'000, 1'000'000);
+  }
+  return w;
+}
+
+PackedRows pack(const InvariantScale& div, const std::vector<std::int64_t>& w,
+                std::size_t rows, std::size_t stride) {
+  PackedRows packed(div, rows, stride);
+  for (std::size_t i = 0; i < rows; ++i) {
+    packed.set_row(i, std::span(w).subspan(i * stride, stride));
+  }
+  return packed;
+}
+
+TEST(RowKernel, MulAddRowsMatchesTheScalarLoopOverRows) {
+  // Zero operands, operands the block's x-limit accepts and operands just
+  // past it, in one call; at scale 1 (no 52-bit reciprocal) every row takes
+  // the scalar loop. The row stride is the column count or wider.
+  const bool ifma = std::string(row_kernel_isa()) == "avx512ifma";
+  Rng rng(0x5EED);
+  int vector_rows = 0;
+  int scalar_rows = 0;
+  for (const std::int64_t scale : {std::int64_t{1}, std::int64_t{3}, std::int64_t{999'983},
+                                   kPaperScale}) {
+    const InvariantScale div(scale);
+    for (const std::size_t rows : {0u, 1u, 8u, 40u}) {
+      for (const std::size_t n : {1u, 7u, 8u, 64u, 127u, 128u, 136u}) {
+        for (const std::size_t stride : {n, n + 9}) {
+          const std::vector<std::int64_t> w = random_block(rng, rows, stride);
+          const PackedRows packed = pack(div, w, rows, stride);
+          ASSERT_EQ(packed.x_limit(), row_x_limit(div, w));
+          const std::int64_t limit = packed.x_limit();
+          std::vector<std::int64_t> x(rows);
+          for (std::size_t i = 0; i < rows; ++i) {
+            switch (i % 4) {
+              case 0: x[i] = 0; break;
+              case 1: x[i] = rng.uniform_int(-std::max<std::int64_t>(limit, 1),
+                                             std::max<std::int64_t>(limit, 1)); break;
+              case 2: x[i] = std::max<std::int64_t>(limit, 0) + rng.uniform_int(1, 1000); break;
+              default: x[i] = -std::max<std::int64_t>(limit, 0) - rng.uniform_int(1, 1000);
+            }
+            if (x[i] == 0) continue;
+            (ifma && limit >= 0 && magnitude(x[i]) <= static_cast<std::uint64_t>(limit)
+                 ? vector_rows
+                 : scalar_rows)++;
+          }
+          // Columns n..stride are a sentinel the kernel must not touch.
+          std::vector<std::int64_t> acc0(stride);
+          for (std::int64_t& a : acc0) a = rng.uniform_int(-(1LL << 40), 1LL << 40);
+          std::vector<std::int64_t> want = acc0;
+          for (std::size_t i = 0; i < rows; ++i) {
+            mul_add_row_scalar(div, w.data() + i * stride, x[i], want.data(), n);
+          }
+          std::vector<std::int64_t> got = acc0;
+          mul_add_rows(div, packed.block(), x.data(), got.data(), n);
+          ASSERT_EQ(got, want) << "scale " << scale << ", " << rows << " rows, n " << n
+                               << ", stride " << stride;
+        }
+      }
+    }
+  }
+  EXPECT_GT(scalar_rows, 0);
+  if (!ifma) GTEST_SKIP() << "this CPU lacks AVX-512 IFMA: only the scalar loop ran";
+  EXPECT_GT(vector_rows, 0);
+}
+
+TEST(RowKernel, MulAddRowsThrowsWhereTheScalarLoopThrows) {
+  // A product whose corrected quotient leaves int64 throws mul_raw's
+  // PreconditionError; the huge weight drops the block's limit to 0, so
+  // the row takes the scalar loop.
+  const InvariantScale div(kPaperScale);
+  const std::size_t n = 16;
+  std::vector<std::int64_t> w(2 * n, 5);
+  w[n + 3] = std::int64_t{1} << 62;
+  const PackedRows packed = pack(div, w, 2, n);
+  EXPECT_EQ(packed.x_limit(), 0);
+  const std::int64_t x[2] = {7, std::int64_t{1} << 40};
+  std::vector<std::int64_t> acc(n, 0);
+  EXPECT_THROW(mul_add_row_scalar(div, w.data() + n, x[1], acc.data(), n),
+               PreconditionError);
+  EXPECT_THROW(mul_add_rows(div, packed.block(), x, acc.data(), n), PreconditionError);
+}
+
+TEST(RowKernel, PackedRowsRebuildsEverySignedWeight) {
+  const InvariantScale div(kPaperScale);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<std::int64_t> w{0, 1, -1, kMax, kMin, 12345, -67890, 0, -5, 9};
+  PackedRows packed = pack(div, w, 2, 5);
+  for (std::size_t k = 0; k < w.size(); ++k) EXPECT_EQ(packed.at(k / 5, k % 5), w[k]);
+  EXPECT_EQ(packed.x_limit(), 0);  // |INT64_MIN| leaves no room
+  // A rewrite replaces every sign; the limit stays the block's so far.
+  const std::vector<std::int64_t> flipped{0, -1, 1, -kMax, 5};
+  packed.set_row(0, flipped);
+  for (std::size_t c = 0; c < flipped.size(); ++c) EXPECT_EQ(packed.at(0, c), flipped[c]);
+  EXPECT_EQ(packed.x_limit(), 0);
+}
 
 }  // namespace
 }  // namespace csdml::fixedpt

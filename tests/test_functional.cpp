@@ -236,5 +236,49 @@ TEST(FixedStaging, LstmRefusesABadWeightInEveryTensor) {
   }
 }
 
+TEST(FixedStaging, TablesHoldOnlyScaledParameters) {
+  // Staging scales each parameter once into the forward's layouts and
+  // precomputes nothing: the tables hold exactly the parameter count, each
+  // element the parameter's from_double at the staging scale.
+  const Models m;
+  const fixedpt::InvariantScale div(fixedpt::kPaperScale);
+  const FixedTables t = build_fixed_tables(m.params, div);
+  const std::size_t embed = m.config.embed_dim;
+  const std::size_t hidden = m.config.hidden_dim;
+  ASSERT_EQ(t.embedding.size(), m.params.embedding.size());
+  ASSERT_EQ(t.bias.size(), nn::kNumGates * hidden);
+  ASSERT_EQ(t.w_xh.rows(), embed + hidden);
+  ASSERT_EQ(t.w_xh.cols(), nn::kNumGates * hidden);
+  ASSERT_EQ(t.dense_w.size(), hidden);
+  EXPECT_EQ(t.embedding.size() + t.bias.size() + t.w_xh.rows() * t.w_xh.cols() +
+                t.dense_w.size() + 1,
+            m.params.total_parameter_count());
+
+  const auto raw = [&div](double v) {
+    return fixedpt::ScaledFixed::from_double(v, div.scale()).raw();
+  };
+  for (std::size_t k = 0; k < t.embedding.size(); ++k) {
+    ASSERT_EQ(t.embedding[k], raw(m.params.embedding.data()[k])) << "embedding " << k;
+  }
+  for (std::size_t g = 0; g < nn::kNumGates; ++g) {
+    for (std::size_t j = 0; j < hidden; ++j) {
+      const std::size_t col = g * hidden + j;
+      ASSERT_EQ(t.bias[col], raw(m.params.bias[g][j])) << "bias " << g << "," << j;
+      for (std::size_t i = 0; i < embed; ++i) {
+        ASSERT_EQ(t.w_xh.at(i, col), raw(m.params.w_x[g](i, j)))
+            << "w_x " << g << "," << i << "," << j;
+      }
+      for (std::size_t i = 0; i < hidden; ++i) {
+        ASSERT_EQ(t.w_xh.at(embed + i, col), raw(m.params.w_h[g](i, j)))
+            << "w_h " << g << "," << i << "," << j;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < hidden; ++j) {
+    EXPECT_EQ(t.dense_w[j], raw(m.params.dense_w[j])) << "dense_w " << j;
+  }
+  EXPECT_EQ(t.dense_b, raw(m.params.dense_b));
+}
+
 }  // namespace
 }  // namespace csdml::kernels

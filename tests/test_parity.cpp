@@ -120,50 +120,55 @@ TEST(FusedParity, FixedBitIdenticalToReference) {
   }
 }
 
+/// fixedpt::row_x_limit over every W_x and W_h weight scaled for `div`,
+/// computed independently of the staging.
+std::int64_t block_limit(const nn::LstmParams& params, const fixedpt::InvariantScale& div) {
+  std::vector<std::int64_t> raw;
+  for (const auto* half : {&params.w_x, &params.w_h}) {
+    for (const nn::Matrix& w : *half) {
+      for (std::size_t k = 0; k < w.size(); ++k) {
+        raw.push_back(fixedpt::ScaledFixed::from_double(w.data()[k], div.scale()).raw());
+      }
+    }
+  }
+  return fixedpt::row_x_limit(div, raw);
+}
+
 /// Sets one recurrent weight so large that fixedpt::row_x_limit over the
-/// packed W_h block falls to `fraction`·scale: recurrent operands below
-/// that take the row kernel's vector body, larger ones its scalar loop.
+/// packed [W_x; W_h] block falls to `fraction`·scale: operands below that
+/// take the row kernel's vector body, larger ones its scalar loop.
 /// Returns the limit.
 std::int64_t pin_recurrent_limit(nn::LstmParams& params, std::int64_t scale,
                                  double fraction) {
   const double room = std::ldexp(1.0, 52) - 1.0 - static_cast<double>(scale / 2);
   params.w_h[0](0, 0) = room / (fraction * static_cast<double>(scale)) /
                         static_cast<double>(scale);
-  std::vector<std::int64_t> raw;
-  for (const nn::Matrix& w : params.w_h) {
-    for (std::size_t i = 0; i < w.rows(); ++i) {
-      for (std::size_t j = 0; j < w.cols(); ++j) {
-        raw.push_back(fixedpt::ScaledFixed::from_double(w(i, j), scale).raw());
-      }
-    }
-  }
-  return fixedpt::row_x_limit(fixedpt::InvariantScale(scale), raw);
+  return block_limit(params, fixedpt::InvariantScale(scale));
 }
 
 TEST(FixedStaging, RecurrentLimitIsRowXLimitOfThePackedBlock) {
-  // Staging takes the limit from the largest magnitude it writes while it
-  // scales W_h; a second pass over the packed block must agree, wherever
-  // in the block that magnitude sits.
+  // Staging takes the joint block's limit from the largest magnitude it
+  // writes while it scales W_x and W_h; a second pass over every scaled
+  // weight must agree, wherever in either half that magnitude sits.
   nn::LstmConfig config;
   Rng rng(402);
   const nn::LstmParams glorot = nn::LstmParams::glorot(config, rng);
   for (const std::int64_t scale : kStagingScales) {
     const fixedpt::InvariantScale div(scale);
     const FixedTables tables = build_fixed_tables(glorot, div);
-    EXPECT_EQ(tables.w_h_limit, fixedpt::row_x_limit(div, tables.w_h_packed))
-        << "scale " << scale;
+    EXPECT_EQ(tables.w_xh.x_limit(), block_limit(glorot, div)) << "scale " << scale;
   }
   const fixedpt::InvariantScale div(fixedpt::kPaperScale);
   nn::LstmParams pinned = glorot;
   const std::int64_t limit = pin_recurrent_limit(pinned, div.scale(), 0.02);
-  const std::size_t last = config.hidden_dim - 1;
+  const double big = pinned.w_h[0](0, 0);
   for (std::size_t g = 0; g < nn::kNumGates; ++g) {
-    nn::LstmParams params = glorot;
-    params.w_h[g](last, last) = pinned.w_h[0](0, 0);
-    const FixedTables tables = build_fixed_tables(params, div);
-    EXPECT_EQ(tables.w_h_limit, fixedpt::row_x_limit(div, tables.w_h_packed))
-        << "gate " << g;
-    EXPECT_EQ(tables.w_h_limit, limit) << "gate " << g;
+    nn::LstmParams in_x = glorot;
+    in_x.w_x[g](config.embed_dim - 1, config.hidden_dim - 1) = big;
+    EXPECT_EQ(build_fixed_tables(in_x, div).w_xh.x_limit(), limit) << "W_x gate " << g;
+    nn::LstmParams in_h = glorot;
+    in_h.w_h[g](config.hidden_dim - 1, config.hidden_dim - 1) = big;
+    EXPECT_EQ(build_fixed_tables(in_h, div).w_xh.x_limit(), limit) << "W_h gate " << g;
   }
 }
 
@@ -195,7 +200,9 @@ TEST(FusedParity, FixedMixesVectorAndScalarRowsInOneWindow) {
     FixedScratch scratch;
     for (std::size_t t = 1; t < seq.size(); ++t) {
       path.infer(nn::TokenSpan(seq).first(t), scratch);
-      for (const std::int64_t h : scratch.h) split.add(h, limit);
+      for (std::size_t j = config.embed_dim; j < scratch.xh.size(); ++j) {
+        split.add(scratch.xh[j], limit);
+      }
     }
     EXPECT_GT(split.vector, 0) << "seed " << seed;
     EXPECT_GT(split.scalar, 0) << "seed " << seed;
@@ -251,7 +258,7 @@ TEST(FusedParity, EngineStaysBitExactAfterWeightHotSwap) {
     CsdLstmEngine engine(device, config, params_a, engine_config);
     const double before = engine.infer(seq).probability;
 
-    // The CTI update path must rebuild the token table: the swapped-in
+    // The CTI update path must restage the datapath: the swapped-in
     // model has to answer exactly like an engine built from scratch on it.
     engine.update_weights(params_b);
     const double expected_b =

@@ -10,8 +10,8 @@
 //     ScaledFixed::mul_raw, the exact 128-bit oracle, over adversarial
 //     ±2^k±1 operands, products on both sides of the 2^63 exact window
 //     and int64 overflow, and exact ties at the window's edge;
-//   * fixedpt::mul_add_row — the row kernel on every divisor and tail
-//     length, both of its bodies, either side of its per-call guard.
+//   * fixedpt::mul_add_rows — the row kernel, one row at a time, on every
+//     divisor and tail length, either side of its per-row guard.
 //
 // Each runs ≥10k seeded iterations (scalable via CSDML_FUZZ_ITERS).
 #include "detect/token_ring.hpp"
@@ -275,11 +275,13 @@ TEST(InvariantScaleProperty, RowKernelMatchesMulOnEveryDivisor) {
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   Rng rng(0x1F3A);
-  // Checks the dispatched kernel, whose guard picks the body, and — where
-  // the CPU has it and the guard would pass — the vector body directly.
+  // Checks the kernel on the row staged as a one-row block, whose limit
+  // (the guard that picks the body) must be row_x_limit over the row.
   const auto check = [&](const fixedpt::InvariantScale& inv,
                          const std::vector<std::int64_t>& w, std::int64_t x) {
-    const std::int64_t limit = fixedpt::row_x_limit(inv, w);
+    fixedpt::PackedRows packed(inv, 1, w.size());
+    packed.set_row(0, w);
+    ASSERT_EQ(packed.x_limit(), fixedpt::row_x_limit(inv, w));
     // Random accumulators, except where a product near int64's edge would
     // make the sum itself overflow; there the accumulator starts at 0.
     std::vector<std::int64_t> acc0(w.size());
@@ -290,15 +292,8 @@ TEST(InvariantScaleProperty, RowKernelMatchesMulOnEveryDivisor) {
       acc0[c] = small ? rng.uniform_int(-(1LL << 40), 1LL << 40) : 0;
     }
     ASSERT_TRUE(testing::row_matches_oracle(inv, w, x, acc0, [&](std::int64_t* acc) {
-      fixedpt::mul_add_row(inv, w.data(), x, limit, acc, w.size());
+      fixedpt::mul_add_rows(inv, packed.block(), &x, acc, w.size());
     }));
-#if defined(__x86_64__)
-    if (ifma && limit >= 0 && -limit <= x && x <= limit) {
-      ASSERT_TRUE(testing::row_matches_oracle(inv, w, x, acc0, [&](std::int64_t* acc) {
-        fixedpt::mul_add_row_ifma(inv, w.data(), x, acc, w.size());
-      }));
-    }
-#endif
   };
 
   for (const std::int64_t scale : testing::invariant_scale_divisors()) {

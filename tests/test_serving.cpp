@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -73,6 +74,52 @@ TEST(SpscRing, RejectsWhenFullWithoutLosingItems) {
   EXPECT_EQ(out, 2);
   EXPECT_TRUE(ring.try_pop(out));
   EXPECT_EQ(out, 3);
+}
+
+/// A ring item that counts live objects and records each value's
+/// destruction: moving a value out leaves -1 behind, which dies unrecorded.
+struct Counted {
+  static inline int live = 0;
+  static inline std::map<int, int> deaths;
+  int value = -1;
+  Counted() { ++live; }
+  explicit Counted(int v) : value(v) { ++live; }
+  Counted(Counted&& other) noexcept : value(std::exchange(other.value, -1)) { ++live; }
+  Counted& operator=(Counted&& other) noexcept {
+    value = std::exchange(other.value, -1);
+    return *this;
+  }
+  ~Counted() {
+    --live;
+    if (value >= 0) ++deaths[value];
+  }
+};
+
+TEST(SpscRing, DestroysEveryPushedItemExactlyOnce) {
+  Counted::live = 0;
+  Counted::deaths.clear();
+  int pushed = 0;
+  {
+    SpscRing<Counted> ring(8);
+    EXPECT_EQ(Counted::live, 0) << "building a ring constructed items";
+    int popped = 0;
+    for (int lap = 0; lap < 3; ++lap) {  // the slots are reused across laps
+      while (ring.size() < ring.capacity()) ASSERT_TRUE(ring.try_push(Counted(pushed++)));
+      EXPECT_EQ(Counted::live, 8);
+      Counted refused(1000 + lap);
+      EXPECT_FALSE(ring.try_push(std::move(refused)));
+      EXPECT_EQ(refused.value, 1000 + lap) << "a refused push moved its item";
+      for (int k = 0; k < 5; ++k) {
+        Counted out;
+        ASSERT_TRUE(ring.try_pop(out));
+        EXPECT_EQ(out.value, popped++);
+      }
+    }
+    EXPECT_EQ(Counted::live, 3);  // still queued when the ring goes
+  }
+  EXPECT_EQ(Counted::live, 0);
+  for (int v = 0; v < pushed; ++v) EXPECT_EQ(Counted::deaths[v], 1) << "item " << v;
+  EXPECT_EQ(Counted::deaths.size(), static_cast<std::size_t>(pushed) + 3);
 }
 
 TEST(Serving, MatchesSynchronousReplayBitExactly) {
