@@ -248,8 +248,8 @@ class SampleRig {
       faults::FaultConfig fault_config;
       fault_config.seed = seed + 404;
       fault_config.xrt_launch_failure_probability = fault_rate;
-      plan_.emplace(fault_config);
-      board_.set_fault_plan(&*plan_);
+      plan_ = std::make_unique<faults::FaultPlan>(fault_config);
+      board_.set_fault_plan(plan_.get());
       fallback_ = std::make_unique<baselines::HostBaseline>(
           "host-fallback", config_, params_,
           baselines::HostLatencyConfig::xeon_cpu());
@@ -300,7 +300,7 @@ class SampleRig {
   xrt::Device device_;
   kernels::CsdLstmEngine engine_;
   detect::StreamingDetector detector_;
-  std::optional<faults::FaultPlan> plan_;
+  std::unique_ptr<faults::FaultPlan> plan_;
   std::unique_ptr<baselines::HostBaseline> fallback_;
   std::vector<std::vector<nn::TokenId>> streams_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "baselines/host_baseline.hpp"
 #include "common/error.hpp"
@@ -146,7 +145,6 @@ CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_co
   CSDML_REQUIRE(config_.gate_cu_count >= 1 && config_.gate_cu_count <= 4,
                 "gate CU count must be in [1, 4]");
   check_adoptable(weights.get());
-  slots_[0].weights = std::move(weights);
 
   // Build the xclbin: one preprocess kernel, `gate_cu_count` gate CUs, one
   // hidden-state kernel.
@@ -168,7 +166,10 @@ CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_co
   device_.load_xclbin(xclbin);
   per_item_timings_ = timings_of(device_.cost_model(), config_, preprocess, gate, hidden);
 
-  initialise();
+  // Host program initialisation (Fig. 2): the weight/embedding image moves
+  // host -> PCIe -> FPGA DDR before any inference runs.
+  weights_bo_.emplace(device_.alloc_bo(weights->image().size(), config_.sequence_bank));
+  adopt(std::move(weights));
 }
 
 CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_config,
@@ -192,9 +193,9 @@ void CsdLstmEngine::check_adoptable(const StagedWeights* weights) const {
 }
 
 ThreadPool& CsdLstmEngine::batch_pool() {
-  std::lock_guard<std::mutex> lock(batch_pool_mutex_);
   if (batch_pool_ == nullptr) {
     batch_pool_ = std::make_unique<ThreadPool>(config_.batch_threads);
+    scratch_.resize(batch_pool_->thread_count());
   }
   return *batch_pool_;
 }
@@ -326,17 +327,24 @@ InferenceResult CsdLstmEngine::degraded_infer(nn::TokenSpan sequence) {
   return result;
 }
 
-void CsdLstmEngine::initialise() {
-  // Host program initialisation (Fig. 2): the weight/embedding image moves
-  // host -> PCIe -> FPGA DDR once, before any inference runs.
-  const std::vector<std::uint8_t>& image = slots_[0].weights->image();
-  weights_bo_.emplace(device_.alloc_bo(image.size(), config_.sequence_bank));
-  weights_bo_->write(image);
+void CsdLstmEngine::adopt(std::shared_ptr<const StagedWeights> weights) {
+  // Same xclbin, fresh weight image: the paper's compile-once update path.
+  // The version is served exactly when its image is in DDR, so the pointer
+  // store and the DMA are one critical section; the version was staged
+  // (its datapath included) before it got here.
+  const auto device_guard = lock_device();
+  weights_ = std::move(weights);
+  weights_bo_->write(weights_->image());
   weights_bo_->sync_to_device();
-  weight_updates_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t update_number =
+      weight_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
+  obs::FlightRecorder::instance().record(
+      obs::FlightEventKind::WeightUpdate, "engine", "adopt", device_.now(),
+      device_.board().span_trace().current_trace(), update_number);
   obs::registry().add_counter("engine.weight_updates");
-  CSDML_LOG_INFO("engine") << "staged weight image"
-                           << kv("bytes", image.size())
+  CSDML_LOG_INFO("engine") << "adopted weight image"
+                           << kv("update", update_number)
+                           << kv("bytes", weights_->image().size())
                            << kv("bank", config_.sequence_bank);
 }
 
@@ -345,64 +353,25 @@ void CsdLstmEngine::update_weights(const nn::LstmParams& params) {
 }
 
 void CsdLstmEngine::update_weights(std::shared_ptr<const StagedWeights> weights) {
-  // Writers serialise among themselves; readers are never blocked. The
-  // version was staged (its datapath included) before it got here, so a
-  // swap is a pointer store plus the image DMA.
-  std::lock_guard<std::mutex> update_guard(update_mutex_);
   check_adoptable(weights.get());
-  const std::uint64_t epoch = epoch_.load(std::memory_order_seq_cst);
-  DatapathSlot& target = slots_[(epoch + 1) & 1];
-  // The target slot was live two epochs ago; wait out any straggler still
-  // pinned to it. New readers cannot pin it (its epoch is stale, and
-  // EpochPin's re-check bounces transient increments), so this drains.
-  while (target.readers.load(std::memory_order_seq_cst) != 0) {
-    std::this_thread::yield();
-  }
-  // Store into the inactive slot, then publish: every pin taken after
-  // this store reads the new weights.
-  target.weights = weights;
-  epoch_.store(epoch + 1, std::memory_order_seq_cst);
-
-  // Same xclbin, fresh weight image: the paper's compile-once update path.
-  // Staging rides the simulated PCIe link, so this brief step is the only
-  // part of a hot swap that contends with inference for the device.
-  const std::vector<std::uint8_t>& image = weights->image();
-  const std::uint32_t update_number =
-      weight_updates_.fetch_add(1, std::memory_order_relaxed) + 1;
-  {
-    const auto device_guard = lock_device();
-    weights_bo_->write(image);
-    weights_bo_->sync_to_device();
-    obs::FlightRecorder::instance().record(
-        obs::FlightEventKind::WeightUpdate, "engine", "hot_swap",
-        device_.now(), device_.board().span_trace().current_trace(),
-        update_number);
-  }
-  obs::registry().add_counter("engine.weight_updates");
-  CSDML_LOG_INFO("engine") << "weight update applied"
-                           << kv("update", update_number);
+  adopt(std::move(weights));
 }
 
 InferenceResult CsdLstmEngine::infer(nn::TokenSpan sequence) {
   CSDML_REQUIRE(!sequence.empty(), "empty sequence");
   // The device lock serialises concurrent infer/infer_batch callers and
-  // the updater's staging step (clock, trace, spans, engine-owned scratch
-  // are all single-threaded state); the epoch pin below keeps the datapath
-  // alive across a concurrent hot swap without ever blocking on it.
+  // adopt (clock, trace, spans, the served version, engine-owned scratch
+  // are all single-threaded state).
   const auto device_guard = lock_device();
   obs::SpanTrace& spans = device_.board().span_trace();
   ScopedRequestSpan scope(spans, device_, "engine.infer");
   if (!ensure_csd_available()) return degraded_infer(sequence);
   const KernelTimings& per_item = per_item_timings_;
 
-  // Functional result through the configured datapath (fused table path,
-  // engine-owned scratch: allocation-free in steady state).
-  double probability;
-  {
-    const EpochPin pin(*this);
-    probability =
-        pin.slot().weights->infer(sequence, float_scratch_, fixed_scratch_);
-  }
+  // Functional result through the configured datapath (fused path,
+  // executor 0's scratch: allocation-free in steady state).
+  const double probability = weights_->infer(
+      sequence, scratch_[0].float_scratch, scratch_[0].fixed_scratch);
 
   // Timing: preprocess overlaps the previous item's gate/hidden stage
   // (Section III-C), so it is exposed once; every item then pays
@@ -489,24 +458,19 @@ CsdLstmEngine::BatchResult CsdLstmEngine::infer_batch(
   const Duration steady = per_item.gates + per_item.hidden_state;
 
   // Fan the functional forward passes out across the pool; each executor
-  // owns one scratch pair, results land at their sequence index. One epoch
-  // pin covers every worker: they all read the slot resolved here, and the
-  // pin keeps a concurrent hot swap from replacing its version mid-batch.
+  // owns one engine-held scratch entry, results land at their sequence
+  // index. Every worker reads the version served here: the device lock
+  // held across the batch keeps an adopt from replacing it mid-batch.
   ThreadPool& pool = batch_pool();
-  std::vector<FloatScratch> float_scratch(pool.thread_count());
-  std::vector<FixedScratch> fixed_scratch(pool.thread_count());
-  {
-    const EpochPin pin(*this);
-    const StagedWeights& weights = *pin.slot().weights;
-    pool.parallel_for(
-        sequences.size(), [&](std::size_t executor, std::size_t index) {
-          const double probability =
-              weights.infer(sequences[index], float_scratch[executor],
-                            fixed_scratch[executor]);
-          result.probabilities[index] = probability;
-          result.labels[index] = probability >= 0.5 ? 1 : 0;
-        });
-  }
+  const StagedWeights& weights = *weights_;
+  pool.parallel_for(
+      sequences.size(), [&](std::size_t executor, std::size_t index) {
+        Scratch& scratch = scratch_[executor];
+        const double probability = weights.infer(
+            sequences[index], scratch.float_scratch, scratch.fixed_scratch);
+        result.probabilities[index] = probability;
+        result.labels[index] = probability >= 0.5 ? 1 : 0;
+      });
   result.device_time = per_item.preprocess + steady * total_items;
 
   const TimePoint start = device_.now();

@@ -199,17 +199,14 @@ class CsdLstmEngine {
   /// Hot-swaps the model without recompiling the FPGA binary — the
   /// paper's update path ("the FPGA-based model is compiled once and can
   /// be updated at the operator's discretion", e.g. after retraining on
-  /// new strains from CTI feeds). Adopts an already staged version and
-  /// DMAs its image over this board's PCIe link (time charged to the
-  /// device).
-  ///
-  /// The version lands in the *inactive* datapath slot and is published
-  /// by bumping an epoch counter, so in-flight inference never waits on
-  /// it — a swap only contends with classification for the short PCIe
-  /// staging step (see `device_mutex_`). The version must match the
-  /// engine's model architecture (dims, activation), level and fixed
-  /// scale; a refused version throws PreconditionError and changes
-  /// nothing.
+  /// new strains from CTI feeds). Adopts an already staged version: under
+  /// the device lock it becomes the served version and its image is DMA'd
+  /// over this board's PCIe link (time charged to the device), in one
+  /// step, so no classification ever runs on a version whose image is not
+  /// yet in DDR. The wait is only for an in-flight classification; staging
+  /// happens before the call. The version must match the engine's model
+  /// architecture (dims, activation), level and fixed scale; a refused
+  /// version throws PreconditionError and changes nothing.
   void update_weights(std::shared_ptr<const StagedWeights> weights);
   /// Stages `params` for this engine alone, then adopts them.
   void update_weights(const nn::LstmParams& params);
@@ -219,13 +216,21 @@ class CsdLstmEngine {
     return weight_updates_.load(std::memory_order_relaxed);
   }
 
+  /// The version this engine serves (its image is the one in DDR). Takes
+  /// the device lock, so it waits out an in-flight adopt.
+  std::shared_ptr<const StagedWeights> weights() const {
+    const auto device_guard = lock_device();
+    return weights_;
+  }
+
   /// Hands out the engine's device lock so callers can frame their own
   /// spans/trace around an engine entry point (the serving coalescer opens
   /// a `serve.batch` trace, then calls infer_batch while still holding the
   /// lock — the mutex is recursive precisely so that nesting works). All
-  /// simulated-device state (clock, kernel trace, span collector) is
-  /// single-threaded by contract; every engine path that touches it locks
-  /// this mutex, as must any outside caller.
+  /// simulated-device state (clock, kernel trace, span collector) and the
+  /// served weight version are single-threaded by contract; every engine
+  /// path that touches them locks this mutex, as must any outside caller.
+  /// Holding it also holds off any update_weights until release.
   std::unique_lock<std::recursive_mutex> lock_device() const {
     return std::unique_lock<std::recursive_mutex>(device_mutex_);
   }
@@ -244,53 +249,20 @@ class CsdLstmEngine {
   void restore_health();
 
  private:
-  /// One weight version held for serving. Two of these alternate as the
-  /// live path: update_weights stores the new version in the inactive
-  /// slot and publishes it by bumping `epoch_`, so hot swaps never stall
-  /// readers.
-  struct DatapathSlot {
-    std::shared_ptr<const StagedWeights> weights;
-    /// In-flight readers pinned to this slot. A writer may only replace
-    /// the slot's version once this drains to zero; own cache line so
-    /// reader pin/unpin never collides with the version pointer.
-    alignas(64) mutable std::atomic<std::uint32_t> readers{0};
-  };
-
-  /// RAII read-side pin. Resolves the active slot from `epoch_`, bumps its
-  /// reader count, then re-checks the epoch: a stale pin (the epoch moved
-  /// between load and increment, meaning a writer may already be replacing
-  /// the slot we grabbed) unpins and retries, so it never dereferences a
-  /// slot mid-replacement. seq_cst throughout — the writer's
-  /// drain-then-replace and the reader's pin-then-recheck form a Dekker
-  /// handshake that weaker orders would not make total.
-  class EpochPin {
-   public:
-    explicit EpochPin(const CsdLstmEngine& engine) {
-      for (;;) {
-        const std::uint64_t epoch =
-            engine.epoch_.load(std::memory_order_seq_cst);
-        const DatapathSlot& slot = engine.slots_[epoch & 1];
-        slot.readers.fetch_add(1, std::memory_order_seq_cst);
-        if (engine.epoch_.load(std::memory_order_seq_cst) == epoch) {
-          slot_ = &slot;
-          return;
-        }
-        slot.readers.fetch_sub(1, std::memory_order_seq_cst);
-      }
-    }
-    ~EpochPin() { slot_->readers.fetch_sub(1, std::memory_order_seq_cst); }
-    EpochPin(const EpochPin&) = delete;
-    EpochPin& operator=(const EpochPin&) = delete;
-
-    const DatapathSlot& slot() const { return *slot_; }
-
-   private:
-    const DatapathSlot* slot_{nullptr};
+  /// One executor's forward-pass scratch; only the populated datapath's
+  /// half is touched.
+  struct Scratch {
+    FloatScratch float_scratch;
+    FixedScratch fixed_scratch;
   };
 
   /// PreconditionError unless `weights` were staged for this engine.
   void check_adoptable(const StagedWeights* weights) const;
-  void initialise();
+  /// Under the device lock: serves `weights`, DMAs its image into DDR and
+  /// counts the update. The only place the served version changes.
+  void adopt(std::shared_ptr<const StagedWeights> weights);
+  /// The batch executors, created on first use; sizes `scratch_` to them.
+  /// Caller holds the device lock.
   ThreadPool& batch_pool();
   /// True when the pipeline is usable for this classification: healthy
   /// and the (possibly retried) launch succeeded, or a recovery probe
@@ -303,24 +275,20 @@ class CsdLstmEngine {
   nn::LstmConfig model_config_;
   EngineConfig config_;
   KernelTimings per_item_timings_;
-  /// Two-slot version store: slot `epoch_ & 1` is live, the other is the
-  /// writer's target. A bumped epoch publishes the newly stored version.
-  DatapathSlot slots_[2];
-  std::atomic<std::uint64_t> epoch_{0};
-  /// Serialises update_weights writers.
-  std::mutex update_mutex_;
   /// Everything on the simulated device is single-threaded by contract —
-  /// the clock, the kernel trace, the span collector. This lock is that
-  /// contract made enforceable: infer / infer_batch / infer_from_ssd hold
-  /// it for their device work, update_weights takes it only for the brief
-  /// PCIe staging step, and the serving layer pins it around its own span
-  /// framing via lock_device(). Recursive so infer_from_ssd can nest
-  /// infer, and so the serving coalescer can hold it across infer_batch.
+  /// the clock, the kernel trace, the span collector, the served version
+  /// and its DDR image, the scratch. This lock is that contract made
+  /// enforceable: infer / infer_batch / infer_from_ssd hold it for their
+  /// device work, adopt holds it to switch versions, and the serving layer
+  /// pins it around its own span framing via lock_device(). Recursive so
+  /// infer_from_ssd can nest infer, and so the serving coalescer can hold
+  /// it across infer_batch.
   mutable std::recursive_mutex device_mutex_;
-  FloatScratch float_scratch_;
-  FixedScratch fixed_scratch_;
+  std::shared_ptr<const StagedWeights> weights_;  ///< guarded by device_mutex_
+  /// One entry per batch executor (entry 0 also serves infer); guarded by
+  /// device_mutex_.
+  std::vector<Scratch> scratch_ = std::vector<Scratch>(1);
   std::unique_ptr<ThreadPool> batch_pool_;  ///< lazily created on first batch
-  std::mutex batch_pool_mutex_;
   std::optional<xrt::BufferObject> weights_bo_;
   std::atomic<std::uint32_t> weight_updates_{0};
   std::atomic<bool> healthy_{true};

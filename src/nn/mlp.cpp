@@ -117,7 +117,7 @@ TrainResult train_mlp(MlpClassifier& model, const SequenceDataset& train_set,
   TrainResult result;
   for (std::size_t epoch = 1; epoch <= config.epochs; ++epoch) {
     shuffle_rng.shuffle(order);
-    double epoch_loss = 0.0;
+    double train_loss = 0.0;
     std::size_t batch_fill = 0;
     const auto flush = [&]() {
       if (batch_fill == 0) return;
@@ -126,7 +126,7 @@ TrainResult train_mlp(MlpClassifier& model, const SequenceDataset& train_set,
       batch_fill = 0;
     };
     for (const std::size_t idx : order) {
-      epoch_loss +=
+      train_loss +=
           model.backward(train_set.sequences[idx], train_set.labels[idx], grads);
       if (++batch_fill == config.batch_size) flush();
     }
@@ -135,7 +135,7 @@ TrainResult train_mlp(MlpClassifier& model, const SequenceDataset& train_set,
     if (epoch % config.evaluate_every == 0 || epoch == config.epochs) {
       EpochRecord record;
       record.epoch = epoch;
-      record.mean_train_loss = epoch_loss / static_cast<double>(train_set.size());
+      record.mean_train_loss = train_loss / static_cast<double>(train_set.size());
       ConfusionMatrix cm;
       for (std::size_t i = 0; i < test_set.size(); ++i) {
         cm.add(test_set.labels[i], model.predict(test_set.sequences[i]));

@@ -345,16 +345,14 @@ bool BoardFleet::probe(Board& board) {
 
 void BoardFleet::readmit(std::size_t board) {
   Board& b = *boards_[board];
-  {
-    // A rollout may have happened while the board was out of the ring;
-    // it must serve the fleet-current version before taking traffic.
-    const std::lock_guard<std::mutex> rollout_lock(rollout_mutex_);
-    const std::uint64_t version = version_.load(std::memory_order_relaxed);
-    if (b.weight_version != version) {
-      b.engine.update_weights(staged_);
-      b.weight_version = version;
-    }
-  }
+  // A rollout may have happened while the board was out of the ring (or
+  // it was a rolled-back dead canary); it must serve the fleet-current
+  // version before taking traffic. Every rollout stages a fresh version,
+  // so pointer identity is version identity. Admitting under the rollout
+  // lock means a rollout either sees the board admitted or ran before
+  // this catch-up.
+  const std::lock_guard<std::mutex> rollout_lock(rollout_mutex_);
+  if (b.engine.weights() != staged_) b.engine.update_weights(staged_);
   b.admitted.store(true, std::memory_order_release);
   readmissions_.fetch_add(1, std::memory_order_relaxed);
   obs::registry().add_counter("fleet.readmissions");
@@ -487,7 +485,6 @@ RolloutReport BoardFleet::update_weights(const nn::LstmParams& params) {
   staged_ = staged;
   const std::uint64_t version =
       version_.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (const std::size_t k : targets) boards_[k]->weight_version = version;
   rollouts_.fetch_add(1, std::memory_order_relaxed);
   report.ok = true;
   report.version = version;

@@ -38,8 +38,8 @@
 //
 // Weight rollout is coordinated: update_weights() stages the new weights
 // once (one kernels::StagedWeights, its datapath staged) and flips boards
-// one at a time through the engine's epoch-swap path, each adopting that
-// shared version and DMAing its image over its own PCIe link. The flips
+// one at a time, each engine adopting that shared version and DMAing its
+// image over its own PCIe link in one step under its device lock. The flips
 // are gated by a canary — the first board must reproduce a golden batch
 // bit-exactly under the new weights before any other board flips — and
 // stamped with a fleet-wide version counter, so a torn rollout can be
@@ -271,7 +271,6 @@ class BoardFleet {
     std::optional<faults::FaultPlan> ambient_plan;
     std::optional<faults::FaultPlan> kill_plan;
     std::atomic<bool> admitted{true};
-    std::uint64_t weight_version{1};  ///< guarded by rollout_mutex_
   };
 
   /// Ring placement over admitted boards (any caller; no routing lock
@@ -312,7 +311,7 @@ class BoardFleet {
   std::unordered_map<detect::ProcessId, std::size_t> routing_;
 
   std::mutex health_mutex_;   ///< one sweep at a time (try-lock, no queue)
-  std::mutex rollout_mutex_;  ///< serialises rollouts + staged_/versions
+  std::mutex rollout_mutex_;  ///< serialises rollouts, readmission + staged_
   /// Fleet-current weight version: what every admitted board serves, the
   /// canary's rollback target and a readmitted board's catch-up.
   std::shared_ptr<const kernels::StagedWeights> staged_;

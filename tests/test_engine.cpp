@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -186,6 +189,32 @@ TEST(Engine, UpdateWeightsSwapsTheModelInPlace) {
   CsdLstmEngine reference(device2, f.model_config, fresh,
                           EngineConfig{.level = OptimizationLevel::FixedPoint});
   EXPECT_DOUBLE_EQ(after, reference.infer(seq).probability);
+}
+
+TEST(Engine, HotSwapServesNoVersionBeforeItsImageLands) {
+  // A version is live exactly when its image is in DDR: the swap and its
+  // DMA are one step under the device lock, so while a caller holds that
+  // lock a concurrent update_weights can neither be served nor counted.
+  EngineFixture f;
+  CsdLstmEngine engine(f.device, f.model_config, f.params,
+                       EngineConfig{.level = OptimizationLevel::FixedPoint});
+  Rng rng(7);
+  const nn::LstmParams params_b = nn::LstmParams::glorot(f.model_config, rng);
+  const nn::Sequence seq = f.sequence(21);
+  const double oracle_a = FixedDatapath(f.model_config, f.params).infer(seq);
+  const double oracle_b = FixedDatapath(f.model_config, params_b).infer(seq);
+  ASSERT_NE(oracle_a, oracle_b);
+
+  std::unique_lock<std::recursive_mutex> device_guard = engine.lock_device();
+  std::thread writer([&] { engine.update_weights(params_b); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(engine.infer(seq).probability, oracle_a);
+  EXPECT_EQ(engine.weight_updates(), 1u);
+  device_guard.unlock();
+  writer.join();
+
+  EXPECT_EQ(engine.infer(seq).probability, oracle_b);
+  EXPECT_EQ(engine.weight_updates(), 2u);
 }
 
 TEST(Engine, UpdateWeightsRejectsArchitectureChange) {

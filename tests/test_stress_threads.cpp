@@ -4,9 +4,9 @@
 // hammer the shared structures from multiple threads: the ThreadPool's
 // work distribution, the metrics registry, and — the regression that
 // motivated the suite — infer_batch racing update_weights hot swaps (the
-// engine's epoch-based two-slot swap must publish only fully built
-// datapaths, and EpochPin must never let a reader dereference the slot a
-// swap is writing) — and the fleet's rollouts, whose one staged weight
+// engine adopts a version, pointer and image DMA, in one critical section
+// under its device lock, so a batch must never see a torn or half-landed
+// version) — and the fleet's rollouts, whose one staged weight
 // version is adopted by every board while ingest continues, and a rollout
 // that drains a dead canary while ingest holds the routing lock. Kept
 // deliberately small so the TSan job stays fast.
