@@ -35,7 +35,7 @@ void render(kernels::OptimizationLevel level, std::size_t items) {
     lanes[name] = std::string(kColumns, '.');
   }
   std::map<std::string, int> item_counter;
-  for (const auto& span : sim.trace.spans()) {
+  for (const auto& span : sim.spans) {
     const int item = item_counter[span.name]++;
     auto& lane = lanes[span.name];
     const int begin = static_cast<int>(static_cast<double>(span.start.picos) * scale);

@@ -3,44 +3,34 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace csdml {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 
-/// FNV-1a over a string, used to derive per-subsystem stream seeds.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001B3ULL;
+/// The first four outputs of the splitmix64 stream seeded with `seed`.
+std::array<std::uint64_t, 4> splitmix_state(std::uint64_t seed) {
+  std::array<std::uint64_t, 4> state{};
+  for (auto& word : state) {
+    word = splitmix64(seed);
+    seed += kSplitmixGamma;
   }
-  return h;
+  return state;
 }
 
 }  // namespace
 
-Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& word : state_) word = splitmix64(sm);
-}
+Rng::Rng(std::uint64_t seed) : state_(splitmix_state(seed)) {}
 
 Rng Rng::fork(std::string_view stream_name) const {
-  std::uint64_t sm = state_[0] ^ rotl(state_[2], 17) ^ fnv1a(stream_name);
-  std::array<std::uint64_t, 4> child{};
-  for (auto& word : child) word = splitmix64(sm);
-  return Rng{child};
+  // The stream name's FNV-1a derives the per-subsystem seed.
+  Fnv1a name;
+  name.bytes(stream_name);
+  return Rng{splitmix_state(state_[0] ^ rotl(state_[2], 17) ^ name.value())};
 }
 
 std::uint64_t Rng::next() {

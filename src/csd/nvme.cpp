@@ -153,7 +153,7 @@ NvmeCompletion NvmeQueue::execute(const NvmeCommand& command, TimePoint start) {
     case NvmeOpcode::FpgaCompute: {
       CSDML_REQUIRE(command.compute_time.picos > 0, "compute needs a duration");
       done = start + command.compute_time;
-      device_.trace().record("nvme_compute", start, done);
+      obs::record_span(device_.span_trace(), "nvme_compute", start, done);
       break;
     }
   }

@@ -32,7 +32,6 @@ TransferResult SmartSsd::p2p_read_to_fpga(std::uint64_t lba,
   const TimePoint switched = switch_.peer_to_peer(bytes, io.done);
   const TimePoint landed = fpga_.bank(bank).access(bytes, switched);
   fpga_.bank(bank).store(bank_offset, io.data);
-  trace_.record("p2p_read", at, landed);
   obs::record_span(span_trace_, "p2p_read", at, landed);
   return TransferResult{landed, bytes};
 }
@@ -52,7 +51,6 @@ TransferResult SmartSsd::host_read_to_fpga(std::uint64_t lba,
   const TimePoint back_down = switch_.from_host(bytes, staged);
   const TimePoint landed = fpga_.bank(bank).access(bytes, back_down);
   fpga_.bank(bank).store(bank_offset, io.data);
-  trace_.record("host_read", at, landed);
   obs::record_span(span_trace_, "host_read", at, landed);
   return TransferResult{landed, bytes};
 }
@@ -70,7 +68,6 @@ TransferResult SmartSsd::host_write_to_fpga(const std::vector<std::uint8_t>& dat
   } else {
     fpga_.bank(bank).store(bank_offset, data);
   }
-  trace_.record("host_write_fpga", at, landed);
   obs::record_span(span_trace_, "host_write_fpga", at, landed);
   return TransferResult{landed, bytes};
 }
@@ -83,7 +80,6 @@ IoResult SmartSsd::host_read_from_fpga(std::uint32_t bank, std::uint64_t bank_of
   const Bytes bytes{size};
   const TimePoint fetched = fpga_.bank(bank).access(bytes, at);
   result.done = switch_.to_host(bytes, fetched);
-  trace_.record("host_read_fpga", at, result.done);
   obs::record_span(span_trace_, "host_read_fpga", at, result.done);
   return result;
 }

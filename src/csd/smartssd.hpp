@@ -16,7 +16,6 @@
 #include "csd/pcie.hpp"
 #include "csd/ssd.hpp"
 #include "obs/span_trace.hpp"
-#include "sim/trace.hpp"
 
 namespace csdml::faults {
 class FaultPlan;
@@ -49,10 +48,10 @@ class SmartSsd {
   FpgaDevice& fpga() { return fpga_; }
   const FpgaDevice& fpga() const { return fpga_; }
   PcieSwitch& pcie() { return switch_; }
-  sim::Trace& trace() { return trace_; }
-  /// Request-scoped causal spans for everything that flows through this
-  /// board (detector -> engine -> transfers -> kernels). Transfers record
-  /// into it only while a trace is open, so init-time staging stays out.
+  /// The board's one span recorder: request-scoped causal spans for
+  /// everything that flows through it (detector -> engine -> transfers ->
+  /// kernels). Device events record into it only while a trace is open, so
+  /// init-time staging and weight adopts stay out.
   obs::SpanTrace& span_trace() { return span_trace_; }
 
   /// P2P read: NAND -> switch -> FPGA DDR `bank` at `bank_offset`.
@@ -92,7 +91,6 @@ class SmartSsd {
   SsdController ssd_;
   FpgaDevice fpga_;
   PcieSwitch switch_;
-  sim::Trace trace_;
   obs::SpanTrace span_trace_;
 };
 

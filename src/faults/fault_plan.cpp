@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/hash.hpp"
 #include "obs/metrics.hpp"
 
 namespace csdml::faults {
@@ -17,17 +18,6 @@ constexpr std::array<const char*, kFaultKindCount> kKindNames = {
     "nand_read_disturb",
     "xrt_launch_failure",
 };
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (word >> (byte * 8)) & 0xffULL;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 }  // namespace
 
@@ -111,13 +101,13 @@ std::vector<FaultRecord> FaultPlan::log() const {
 
 std::uint64_t FaultPlan::digest() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t hash = kFnvOffset;
+  Fnv1a hash;
   for (const FaultRecord& record : log_) {
-    hash = fnv1a(hash, record.sequence);
-    hash = fnv1a(hash, static_cast<std::uint64_t>(record.kind));
-    hash = fnv1a(hash, record.detail);
+    hash.u64(record.sequence);
+    hash.u64(static_cast<std::uint64_t>(record.kind));
+    hash.u64(record.detail);
   }
-  return hash;
+  return hash.value();
 }
 
 void FaultPlan::reset() {

@@ -62,13 +62,13 @@ commands:
   classify     --weights PATH --dataset PATH [--level vanilla|ii|fixed-point]
                [--trace-out PATH] [--stats]
                deploy on the simulated SmartSSD and report metrics + AUC;
-               --trace-out writes the device trace as Chrome-trace JSON,
-               --stats appends the telemetry registry tables
+               --trace-out writes the request spans as Chrome-trace JSON,
+               --stats appends the span summary and telemetry tables
   stats        [--level L] [--calls N] [--seed N] [--fault-rate F] [--json]
                [--health] [--prometheus] [--trace-out PATH]
                run a sample streaming detection and print the telemetry
                registry (counters, gauges, p50/p95/p99 histograms) plus the
-               device and request-span summaries, the time-series store
+               request-span summary, the time-series store
                totals and the alert-engine state; --json emits machine-
                readable metrics, --health the SLO verdict (JSON with
                --json), --prometheus the text exposition format (including
@@ -229,10 +229,10 @@ void require_writable(const std::string& path) {
 
 /// The `stats` sample workload: one ransomware process interleaved with
 /// two benign ones through the streaming detector, so every instrumented
-/// layer (engine kernels, detector, xrt syncs) feeds the registry, the
-/// device trace and the request-span tree. A nonzero fault rate attaches
-/// an XRT launch-failure plan plus a host fallback so the degraded-mode
-/// machinery shows up in the telemetry.
+/// layer (engine kernels, detector, xrt syncs) feeds the registry and the
+/// request-span tree. A nonzero fault rate attaches an XRT launch-failure
+/// plan plus a host fallback so the degraded-mode machinery shows up in the
+/// telemetry.
 class SampleRig {
  public:
   SampleRig(kernels::OptimizationLevel level, std::uint64_t seed,
@@ -414,13 +414,11 @@ int cmd_classify(const Flags& flags, std::ostream& out) {
                             static_cast<double>(dataset.size()), 1)
       << " us/window\n";
   if (trace_out.has_value()) {
-    obs::write_chrome_trace_file(*trace_out, board.trace(),
-                                 board.span_trace());
+    obs::write_chrome_trace_file(*trace_out, board.span_trace());
     out << "trace -> " << *trace_out << "\n";
   }
   if (flags.has("stats")) {
-    out << "\n" << obs::trace_summary(board.trace()) << "\n"
-        << board.span_trace().summary() << "\n"
+    out << "\n" << board.span_trace().summary() << "\n"
         << obs::registry().snapshot().to_text();
   }
   return 0;
@@ -465,8 +463,7 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   store.publish_gauges();
 
   if (trace_out.has_value()) {
-    obs::write_chrome_trace_file(*trace_out, rig.board().trace(),
-                                 rig.board().span_trace());
+    obs::write_chrome_trace_file(*trace_out, rig.board().span_trace());
   }
   const obs::MetricsSnapshot snapshot = obs::registry().snapshot();
   if (flags.has("prometheus")) {
@@ -482,7 +479,6 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   }
   out << "sample detection: " << rig.stream_count() << " processes x " << calls
       << " API calls (" << kernels::optimization_name(level) << " build)\n\n";
-  out << obs::trace_summary(rig.board().trace()) << "\n";
   out << rig.board().span_trace().summary() << "\n";
   out << snapshot.to_text();
 

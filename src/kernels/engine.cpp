@@ -307,7 +307,6 @@ InferenceResult CsdLstmEngine::degraded_infer(nn::TokenSpan sequence) {
   const Duration host_time = fallback->batch_window_latency(1, sequence.size());
   const TimePoint start = device_.now();
   device_.advance_to(start + host_time);
-  device_.board().trace().record("host_fallback", start, start + host_time);
   if (traced) {
     const obs::SpanId span = spans.begin_span("host_fallback", start);
     spans.tag(span, "fallback", "host");
@@ -382,16 +381,11 @@ InferenceResult CsdLstmEngine::infer(nn::TokenSpan sequence) {
 
   const TimePoint start = device_.now();
   device_.advance_to(start + total);
-  // Per-kernel spans (aggregated over the sequence) plus the parent span,
-  // so trace exports show the Fig. 3 breakdown per classification.
-  sim::Trace& trace = device_.board().trace();
-  const TimePoint preprocess_done = start + per_item.preprocess;
-  const TimePoint gates_done = preprocess_done + per_item.gates * items;
-  trace.record("kernel_preprocess", start, preprocess_done);
-  trace.record("kernel_gates", preprocess_done, gates_done);
-  trace.record("kernel_hidden_state", gates_done, start + total);
-  trace.record("lstm_sequence", start, start + total);
+  // Per-kernel spans (aggregated over the sequence) under the parent
+  // span, so trace exports show the Fig. 3 breakdown per classification.
   if (scope.active()) {
+    const TimePoint preprocess_done = start + per_item.preprocess;
+    const TimePoint gates_done = preprocess_done + per_item.gates * items;
     const obs::SpanId seq_span = spans.begin_span("lstm_sequence", start);
     obs::record_span(spans, "kernel_preprocess", start, preprocess_done);
     obs::record_span(spans, "kernel_gates", preprocess_done, gates_done);

@@ -68,11 +68,12 @@ PipelineSimResult simulate_pipeline(const hls::HlsCostModel& model,
     simulation.schedule_after(Duration::zero(),
                               [&, i] { try_start_preprocess(i + 1); });
     simulation.schedule_after(stages.gates, [&, i, start] {
-      result.trace.record("gates", start, simulation.now());
+      result.spans.push_back({"gates", start, simulation.now()});
       const TimePoint hidden_start = simulation.now();
       simulation.schedule_after(stages.hidden, [&, i, hidden_start] {
         hidden_done[i] = true;
-        result.trace.record("hidden_state", hidden_start, simulation.now());
+        result.spans.push_back(
+            {"hidden_state", hidden_start, simulation.now()});
         last_hidden = simulation.now();
         try_start_gates(i + 1);
       });
@@ -87,7 +88,7 @@ PipelineSimResult simulate_pipeline(const hls::HlsCostModel& model,
     const TimePoint start = simulation.now();
     simulation.schedule_after(stages.preprocess, [&, i, start] {
       preprocess_done[i] = true;
-      result.trace.record("preprocess", start, simulation.now());
+      result.spans.push_back({"preprocess", start, simulation.now()});
       try_start_gates(i);
       try_start_preprocess(i + 1);
     });

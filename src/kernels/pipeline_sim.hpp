@@ -16,10 +16,11 @@
 // yields a full per-kernel span trace for inspection.
 #pragma once
 
+#include <vector>
+
 #include "hls/cost_model.hpp"
 #include "kernels/specs.hpp"
 #include "sim/simulation.hpp"
-#include "sim/trace.hpp"
 
 namespace csdml::kernels {
 
@@ -32,7 +33,7 @@ struct PipelineSimConfig {
 struct PipelineSimResult {
   Duration total;            ///< completion time of the last hidden stage
   std::size_t items{0};
-  sim::Trace trace;          ///< spans: preprocess[i], gates[i], hidden[i]
+  std::vector<sim::Span> spans;  ///< preprocess[i], gates[i], hidden_state[i]
 
   Duration per_item_steady() const {
     return items > 1 ? Duration{(total.picos) / static_cast<std::int64_t>(items)}

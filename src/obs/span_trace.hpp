@@ -1,25 +1,27 @@
-// Request-scoped causal tracing.
+// Request-scoped causal tracing: the board's one span recorder.
 //
-// The flat sim::Trace answers "how long did kernel_gates run in aggregate";
-// it cannot answer "which classification paid for that retry storm". This
-// module adds the missing causality: every classification gets a TraceId at
-// detector ingress, and each stage it flows through (engine, NVMe/SmartSSD
-// transfers, XRT kernel launches) opens a span that records its parent, so
-// exports show detector → engine → transfer → kernel as a true tree with
-// per-stage latency attribution. Spans carry tags for retries, injected
-// faults, fallback serves and degraded-mode transitions, which is exactly
-// the evidence a latency-tail postmortem needs (RanStop: the tail, not the
-// mean, bounds how much data ransomware encrypts before mitigation).
+// Every device event (kernel launches, DMA transfers, NVMe compute, host
+// fallback serves) is recorded here, and only while a request is open.
+// Aggregates such as "how long did kernel_gates run" come from summary();
+// the tree answers "which classification paid for that retry storm".
+// Every classification gets a TraceId at detector ingress, and each stage
+// it flows through (engine, NVMe/SmartSSD transfers, XRT kernel launches)
+// opens a span that records its parent, so exports show detector → engine
+// → transfer → kernel as a true tree with per-stage latency attribution.
+// Spans carry tags for retries, injected faults, fallback serves and
+// degraded-mode transitions, which is exactly the evidence a latency-tail
+// postmortem needs (RanStop: the tail, not the mean, bounds how much data
+// ransomware encrypts before mitigation).
 //
-// Thread-safety matches sim::Trace: one recording thread per board (the
-// serving thread). Timestamps are simulated device time, the quantity the
-// paper measures.
+// Thread-safety: one recording thread per board (the serving thread).
+// Timestamps are simulated device time, the quantity the paper measures.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace csdml::obs {
@@ -107,10 +109,12 @@ class SpanTrace {
 };
 
 /// One-liner for instrumentation sites: records a closed span (child of the
-/// innermost open span) iff a trace is active, so init-time work that runs
-/// outside any request stays out of the causal record.
+/// innermost open span) iff a trace is active, so device events outside any
+/// request (init-time staging, weight adopts) are not recorded at all. An
+/// inverted span is a caller bug and throws whether or not it is recorded.
 inline void record_span(SpanTrace& spans, std::string name, TimePoint start,
                         TimePoint end) {
+  CSDML_REQUIRE(end >= start, "span ends before it starts");
   if (!spans.enabled() || !spans.in_trace()) return;
   const SpanId id = spans.begin_span(std::move(name), start);
   spans.end_span(id, end);

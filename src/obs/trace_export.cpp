@@ -2,11 +2,9 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/table.hpp"
 
 namespace csdml::obs {
 
@@ -35,67 +33,25 @@ std::string as_us(std::int64_t picos) {
   return buffer;
 }
 
-void append_device_events(std::ostream& out, const sim::Trace& trace,
-                          const ChromeTraceOptions& options, bool& first) {
-  const auto emit_separator = [&] {
-    if (!first) out << ',';
-    first = false;
-  };
+}  // namespace
 
-  emit_separator();
-  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << options.pid
-      << ",\"tid\":0,\"args\":{\"name\":";
-  write_json_string(out, options.process_name);
-  out << "}}";
-
-  // One tid per distinct span name (per kernel CU), first-seen order.
-  std::map<std::string, int> tids;
-  for (const std::string& name : trace.names()) {
-    const int tid = static_cast<int>(tids.size());
-    tids.emplace(name, tid);
-    emit_separator();
-    out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << options.pid
-        << ",\"tid\":" << tid << ",\"args\":{\"name\":";
-    write_json_string(out, name);
-    out << "}}";
-  }
-
-  for (const sim::Span& span : trace.spans()) {
-    emit_separator();
-    out << "{\"name\":";
-    write_json_string(out, span.name);
-    out << ",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":" << as_us(span.start.picos)
-        << ",\"dur\":" << as_us(span.duration().picos)
-        << ",\"pid\":" << options.pid << ",\"tid\":" << tids.at(span.name)
-        << "}";
-  }
-}
-
-/// Nested request spans: one "requests" process, all spans on tid 0 so the
-/// viewer stacks them by containment (the simulated clock is sequential, so
-/// containment is exactly the parent/child relation).
-void append_request_events(std::ostream& out, const SpanTrace& spans,
-                           int pid, bool& first) {
-  const auto emit_separator = [&] {
-    if (!first) out << ',';
-    first = false;
-  };
-
-  emit_separator();
-  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-      << ",\"tid\":0,\"args\":{\"name\":\"requests\"}}";
-  emit_separator();
-  out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-      << ",\"tid\":0,\"args\":{\"name\":\"classification spans\"}}";
-
+std::string to_chrome_trace_json(const SpanTrace& spans) {
+  // All spans sit on tid 0 so the viewer stacks them by containment (the
+  // simulated clock is sequential, so containment is exactly the
+  // parent/child relation).
+  std::ostringstream out;
+  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":["
+      << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+         "\"args\":{\"name\":\"requests\"}},"
+      << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+         "\"args\":{\"name\":\"classification spans\"}}";
   for (const SpanRecord& span : spans.spans()) {
-    emit_separator();
-    out << "{\"name\":";
+    out << ",{\"name\":";
     write_json_string(out, span.name);
     out << ",\"cat\":\"request\",\"ph\":\"X\",\"ts\":"
         << as_us(span.start.picos) << ",\"dur\":"
-        << as_us(span.duration().picos) << ",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"trace_id\":" << span.trace_id
+        << as_us(span.duration().picos)
+        << ",\"pid\":0,\"tid\":0,\"args\":{\"trace_id\":" << span.trace_id
         << ",\"span_id\":" << span.id << ",\"parent_span\":" << span.parent;
     for (const SpanTag& tag : span.tags) {
       out << ',';
@@ -105,85 +61,14 @@ void append_request_events(std::ostream& out, const SpanTrace& spans,
     }
     out << "}}";
   }
-}
-
-}  // namespace
-
-std::string to_chrome_trace_json(const sim::Trace& trace,
-                                 const ChromeTraceOptions& options) {
-  return to_chrome_trace_json({DeviceTrace{&trace, options}});
-}
-
-std::string to_chrome_trace_json(const SpanTrace& spans,
-                                 const ChromeTraceOptions& options) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  append_request_events(out, spans, options.pid, first);
   out << "]}";
   return out.str();
 }
 
-std::string to_chrome_trace_json(const sim::Trace& device_trace,
-                                 const SpanTrace& spans,
-                                 const ChromeTraceOptions& options) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  append_device_events(out, device_trace, options, first);
-  append_request_events(out, spans, options.pid + 1, first);
-  out << "]}";
-  return out.str();
-}
-
-void write_chrome_trace_file(const std::string& path,
-                             const sim::Trace& device_trace,
-                             const SpanTrace& spans,
-                             const ChromeTraceOptions& options) {
+void write_chrome_trace_file(const std::string& path, const SpanTrace& spans) {
   std::ofstream out(path);
   if (!out) throw Error("cannot open trace output file: " + path);
-  out << to_chrome_trace_json(device_trace, spans, options) << '\n';
-}
-
-std::string to_chrome_trace_json(const std::vector<DeviceTrace>& devices) {
-  std::ostringstream out;
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  for (const DeviceTrace& device : devices) {
-    CSDML_REQUIRE(device.trace != nullptr, "null trace in export");
-    append_device_events(out, *device.trace, device.options, first);
-  }
-  out << "]}";
-  return out.str();
-}
-
-void write_chrome_trace_file(const std::string& path, const sim::Trace& trace,
-                             const ChromeTraceOptions& options) {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot open trace output file: " + path);
-  out << to_chrome_trace_json(trace, options) << '\n';
-}
-
-std::string trace_summary(const sim::Trace& trace) {
-  Duration all{};
-  for (const sim::Span& span : trace.spans()) all += span.duration();
-
-  TextTable table({"span", "count", "total_us", "mean_us", "max_us", "share"});
-  for (const std::string& name : trace.names()) {
-    const Duration total = trace.total(name);
-    const std::size_t count = trace.count(name);
-    const double share =
-        all.picos > 0
-            ? static_cast<double>(total.picos) / static_cast<double>(all.picos)
-            : 0.0;
-    table.add_row({name, std::to_string(count),
-                   TextTable::num(total.as_microseconds(), 3),
-                   TextTable::num(total.as_microseconds() /
-                                      static_cast<double>(count ? count : 1), 3),
-                   TextTable::num(trace.max(name).as_microseconds(), 3),
-                   TextTable::num(share * 100.0, 1) + "%"});
-  }
-  return table.to_string();
+  out << to_chrome_trace_json(spans) << '\n';
 }
 
 }  // namespace csdml::obs

@@ -1,66 +1,26 @@
-// Chrome-trace / Perfetto export of sim::Trace spans.
+// Chrome-trace / Perfetto export of the board's request spans.
 //
-// Every simulated component already records named spans (kernel launches,
-// DMA transfers, flash reads) into its device's sim::Trace; this module
-// turns those spans into the Trace Event Format JSON that
-// chrome://tracing and ui.perfetto.dev open directly — one pid per
-// device, one tid per distinct span name (i.e. per kernel CU) — plus a
-// text summary table for terminals.
+// The SpanTrace is the board's one span recorder: every device event
+// (kernel launches, DMA transfers, NVMe compute, host fallback serves) is
+// recorded there under the classification that caused it. This module
+// renders that tree as Trace Event Format JSON, which chrome://tracing and
+// ui.perfetto.dev open directly. SpanTrace::summary() is the terminal form.
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "obs/span_trace.hpp"
-#include "sim/trace.hpp"
 
 namespace csdml::obs {
 
-struct ChromeTraceOptions {
-  int pid{0};                            ///< one pid per device
-  std::string process_name{"smartssd"};  ///< shown in the trace viewer
-};
-
-/// One device's spans plus its identity in a multi-device export.
-struct DeviceTrace {
-  const sim::Trace* trace{nullptr};
-  ChromeTraceOptions options;
-};
-
-/// Renders complete ("ph":"X") events, ts/dur in microseconds, with
-/// process_name / thread_name metadata. Valid JSON even for empty traces.
-std::string to_chrome_trace_json(const sim::Trace& trace,
-                                 const ChromeTraceOptions& options = {});
-
-/// Multi-device export: spans of every device in one JSON document.
-std::string to_chrome_trace_json(const std::vector<DeviceTrace>& devices);
+/// Renders every retained span as a complete ("ph":"X") event, ts/dur in
+/// microseconds, nested on one "requests" track (pid 0, tid 0), each
+/// carrying args.trace_id / args.span_id / args.parent_span plus every span
+/// tag, so Perfetto shows one classification as a detector → engine →
+/// kernel stack. Valid JSON even when no span is retained.
+std::string to_chrome_trace_json(const SpanTrace& spans);
 
 /// Writes the export to `path`; throws Error when the file cannot open.
-void write_chrome_trace_file(const std::string& path, const sim::Trace& trace,
-                             const ChromeTraceOptions& options = {});
-
-/// Per-name aggregate table: count, total/mean/max µs, share of the sum.
-std::string trace_summary(const sim::Trace& trace);
-
-/// Request-scoped export: the causal SpanTrace rendered as nested "X"
-/// events on one "requests" track (pid = options.pid, tid 0), each carrying
-/// args.trace_id / args.span_id / args.parent_span plus every span tag —
-/// Perfetto shows one classification as a detector→engine→kernel stack
-/// instead of the flat per-name lanes.
-std::string to_chrome_trace_json(const SpanTrace& spans,
-                                 const ChromeTraceOptions& options = {});
-
-/// Combined export: the device's flat lanes (pid = options.pid) plus the
-/// request tree (pid = options.pid + 1). This is what the CLI writes when
-/// request tracing is on.
-std::string to_chrome_trace_json(const sim::Trace& device_trace,
-                                 const SpanTrace& spans,
-                                 const ChromeTraceOptions& options = {});
-
-/// Writes the combined export to `path`; throws Error when it cannot open.
-void write_chrome_trace_file(const std::string& path,
-                             const sim::Trace& device_trace,
-                             const SpanTrace& spans,
-                             const ChromeTraceOptions& options = {});
+void write_chrome_trace_file(const std::string& path, const SpanTrace& spans);
 
 }  // namespace csdml::obs

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "ransomware/families.hpp"
 #include "ransomware/sandbox.hpp"
 
@@ -18,13 +19,6 @@ namespace {
 /// only retries on its process's next call, so a failover near the end of
 /// a stream needs a little more traffic to settle the conservation law).
 constexpr std::uint64_t kResolveTailRounds = 64;
-
-std::uint64_t splitmix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 const ransomware::FamilyProfile& family_named(const std::string& name) {
   for (const ransomware::FamilyProfile& family :
@@ -63,7 +57,7 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
   std::unordered_map<detect::ProcessId, std::vector<nn::TokenId>> traces;
   for (const ProcessSpec& spec : scenario.processes) {
     ransomware::SandboxConfig sandbox;
-    sandbox.seed = splitmix(scenario.seed ^ (spec.pid * 0x100000001b3ULL));
+    sandbox.seed = splitmix64(scenario.seed ^ (spec.pid * 0x100000001b3ULL));
     sandbox.background_noise_rate = spec.noise;
     const ransomware::SandboxTraceGenerator generator(sandbox);
     const std::size_t need =
@@ -80,7 +74,6 @@ RunResult run_scenario(const Scenario& input, const RunOptions& options) {
 
   serve::FleetConfig fleet_config;
   fleet_config.boards = scenario.boards;
-  fleet_config.vnodes = 32;
   fleet_config.health_check_interval = 0;  // explicit sweeps only
   fleet_config.seed = scenario.seed;
   fleet_config.fault_rate = 0.0;  // only deterministic kill plans

@@ -30,21 +30,6 @@ namespace csdml::scenario {
 /// Sentinel for "never happened" call indices / latencies.
 inline constexpr std::uint64_t kNever = ~std::uint64_t{0};
 
-/// Incremental FNV-1a (64-bit) over fixed-width little-endian encodings,
-/// so digests do not depend on host struct layout.
-class OutcomeHash {
- public:
-  void u64(std::uint64_t value);
-  void u32(std::uint32_t value);
-  void boolean(bool value);
-  void str(const std::string& value);
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void byte(unsigned char b);
-  std::uint64_t hash_{1469598103934665603ULL};
-};
-
 /// Renders a digest the way golden files store it (16 hex digits).
 std::string format_digest(std::uint64_t digest);
 

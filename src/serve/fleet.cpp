@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "kernels/functional.hpp"
 #include "obs/metrics.hpp"
@@ -13,14 +14,9 @@ namespace csdml::serve {
 
 namespace {
 
-/// splitmix64 finalizer — the ring and pid hashes only need avalanche,
-/// not a keyed stream.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// Virtual nodes per board on the consistent-hash ring; more points spread
+/// one board's pids more evenly over the survivors on failover.
+constexpr std::size_t kVnodes = 32;
 
 double elapsed_us(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::micro>(
@@ -46,7 +42,8 @@ BoardFleet::Board::Board(const nn::LstmConfig& model,
   // never hit by ambient faults — only steady-state classification is.
   if (config.fault_rate > 0.0) {
     faults::FaultConfig ambient;
-    ambient.seed = mix(config.seed ^ (index + 1) * 0x7fb5d329728ea185ULL);
+    ambient.seed =
+        splitmix64(config.seed ^ (index + 1) * 0x7fb5d329728ea185ULL);
     ambient.xrt_launch_failure_probability = config.fault_rate;
     ambient_plan.emplace(ambient);
     board.set_fault_plan(&*ambient_plan);
@@ -60,7 +57,6 @@ BoardFleet::BoardFleet(const nn::LstmConfig& model,
       model_(model),
       sink_(std::move(sink)) {
   CSDML_REQUIRE(config_.boards > 0, "fleet: need at least one board");
-  CSDML_REQUIRE(config_.vnodes > 0, "fleet: need at least one vnode per board");
   CSDML_REQUIRE(sink_ != nullptr, "fleet: verdict sink required");
   staged_ = std::make_shared<const kernels::StagedWeights>(model_, params,
                                                            config_.engine);
@@ -97,10 +93,11 @@ BoardFleet::BoardFleet(const nn::LstmConfig& model,
     boards_.push_back(std::move(board));
   }
 
-  ring_.reserve(config_.boards * config_.vnodes);
+  ring_.reserve(config_.boards * kVnodes);
   for (std::size_t k = 0; k < config_.boards; ++k) {
-    for (std::size_t v = 0; v < config_.vnodes; ++v) {
-      ring_.emplace_back(mix(config_.seed ^ (k * 0x100000001b3ULL + v + 1)), k);
+    for (std::size_t v = 0; v < kVnodes; ++v) {
+      ring_.emplace_back(
+          splitmix64(config_.seed ^ (k * 0x100000001b3ULL + v + 1)), k);
     }
   }
   std::sort(ring_.begin(), ring_.end());
@@ -221,7 +218,7 @@ void BoardFleet::kill_board(std::size_t board) {
   const auto device_lock = b.engine.lock_device();
   b.board.set_fault_plan(nullptr);
   b.kill_plan.emplace(
-      faults::lethal_launch_config(mix(config_.seed ^ 0xdead) ^ board));
+      faults::lethal_launch_config(splitmix64(config_.seed ^ 0xdead) ^ board));
   b.board.set_fault_plan(&*b.kill_plan);
   obs::registry().add_counter("fleet.kills");
 }
@@ -273,8 +270,9 @@ void BoardFleet::check_health() {
 }
 
 std::size_t BoardFleet::place(detect::ProcessId process) const {
-  const std::uint64_t point = mix(config_.seed ^ 0x517cc1b727220a95ULL ^
-                                  static_cast<std::uint64_t>(process));
+  const std::uint64_t point =
+      splitmix64(config_.seed ^ 0x517cc1b727220a95ULL ^
+                 static_cast<std::uint64_t>(process));
   const auto it = std::lower_bound(ring_.begin(), ring_.end(),
                                    std::make_pair(point, std::size_t{0}));
   const std::size_t start =

@@ -98,9 +98,6 @@ struct FleetTelemetryConfig {
 
 struct FleetConfig {
   std::size_t boards{2};
-  /// Virtual nodes per board on the consistent-hash ring; more points
-  /// spread one board's pids more evenly over the survivors on failover.
-  std::size_t vnodes{32};
   /// Ingests between health sweeps (0 = sweep only on explicit
   /// check_health() calls). Sweeps are cheap relative to a window
   /// classification, so a few hundred is a fine default.

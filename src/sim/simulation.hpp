@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/units.hpp"
@@ -17,6 +18,15 @@
 namespace csdml::sim {
 
 using EventCallback = std::function<void()>;
+
+/// A named stretch of simulated time (one pipeline stage of one item).
+struct Span {
+  std::string name;
+  TimePoint start;
+  TimePoint end;
+
+  Duration duration() const { return end - start; }
+};
 
 class Simulation {
  public:

@@ -82,7 +82,6 @@ TimePoint Kernel::launch(TimePoint at) {
   }
   const Duration latency = this->latency();
   const TimePoint end = at + latency;
-  device_->board_.trace().record(spec_.name, at, end);
   obs::record_span(spans, spec_.name, at, end);
   device_->advance_to(end);
   obs::MetricsRegistry& metrics = obs::registry();

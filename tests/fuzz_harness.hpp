@@ -33,6 +33,7 @@
 
 #include "baselines/host_baseline.hpp"
 #include "common/env.hpp"
+#include "common/hash.hpp"
 #include "csd/nvme.hpp"
 #include "detect/detector.hpp"
 #include "faults/fault_plan.hpp"
@@ -136,27 +137,18 @@ class FuzzStack {
     outcome.deferred = detector_->degraded_classifications();
     outcome.faults_injected = plan_.injected();
     outcome.fault_digest = plan_.digest();
-    outcome.outcome_digest = outcome_digest_;
+    outcome.outcome_digest = outcome_digest_.value();
     return outcome;
   }
 
  private:
   static constexpr detect::ProcessId kUnknownPidBase = 1u << 20;
-  static constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-  static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
   detect::DetectorConfig detector_config() const {
     return {.window_length = config_.window_length,
             .hop = config_.hop,
             .threshold = 0.0,
             .consecutive_alerts = 1};
-  }
-
-  void digest_word(std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      outcome_digest_ ^= (word >> (byte * 8)) & 0xffULL;
-      outcome_digest_ *= kFnvPrime;
-    }
   }
 
   double oracle_probability(const std::vector<nn::TokenId>& window,
@@ -224,13 +216,13 @@ class FuzzStack {
     if (detection->probability != expected || !oracle_self_consistent(window)) {
       ++outcome.parity_mismatches;
     }
-    digest_word(pid);
-    digest_word(detection->call_index);
+    outcome_digest_.u64(pid);
+    outcome_digest_.u64(detection->call_index);
     std::uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(detection->probability));
     std::memcpy(&bits, &detection->probability, sizeof(bits));
-    digest_word(bits);
-    digest_word(detection->degraded ? 1 : 0);
+    outcome_digest_.u64(bits);
+    outcome_digest_.u64(detection->degraded ? 1 : 0);
   }
 
   void forget_known_event(Rng& rng) {
@@ -280,7 +272,7 @@ class FuzzStack {
   std::unique_ptr<kernels::CsdLstmEngine> engine_;
   std::unique_ptr<detect::StreamingDetector> detector_;
   std::unordered_map<detect::ProcessId, WindowModel> shadows_;
-  std::uint64_t outcome_digest_{kFnvOffset};
+  Fnv1a outcome_digest_;
 };
 
 }  // namespace csdml::testing

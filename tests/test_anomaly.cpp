@@ -16,6 +16,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "temp_path.hpp"
 
 namespace csdml::obs {
 namespace {
@@ -218,8 +219,7 @@ TEST(AlertEngine, InjectedP99RegressionLatchesEwmaAlert) {
 TEST(AlertEngine, InjectedScoreShiftLatchesDriftAlertAndAutoDumps) {
   registry().reset();
   const std::string dump_path =
-      (std::filesystem::temp_directory_path() / "csdml_drift_dump.json")
-          .string();
+      testing::temp_path("csdml_drift_dump.json");
   std::remove(dump_path.c_str());
   ::setenv("CSDML_FLIGHT_DUMP", dump_path.c_str(), 1);
 
@@ -355,8 +355,7 @@ TEST(ScoreDrift, EmptyBaselineLeavesDriftUncalibrated) {
 TEST(AlertEngine, CalibrationWithoutScoresNeverLatchesDrift) {
   registry().reset();
   const std::string dump_path =
-      (std::filesystem::temp_directory_path() / "csdml_empty_baseline.json")
-          .string();
+      testing::temp_path("csdml_empty_baseline.json");
   std::remove(dump_path.c_str());
   ::setenv("CSDML_FLIGHT_DUMP", dump_path.c_str(), 1);
 

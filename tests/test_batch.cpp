@@ -78,19 +78,6 @@ TEST(Batch, EmptyBatchThrows) {
   EXPECT_THROW(engine.infer_batch({nn::Sequence{}}), PreconditionError);
 }
 
-TEST(Batch, LeavesTheDeviceTraceUnchanged) {
-  // The serving path runs one infer_batch per coalesced batch for as long
-  // as it serves, and the board's sim::Trace keeps every span it is given.
-  // A batch's span goes only to the span trace, which has a retention limit.
-  BatchFixture f;
-  kernels::CsdLstmEngine engine(f.device, f.config, f.params,
-                                kernels::EngineConfig{});
-  const std::size_t before = f.board.trace().spans().size();
-  const auto window = f.batch(1);
-  for (int i = 0; i < 50; ++i) engine.infer_batch(window);
-  EXPECT_EQ(f.board.trace().spans().size(), before);
-}
-
 TEST(Batch, HostBatchLatencyAmortizesLaunches) {
   BatchFixture f;
   const baselines::HostBaseline gpu("gpu", f.config, f.params,

@@ -7,8 +7,15 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/rng.hpp"
+#include "json_lint.hpp"
+#include "nn/weights_io.hpp"
+#include "temp_path.hpp"
+
 namespace csdml::host {
 namespace {
+
+using testing::temp_path;
 
 struct CliRun {
   int code;
@@ -21,10 +28,6 @@ CliRun run(const std::vector<std::string>& args) {
   std::ostringstream err;
   const int code = run_cli(args, out, err);
   return CliRun{code, out.str(), err.str()};
-}
-
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 TEST(Cli, HelpAndUnknownCommands) {
@@ -147,8 +150,10 @@ TEST(Cli, StatsRendersTelemetry) {
 TEST(Cli, StatsRendersRequestSpansAndHealth) {
   const CliRun result = run({"stats", "--calls", "300", "--health"});
   ASSERT_EQ(result.code, 0) << result.err;
-  // The request-span attribution table sits next to the device trace.
-  EXPECT_NE(result.out.find("request spans:"), std::string::npos);
+  // The request-span attribution table is the one span table.
+  const std::size_t table = result.out.find("request spans:");
+  ASSERT_NE(table, std::string::npos);
+  EXPECT_EQ(result.out.find("request spans:", table + 1), std::string::npos);
   EXPECT_NE(result.out.find("detector.classify"), std::string::npos);
   EXPECT_NE(result.out.find("engine.infer"), std::string::npos);
   EXPECT_NE(result.out.find("health: ok"), std::string::npos);
@@ -181,6 +186,38 @@ TEST(Cli, StatsTraceCarriesRequestSpans) {
   EXPECT_NE(json.find("detector.classify"), std::string::npos);
   EXPECT_NE(json.find("engine.infer"), std::string::npos);
   EXPECT_NE(json.find("trace_id"), std::string::npos);
+  std::remove(trace.c_str());
+}
+
+TEST(Cli, ClassifyTraceOutAndStatsShowOneSpanRecord) {
+  const std::string dataset = temp_path("csdml_cli_classify.csv");
+  const std::string weights = temp_path("csdml_cli_classify_weights.txt");
+  const std::string trace = temp_path("csdml_cli_classify_trace.json");
+  ASSERT_EQ(run({"gen-dataset", "--out", dataset, "--ransomware", "4",
+                 "--benign", "4", "--seed", "5"}).code, 0);
+  // Untrained weights: this test is about the trace plumbing, not accuracy.
+  const nn::LstmConfig config;
+  Rng rng(11);
+  nn::save_weights_file(weights, config, nn::LstmParams::glorot(config, rng));
+
+  const CliRun result = run({"classify", "--weights", weights, "--dataset",
+                             dataset, "--trace-out", trace, "--stats"});
+  ASSERT_EQ(result.code, 0) << result.err;
+  // --stats prints the one span recorder's table, once.
+  const std::size_t table = result.out.find("request spans:");
+  ASSERT_NE(table, std::string::npos) << result.out;
+  EXPECT_EQ(result.out.find("request spans:", table + 1), std::string::npos);
+
+  std::ifstream in(trace);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  EXPECT_TRUE(testing::JsonLint::valid(json));
+  EXPECT_NE(json.find("kernel_gates"), std::string::npos);
+  EXPECT_NE(json.find("\"trace_id\""), std::string::npos);
+
+  std::remove(dataset.c_str());
+  std::remove(weights.c_str());
   std::remove(trace.c_str());
 }
 

@@ -11,14 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "temp_path.hpp"
+
 namespace csdml::host {
 namespace {
+
+using testing::temp_path;
 
 struct CliRun {
   int code;
@@ -31,10 +34,6 @@ CliRun run(const std::vector<std::string>& args) {
   std::ostringstream err;
   const int code = run_cli(args, out, err);
   return CliRun{code, out.str(), err.str()};
-}
-
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 std::string write_file(const char* name, const std::string& text) {

@@ -224,9 +224,21 @@ TEST(SmartSsd, HostWriteAndReadBackFpga) {
 
 TEST(SmartSsd, TraceRecordsTransfers) {
   SmartSsd board{SmartSsdConfig{}};
+  obs::SpanTrace& spans = board.span_trace();
   board.ssd().write(0, std::vector<std::uint8_t>(4096, 1), TimePoint{});
-  board.p2p_read_to_fpga(0, 1, 0, 0, TimePoint{} + Duration::microseconds(1000));
-  EXPECT_EQ(board.trace().count("p2p_read"), 1u);
+  // Outside a request a transfer is not recorded at all.
+  board.p2p_read_to_fpga(0, 1, 0, 0, TimePoint{} + Duration::microseconds(500));
+  EXPECT_TRUE(spans.spans().empty());
+  // Inside one it is recorded exactly once.
+  const obs::TraceId id = spans.begin_trace();
+  const TimePoint at = TimePoint{} + Duration::microseconds(1000);
+  const TransferResult read = board.p2p_read_to_fpga(0, 1, 0, 0, at);
+  spans.end_trace();
+  const auto recorded = spans.trace_spans(id);
+  ASSERT_EQ(recorded.size(), 1u);
+  EXPECT_EQ(recorded[0]->name, "p2p_read");
+  EXPECT_EQ(recorded[0]->start.picos, at.picos);
+  EXPECT_EQ(recorded[0]->end.picos, read.done.picos);
 }
 
 }  // namespace

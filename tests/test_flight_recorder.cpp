@@ -17,13 +17,12 @@
 #include "faults/fault_plan.hpp"
 #include "json_lint.hpp"
 #include "kernels/engine.hpp"
+#include "temp_path.hpp"
 
 namespace csdml::obs {
 namespace {
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+using testing::temp_path;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path);

@@ -126,10 +126,21 @@ TEST(Nvme, ComputeCommandChargesModelTime) {
   NvmeCommand compute;
   compute.opcode = NvmeOpcode::FpgaCompute;
   compute.compute_time = Duration::microseconds(215);
+  obs::SpanTrace& spans = f.board.span_trace();
+  const obs::TraceId id = spans.begin_trace();
   f.queue.submit(compute, TimePoint{});
   const NvmeCompletion done = f.queue.wait_oldest();
+  spans.end_trace();
   EXPECT_GE((done.completed_at - TimePoint{}).as_microseconds(), 215.0);
-  EXPECT_EQ(f.board.trace().count("nvme_compute"), 1u);
+  // The compute is recorded once, as a span of the open trace.
+  std::size_t computes = 0;
+  for (const obs::SpanRecord* span : spans.trace_spans(id)) {
+    if (span->name == "nvme_compute") {
+      ++computes;
+      EXPECT_EQ(span->duration().picos, compute.compute_time.picos);
+    }
+  }
+  EXPECT_EQ(computes, 1u);
 }
 
 TEST(Nvme, CommandValidation) {

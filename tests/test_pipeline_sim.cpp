@@ -3,6 +3,10 @@
 // shipped configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "kernels/engine.hpp"
 #include "kernels/pipeline_sim.hpp"
 
@@ -22,6 +26,13 @@ struct SimCase {
 };
 
 class PipelineSimTest : public ::testing::TestWithParam<SimCase> {};
+
+std::size_t count_named(const std::vector<sim::Span>& spans,
+                        const std::string& name) {
+  return static_cast<std::size_t>(
+      std::count_if(spans.begin(), spans.end(),
+                    [&](const sim::Span& span) { return span.name == name; }));
+}
 
 TEST_P(PipelineSimTest, EventDrivenMatchesClosedForm) {
   const SimCase param = GetParam();
@@ -44,9 +55,10 @@ TEST_P(PipelineSimTest, TraceHasOneSpanPerStagePerItem) {
   const nn::LstmConfig config;
   const PipelineSimResult sim = simulate_pipeline(
       model(), config, {param.level, param.cus, param.link}, param.items);
-  EXPECT_EQ(sim.trace.count("preprocess"), param.items);
-  EXPECT_EQ(sim.trace.count("gates"), param.items);
-  EXPECT_EQ(sim.trace.count("hidden_state"), param.items);
+  EXPECT_EQ(sim.spans.size(), 3 * param.items);
+  EXPECT_EQ(count_named(sim.spans, "preprocess"), param.items);
+  EXPECT_EQ(count_named(sim.spans, "gates"), param.items);
+  EXPECT_EQ(count_named(sim.spans, "hidden_state"), param.items);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -84,7 +96,7 @@ TEST(PipelineSim, PreprocessOverlapsSteadyStages) {
       model(), config, {OptimizationLevel::Vanilla, 4, KernelLink::AxiMemory}, 5);
   std::vector<sim::Span> preprocess;
   std::vector<sim::Span> hidden;
-  for (const auto& span : sim.trace.spans()) {
+  for (const auto& span : sim.spans) {
     if (span.name == "preprocess") preprocess.push_back(span);
     if (span.name == "hidden_state") hidden.push_back(span);
   }

@@ -87,6 +87,19 @@ TEST(SpanTrace, RecordSpanOnlyInsideATrace) {
   EXPECT_EQ(leaf->parent, trace.trace_spans(tid)[0]->id);
 }
 
+TEST(SpanTrace, RecordSpanRejectsInvertedSpan) {
+  // An inverted span is a caller bug, checked whether or not it would be
+  // recorded.
+  SpanTrace trace;
+  EXPECT_THROW(record_span(trace, "x", TimePoint{10}, TimePoint{5}),
+               PreconditionError);
+  trace.begin_trace();
+  EXPECT_THROW(record_span(trace, "x", TimePoint{10}, TimePoint{5}),
+               PreconditionError);
+  trace.end_trace();
+  EXPECT_TRUE(trace.spans().empty());
+}
+
 TEST(SpanTrace, EndTraceClosesUnwoundSpansZeroLength) {
   SpanTrace trace;
   trace.begin_trace();

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "json_lint.hpp"
+#include "temp_path.hpp"
 
 namespace csdml::obs {
 namespace {
@@ -24,88 +24,66 @@ std::size_t count_occurrences(const std::string& haystack,
 }
 
 TEST(TraceExport, EmptyTraceIsValidJson) {
-  const sim::Trace trace;
-  const std::string json = to_chrome_trace_json(trace);
+  const SpanTrace spans;
+  const std::string json = to_chrome_trace_json(spans);
   EXPECT_TRUE(testing::JsonLint::valid(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 0u);
 }
 
 TEST(TraceExport, RoundTripsSpansAsCompleteEvents) {
-  sim::Trace trace;
-  trace.record("kernel_preprocess", TimePoint{0}, TimePoint{2'000'000});
-  trace.record("kernel_gates", TimePoint{2'000'000}, TimePoint{4'500'000});
-  trace.record("kernel_gates", TimePoint{5'000'000}, TimePoint{6'000'000});
+  SpanTrace spans;
+  const TraceId tid = spans.begin_trace();
+  const SpanId root = spans.begin_span("lstm_sequence", TimePoint{0});
+  record_span(spans, "kernel_preprocess", TimePoint{0}, TimePoint{2'000'000});
+  record_span(spans, "kernel_gates", TimePoint{2'000'000},
+              TimePoint{4'500'000});
+  spans.end_span(root, TimePoint{6'000'000});
+  spans.end_trace();
 
-  const std::string json = to_chrome_trace_json(trace, {.pid = 3});
+  const std::string json = to_chrome_trace_json(spans);
   ASSERT_TRUE(testing::JsonLint::valid(json)) << json;
-  // One complete event per recorded span, on the exporting pid.
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), trace.spans().size());
-  EXPECT_EQ(count_occurrences(json, "\"pid\":3"),
-            trace.spans().size() + 3u);  // + process_name + 2 thread_names
-  // ts/dur are microseconds: the 2,000,000 ps preprocess span is 2 µs.
+  // One complete event per retained span, each naming its trace.
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), spans.spans().size());
+  EXPECT_EQ(count_occurrences(json, "\"trace_id\":" + std::to_string(tid)),
+            spans.spans().size());
+  // ts/dur are microseconds: the 2,000,000 ps preprocess span is 2 µs and
+  // the gates span starts at 2 µs.
   EXPECT_NE(json.find("\"ts\":0.000000"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":2.000000"), std::string::npos);
-  // One tid per distinct span name, announced as thread_name metadata.
-  EXPECT_EQ(count_occurrences(json, "\"thread_name\""), 2u);
+  EXPECT_NE(json.find("\"ts\":2.000000,\"dur\":2.500000"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\":6.000000"), std::string::npos);
   EXPECT_NE(json.find("\"kernel_preprocess\""), std::string::npos);
   EXPECT_NE(json.find("\"kernel_gates\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
-}
-
-TEST(TraceExport, MultiDeviceExportKeepsPidsApart) {
-  sim::Trace a;
-  a.record("k", TimePoint{0}, TimePoint{10});
-  sim::Trace b;
-  b.record("k", TimePoint{0}, TimePoint{20});
-  const std::string json = to_chrome_trace_json(
-      {DeviceTrace{&a, {.pid = 0, .process_name = "smartssd0"}},
-       DeviceTrace{&b, {.pid = 1, .process_name = "smartssd1"}}});
-  ASSERT_TRUE(testing::JsonLint::valid(json)) << json;
-  EXPECT_NE(json.find("\"smartssd0\""), std::string::npos);
-  EXPECT_NE(json.find("\"smartssd1\""), std::string::npos);
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 2u);
-  EXPECT_THROW(to_chrome_trace_json({DeviceTrace{nullptr, {}}}),
-               PreconditionError);
 }
 
 TEST(TraceExport, EscapesSpanNames) {
-  sim::Trace trace;
-  trace.record("weird\"name\\here", TimePoint{0}, TimePoint{1});
-  const std::string json = to_chrome_trace_json(trace);
+  SpanTrace spans;
+  spans.begin_trace();
+  record_span(spans, "weird\"name\\here", TimePoint{0}, TimePoint{1});
+  spans.end_trace();
+  const std::string json = to_chrome_trace_json(spans);
   EXPECT_TRUE(testing::JsonLint::valid(json)) << json;
+  EXPECT_NE(json.find("weird\\\"name\\\\here"), std::string::npos) << json;
 }
 
 TEST(TraceExport, WritesFile) {
-  sim::Trace trace;
-  trace.record("kernel_hidden_state", TimePoint{0}, TimePoint{1'000});
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "csdml_trace_export.json")
-          .string();
-  write_chrome_trace_file(path, trace);
+  SpanTrace spans;
+  spans.begin_trace();
+  record_span(spans, "kernel_hidden_state", TimePoint{0}, TimePoint{1'000});
+  spans.end_trace();
+  const std::string path = testing::temp_path("csdml_trace_export.json");
+  write_chrome_trace_file(path, spans);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
   EXPECT_TRUE(testing::JsonLint::valid(buffer.str()));
+  EXPECT_NE(buffer.str().find("kernel_hidden_state"), std::string::npos);
   std::remove(path.c_str());
 
-  EXPECT_THROW(write_chrome_trace_file("/no/such/dir/trace.json", trace),
+  EXPECT_THROW(write_chrome_trace_file("/no/such/dir/trace.json", spans),
                Error);
-}
-
-TEST(TraceExport, SummaryTableAggregatesPerName) {
-  sim::Trace trace;
-  trace.record("kernel_gates", TimePoint{0}, TimePoint{2'000'000});
-  trace.record("kernel_gates", TimePoint{0}, TimePoint{4'000'000});
-  trace.record("dma", TimePoint{0}, TimePoint{2'000'000});
-  const std::string table = trace_summary(trace);
-  EXPECT_NE(table.find("kernel_gates"), std::string::npos);
-  EXPECT_NE(table.find("dma"), std::string::npos);
-  EXPECT_NE(table.find("share"), std::string::npos);
-  // kernel_gates: 2 spans, 6 of the 8 total µs = 75.0%.
-  EXPECT_NE(table.find("75.0%"), std::string::npos);
-  EXPECT_NE(table.find("6.000"), std::string::npos);
 }
 
 }  // namespace

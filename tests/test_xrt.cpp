@@ -58,11 +58,19 @@ TEST(Xrt, KernelLaunchAdvancesTimeAndTraces) {
   const Duration latency = kernel.latency();
   EXPECT_GT(latency.picos, 0);
 
+  // The launch is recorded once, inside the open trace.
+  obs::SpanTrace& spans = f.board.span_trace();
+  const obs::TraceId id = spans.begin_trace();
   const TimePoint before = f.device.now();
   const TimePoint end = kernel.launch();
+  spans.end_trace();
   EXPECT_EQ((end - before).picos, latency.picos);
   EXPECT_EQ(f.device.now().picos, end.picos);
-  EXPECT_EQ(f.board.trace().count("k"), 1u);
+  const auto recorded = spans.trace_spans(id);
+  ASSERT_EQ(recorded.size(), 1u);
+  EXPECT_EQ(recorded[0]->name, "k");
+  EXPECT_EQ(recorded[0]->start.picos, before.picos);
+  EXPECT_EQ(recorded[0]->end.picos, end.picos);
 }
 
 TEST(Xrt, KernelAnalyzeReportsLoops) {
