@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -19,6 +20,8 @@
 #include "kernels/engine.hpp"
 #include "kernels/functional.hpp"
 #include "nn/train.hpp"
+#include "obs/metrics.hpp"
+#include "serve/fleet.hpp"
 
 namespace {
 
@@ -99,6 +102,26 @@ void BM_EngineConstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineConstruct)->ArgName("staged")->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// A whole fleet's bring-up as perfbench times it for setup_s: the default
+// 2-board FleetConfig (telemetry collector on its own thread), one
+// staging, two boards and their serving pipelines. Only the constructor
+// is timed; the registry reset and the teardown (thread joins) are not.
+void BM_FleetConstruct(benchmark::State& state) {
+  for (auto _ : state) {
+    obs::registry().reset();
+    const auto start = std::chrono::steady_clock::now();
+    auto fleet = std::make_unique<serve::BoardFleet>(
+        shared().config, shared().params, serve::FleetConfig{},
+        [](const serve::Verdict&) {});
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count());
+    benchmark::DoNotOptimize(fleet.get());
+    fleet.reset();
+  }
+}
+BENCHMARK(BM_FleetConstruct)->UseManualTime()->Unit(benchmark::kMicrosecond);
 
 void BM_ClassifierForward(benchmark::State& state) {
   const nn::LstmClassifier model(shared().config, shared().params);

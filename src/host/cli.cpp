@@ -24,7 +24,6 @@
 #include "nn/train.hpp"
 #include "nn/weights_io.hpp"
 #include "obs/anomaly.hpp"
-#include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/timeseries.hpp"
@@ -70,8 +69,9 @@ commands:
                registry (counters, gauges, p50/p95/p99 histograms) plus the
                request-span summary, the time-series store
                totals and the alert-engine state; --json emits machine-
-               readable metrics, --health the SLO verdict (JSON with
-               --json), --prometheus the text exposition format (including
+               readable metrics, --health the two latches (the engine's
+               unhealthy latch and the latched alerts; JSON with --json),
+               --prometheus the text exposition format (including
                csdml_tsdb_* / csdml_alerts_active)
   top          [--level L] [--boards N] [--rounds N] [--interval-calls N]
                [--seed N] [--fault-rate F] [--once] [--json]
@@ -424,6 +424,37 @@ int cmd_classify(const Flags& flags, std::ostream& out) {
   return 0;
 }
 
+/// `stats --health`: the engine's unhealthy latch (launch retries
+/// exhausted), how often it latched this run, and the alert engine's
+/// latched rules. One line of text, or one JSON object.
+std::string latch_report(bool csd_healthy, std::uint64_t latches,
+                         const obs::AlertEngine& alerts, bool json) {
+  const std::vector<obs::Alert> active = alerts.active_alerts();
+  const bool critical =
+      std::any_of(active.begin(), active.end(), [](const obs::Alert& alert) {
+        return alert.severity == obs::AlertSeverity::Critical;
+      });
+  if (json) {
+    JsonWriter writer;
+    writer.begin_object();
+    writer.field("csd_healthy", csd_healthy);
+    writer.field("unhealthy_latches", latches);
+    writer.key("active_alerts").begin_array();
+    for (const obs::Alert& alert : active) writer.value(alert.rule_id);
+    writer.end_array();
+    writer.field("alert_rules", alerts.rule_count());
+    writer.field("critical_alert", critical);
+    writer.end_object();
+    return writer.str();
+  }
+  std::ostringstream out;
+  out << "health: csd " << (csd_healthy ? "healthy" : "UNHEALTHY (latched)")
+      << ", unhealthy latches " << latches << ", alerts " << active.size()
+      << " active of " << alerts.rule_count() << " rules, "
+      << (critical ? "critical alert latched" : "no critical alert") << "\n";
+  return out.str();
+}
+
 int cmd_stats(const Flags& flags, std::ostream& out) {
   const kernels::OptimizationLevel level =
       parse_level(flags.get("level").value_or("fixed-point"));
@@ -470,11 +501,12 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
     out << obs::to_prometheus_text(snapshot);
     return 0;
   }
-  const obs::HealthReport health =
-      obs::evaluate_health(snapshot, rig.detector().csd_healthy());
+  const std::string health = latch_report(
+      rig.detector().csd_healthy(),
+      obs::registry().counter_value("engine.marked_unhealthy"), alerts,
+      flags.has("json"));
   if (flags.has("json")) {
-    out << (flags.has("health") ? health.to_json() : snapshot.to_json())
-        << "\n";
+    out << (flags.has("health") ? health : snapshot.to_json()) << "\n";
     return 0;
   }
   out << "sample detection: " << rig.stream_count() << " processes x " << calls
@@ -502,7 +534,7 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   out << "alerts: " << alerts.active_count() << " active ("
       << alerts.rule_count() << " rules)\n";
 
-  if (flags.has("health")) out << "\n" << health.to_text();
+  if (flags.has("health")) out << "\n" << health;
   if (trace_out.has_value()) {
     out << "\ntrace -> " << *trace_out
         << "  (open in chrome://tracing or ui.perfetto.dev)\n";

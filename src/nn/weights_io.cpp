@@ -1,6 +1,8 @@
 #include "nn/weights_io.hpp"
 
 #include <array>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -45,6 +47,62 @@ void read_values(std::istream& in, double* values, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) values[i] = read_value(in, what);
 }
 
+/// Most parameters a weight file may declare: 2^21 doubles, 16 MiB per
+/// copy, about 280x the paper's 7,472-parameter model. The loader
+/// allocates every tensor the header names before it reads a value, so
+/// an unchecked header is an allocation of the file's choosing.
+constexpr std::uint64_t kMaxWeightFileParameters = std::uint64_t{1} << 21;
+
+/// Reads one header dimension. It must be a positive integer no larger
+/// than the parameter cap, checked on the double before the cast, since
+/// converting an out-of-range double is undefined and `2.5` would
+/// otherwise truncate to 2 without a word.
+std::uint64_t read_dim(std::istream& in, const char* name) {
+  expect_keyword(in, name);
+  const double value = read_value(in, name);
+  CSDML_REQUIRE(value >= 1.0 &&
+                    value <= static_cast<double>(kMaxWeightFileParameters) &&
+                    std::floor(value) == value,
+                std::string("weight file: ") + name +
+                    " must be a positive integer no larger than " +
+                    std::to_string(kMaxWeightFileParameters));
+  return static_cast<std::uint64_t>(value);
+}
+
+/// Magic, version, activation and dimensions, shared by the LSTM and GRU
+/// formats; `gates` weight triples (kernel, recurrent, bias) follow the
+/// embedding. Rejects a model whose parameters exceed the cap before
+/// anything is allocated.
+template <typename Config>
+Config read_header(std::istream& in, const char* magic, std::uint64_t gates) {
+  expect_keyword(in, magic);
+  const std::string version = expect_token(in, "version");
+  if (version != kVersion) throw ParseError("unsupported weight file version " + version);
+
+  Config config;
+  expect_keyword(in, "activation");
+  const std::string act = expect_token(in, "activation value");
+  if (act == "softsign") config.activation = CellActivation::Softsign;
+  else if (act == "tanh") config.activation = CellActivation::Tanh;
+  else throw ParseError("unknown activation '" + act + "'");
+
+  const std::uint64_t vocab = read_dim(in, "vocab");
+  const std::uint64_t embed = read_dim(in, "embed");
+  const std::uint64_t hidden = read_dim(in, "hidden");
+  // Each factor is at most 2^21, so no product below can wrap.
+  const std::uint64_t total = vocab * embed +
+                              gates * (embed * hidden + hidden * hidden + hidden) +
+                              hidden + 1;
+  CSDML_REQUIRE(total <= kMaxWeightFileParameters,
+                "weight file: " + std::to_string(total) +
+                    " parameters exceed the cap of " +
+                    std::to_string(kMaxWeightFileParameters));
+  config.vocab_size = static_cast<TokenId>(vocab);
+  config.embed_dim = embed;
+  config.hidden_dim = hidden;
+  return config;
+}
+
 }  // namespace
 
 void save_weights(std::ostream& out, const LstmConfig& config,
@@ -81,26 +139,7 @@ void save_weights_file(const std::string& path, const LstmConfig& config,
 }
 
 ModelSnapshot load_weights(std::istream& in) {
-  expect_keyword(in, kMagic);
-  const std::string version = expect_token(in, "version");
-  if (version != kVersion) throw ParseError("unsupported weight file version " + version);
-
-  LstmConfig config;
-  expect_keyword(in, "activation");
-  const std::string act = expect_token(in, "activation value");
-  if (act == "softsign") config.activation = CellActivation::Softsign;
-  else if (act == "tanh") config.activation = CellActivation::Tanh;
-  else throw ParseError("unknown activation '" + act + "'");
-
-  expect_keyword(in, "vocab");
-  config.vocab_size = static_cast<TokenId>(read_value(in, "vocab"));
-  expect_keyword(in, "embed");
-  config.embed_dim = static_cast<std::size_t>(read_value(in, "embed"));
-  expect_keyword(in, "hidden");
-  config.hidden_dim = static_cast<std::size_t>(read_value(in, "hidden"));
-  CSDML_REQUIRE(config.vocab_size > 0 && config.embed_dim > 0 && config.hidden_dim > 0,
-                "weight file: invalid dimensions");
-
+  const auto config = read_header<LstmConfig>(in, kMagic, kNumGates);
   LstmParams params = LstmParams::zeros(config);
   expect_keyword(in, "embedding");
   read_values(in, params.embedding.data(), params.embedding.size(), "embedding");
@@ -168,26 +207,7 @@ void save_gru_weights_file(const std::string& path, const GruConfig& config,
 }
 
 GruModelSnapshot load_gru_weights(std::istream& in) {
-  expect_keyword(in, kGruMagic);
-  const std::string version = expect_token(in, "version");
-  if (version != kVersion) throw ParseError("unsupported weight file version " + version);
-
-  GruConfig config;
-  expect_keyword(in, "activation");
-  const std::string act = expect_token(in, "activation value");
-  if (act == "softsign") config.activation = CellActivation::Softsign;
-  else if (act == "tanh") config.activation = CellActivation::Tanh;
-  else throw ParseError("unknown activation '" + act + "'");
-
-  expect_keyword(in, "vocab");
-  config.vocab_size = static_cast<TokenId>(read_value(in, "vocab"));
-  expect_keyword(in, "embed");
-  config.embed_dim = static_cast<std::size_t>(read_value(in, "embed"));
-  expect_keyword(in, "hidden");
-  config.hidden_dim = static_cast<std::size_t>(read_value(in, "hidden"));
-  CSDML_REQUIRE(config.vocab_size > 0 && config.embed_dim > 0 && config.hidden_dim > 0,
-                "weight file: invalid dimensions");
-
+  const auto config = read_header<GruConfig>(in, kGruMagic, kNumGruGates);
   GruParams params = GruParams::zeros(config);
   expect_keyword(in, "embedding");
   read_values(in, params.embedding.data(), params.embedding.size(), "embedding");

@@ -29,7 +29,9 @@ void save_weights(std::ostream& out, const LstmConfig& config,
 void save_weights_file(const std::string& path, const LstmConfig& config,
                        const LstmParams& params);
 
-/// Parses a weight file; throws ParseError on malformed input.
+/// Parses a weight file; throws ParseError on malformed input and
+/// PreconditionError, before allocating, on a dimension that is not a
+/// positive integer or a model above the loader's 2^21-parameter cap.
 ModelSnapshot load_weights(std::istream& in);
 ModelSnapshot load_weights_file(const std::string& path);
 

@@ -1,5 +1,6 @@
 #include "ransomware/trace_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -75,13 +76,14 @@ class JsonCursor {
 
   long parse_integer() {
     skip_space();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected integer");
-    return std::stol(text_.substr(start, pos_ - start));
+    if (pos_ < text_.size() && text_[pos_] == '+') ++pos_;
+    long value = 0;
+    const char* begin = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(begin, text_.data() + text_.size(), value);
+    if (ec == std::errc::result_out_of_range) fail("integer out of range");
+    if (ec != std::errc{}) fail("expected integer");
+    pos_ += static_cast<std::size_t>(end - begin);
+    return value;
   }
 
   void finish() {

@@ -125,6 +125,23 @@ TEST(CliExitCodes, ClassifyDistinguishesUsageFromMissingFiles) {
                  "/nonexistent/d.csv"}).code, 1);
 }
 
+TEST(CliExitCodes, ClassifyRefusesUntrustedWeightDimensions) {
+  // A weight-file dimension that is not a positive integer, or that
+  // wraps the loader's size arithmetic (2^61), is a usage error (2),
+  // refused before the (here missing) dataset is read.
+  for (const char* embed : {"2305843009213693952", "2.5"}) {
+    const std::string weights = write_file(
+        "csdml_cli_bad_dims.txt",
+        std::string("csdml-weights v1\nactivation softsign\nvocab 8\nembed ") +
+            embed + "\nhidden 32\n");
+    const CliRun bad = run({"classify", "--weights", weights, "--dataset",
+                            "/nonexistent/d.csv"});
+    EXPECT_EQ(bad.code, 2) << embed << ": " << bad.err;
+    EXPECT_NE(bad.err.find("embed"), std::string::npos) << bad.err;
+    std::remove(weights.c_str());
+  }
+}
+
 TEST(CliExitCodes, TrainRealFlagsParseWholeBeforeTheDataset) {
   // A malformed or non-finite real is a usage error naming its flag, and
   // it is caught before the (here missing) dataset is read.

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -174,6 +176,68 @@ TEST(WeightsIo, DimensionMismatchFailsCleanly) {
     std::stringstream buffer(zeroed);
     EXPECT_THROW(load_weights(buffer), PreconditionError);
   }
+}
+
+/// A header that names `embed` as its embedding width, followed by the
+/// values a loader that wrapped every `embed` product to zero would read:
+/// no embedding or kernel entries, then the recurrent kernels, biases and
+/// dense head of an 8-token, 32-unit model.
+std::string wrapped_embed_text(const char* magic,
+                               const std::vector<std::string>& gates,
+                               const char* embed) {
+  const std::string row32 = [] {
+    std::string row;
+    for (int i = 0; i < 32; ++i) row += "0 ";
+    return row + "\n";
+  }();
+  std::string text = std::string(magic) +
+                     " v1\nactivation softsign\nvocab 8\nembed " + embed +
+                     "\nhidden 32\nembedding\n\n";
+  for (const std::string& gate : gates) {
+    text += "kernel " + gate + "\n\n";
+    text += "recurrent " + gate + "\n";
+    for (int r = 0; r < 32; ++r) text += row32;
+    text += "bias " + gate + "\n" + row32;
+  }
+  return text + "dense\n" + row32 + "dense_bias\n0\n";
+}
+
+TEST(WeightsIo, UntrustedDimensionsFailBeforeAllocating) {
+  // 2^61 wraps every `embed` product to 0 in size_t: an unchecked loader
+  // accepts this file with an empty embedding and empty input kernels,
+  // and staging then walks 2^61 rows of them.
+  {
+    std::stringstream buffer(
+        wrapped_embed_text("csdml-weights", {kGateNames.begin(), kGateNames.end()},
+                           "2305843009213693952"));
+    EXPECT_THROW(load_weights(buffer), PreconditionError);
+  }
+  // Not integral, not positive, or too large to cast: each is refused on
+  // the double, before any tensor is sized from it.
+  const std::string text = small_weight_text();
+  for (const char* embed : {"embed 2.5", "embed -1", "embed 0", "embed 1e18"}) {
+    std::string bad = text;
+    bad.replace(bad.find("embed 2"), 7, embed);
+    std::stringstream buffer(bad);
+    EXPECT_THROW(load_weights(buffer), PreconditionError) << embed;
+  }
+  {
+    // Every dimension is small, but the model is over the parameter cap:
+    // 4 gates x 1024^2 recurrent weights alone are 2^22.
+    std::string big = text;
+    big.replace(big.find("hidden 3"), 8, "hidden 1024");
+    std::stringstream buffer(big);
+    EXPECT_THROW(load_weights(buffer), PreconditionError);
+  }
+}
+
+TEST(GruWeightsIo, UntrustedDimensionsFailBeforeAllocating) {
+  const std::vector<std::string> gates{"update", "reset", "candidate"};
+  std::stringstream wrapped(
+      wrapped_embed_text("csdml-gru-weights", gates, "2305843009213693952"));
+  EXPECT_THROW(load_gru_weights(wrapped), PreconditionError);
+  std::stringstream fractional(wrapped_embed_text("csdml-gru-weights", gates, "2.5"));
+  EXPECT_THROW(load_gru_weights(fractional), PreconditionError);
 }
 
 TEST(GruWeightsIo, RoundTripIsExact) {
