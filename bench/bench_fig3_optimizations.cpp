@@ -36,31 +36,17 @@ int main() {
 
   const nn::LstmConfig config;  // the paper's 7,472-parameter model
   const hls::HlsCostModel model = hls::HlsCostModel::ultrascale_default();
-  const Frequency clock = model.clock();
 
   TextTable table({"optimization", "kernel", "measured_us", "paper_us", "delta"});
   double totals_measured[3] = {};
   double totals_paper[3] = {};
   int row_index = 0;
   for (const PaperRow& paper : kPaper) {
-    const double pre =
-        clock.duration_of(
-                 model.analyze(kernels::make_preprocess_spec(config, paper.level, 4))
-                     .total)
-            .as_microseconds();
-    const hls::KernelReport gates_report =
-        model.analyze(kernels::make_gates_spec(config, paper.level));
-    const double gates =
-        kernels::gates_reports_amortized_ii(paper.level)
-            ? clock.duration_of(Cycles{gates_report.loops.front().achieved_ii})
-                  .as_microseconds()
-            : clock.duration_of(gates_report.total).as_microseconds();
-    const double hidden =
-        clock.duration_of(
-                 model.analyze(
-                          kernels::make_hidden_state_spec(config, paper.level, 4))
-                     .total)
-            .as_microseconds();
+    const kernels::KernelTimings timings =
+        kernels::kernel_timings(model, config, paper.level, 4);
+    const double pre = timings.preprocess.as_microseconds();
+    const double gates = timings.gates.as_microseconds();
+    const double hidden = timings.hidden_state.as_microseconds();
 
     const char* name = kernels::optimization_name(paper.level);
     table.add_row({name, "preprocess", TextTable::num(pre),

@@ -26,42 +26,19 @@ struct Totals {
 
 Totals totals_under(const hls::HlsCostModel& model) {
   const nn::LstmConfig config;
-  const Frequency clock = model.clock();
-  const auto level_total = [&](kernels::OptimizationLevel level) {
-    double total = clock.duration_of(
-                            model.analyze(kernels::make_preprocess_spec(
-                                              config, level, 4))
-                                .total)
-                       .as_microseconds();
-    const auto gates =
-        model.analyze(kernels::make_gates_spec(config, level));
-    total += kernels::gates_reports_amortized_ii(level)
-                 ? clock.duration_of(Cycles{gates.loops.front().achieved_ii})
-                       .as_microseconds()
-                 : clock.duration_of(gates.total).as_microseconds();
-    total += clock.duration_of(
-                      model.analyze(kernels::make_hidden_state_spec(
-                                        config, level, 4))
-                          .total)
-                 .as_microseconds();
-    return total;
+  const kernels::KernelTimings vanilla =
+      kernels::kernel_timings(model, config, kernels::OptimizationLevel::Vanilla, 4);
+  const kernels::KernelTimings fixed = kernels::kernel_timings(
+      model, config, kernels::OptimizationLevel::FixedPoint, 4);
+  // Per-kernel microseconds summed as doubles, the way Fig. 3 adds its bars.
+  const auto total_us = [](const kernels::KernelTimings& t) {
+    return t.preprocess.as_microseconds() + t.gates.as_microseconds() +
+           t.hidden_state.as_microseconds();
   };
-  Totals t{};
-  t.vanilla = level_total(kernels::OptimizationLevel::Vanilla);
-  t.fixed = level_total(kernels::OptimizationLevel::FixedPoint);
-  t.pre_vanilla =
-      clock.duration_of(model.analyze(kernels::make_preprocess_spec(
-                                          config,
-                                          kernels::OptimizationLevel::Vanilla, 4))
-                            .total)
-          .as_microseconds();
-  t.pre_fixed =
-      clock.duration_of(
-               model.analyze(kernels::make_preprocess_spec(
-                                 config, kernels::OptimizationLevel::FixedPoint, 4))
-                   .total)
-          .as_microseconds();
-  return t;
+  return Totals{.vanilla = total_us(vanilla),
+                .fixed = total_us(fixed),
+                .pre_vanilla = vanilla.preprocess.as_microseconds(),
+                .pre_fixed = fixed.preprocess.as_microseconds()};
 }
 
 hls::HlsCostModel perturbed(double op_scale, double axi_scale) {

@@ -3,8 +3,8 @@
 // The paper's detector lives *inside* the storage device it protects, so
 // it must keep classifying while that device degrades under ransomware
 // I/O pressure. The device layers (csd::NandArray, csd::NvmeQueue,
-// csd::SmartSsd's PCIe paths, xrt::Kernel) each consult an attached
-// FaultPlan at their injection site; the plan decides — from seeded,
+// csd::SmartSsd's PCIe paths, CsdLstmEngine's kernel launch) each consult
+// an attached FaultPlan at their injection site; the plan decides — from seeded,
 // per-kind xoshiro streams — whether that operation fails, and records
 // every injected fault in an append-only log.
 //
@@ -73,12 +73,6 @@ struct FaultRecord {
   std::uint64_t detail{0};
 
   friend bool operator==(const FaultRecord&, const FaultRecord&) = default;
-};
-
-/// Thrown by xrt::Kernel::launch when the plan fails the launch.
-class FaultInjectedError : public Error {
- public:
-  explicit FaultInjectedError(const std::string& what) : Error(what) {}
 };
 
 /// Thrown by the engine when the CSD is marked unhealthy (retries

@@ -67,12 +67,10 @@ commands:
                [--health] [--prometheus] [--trace-out PATH]
                run a sample streaming detection and print the telemetry
                registry (counters, gauges, p50/p95/p99 histograms) plus the
-               request-span summary, the time-series store
-               totals and the alert-engine state; --json emits machine-
-               readable metrics, --health the two latches (the engine's
-               unhealthy latch and the latched alerts; JSON with --json),
-               --prometheus the text exposition format (including
-               csdml_tsdb_* / csdml_alerts_active)
+               request-span summary and the time-series store totals;
+               --json emits machine-readable metrics, --health the
+               engine's unhealthy latch (JSON with --json), --prometheus
+               the text exposition format (including csdml_tsdb_*)
   top          [--level L] [--boards N] [--rounds N] [--interval-calls N]
                [--seed N] [--fault-rate F] [--once] [--json]
                live per-board console over the fleet's telemetry time-series
@@ -425,33 +423,21 @@ int cmd_classify(const Flags& flags, std::ostream& out) {
 }
 
 /// `stats --health`: the engine's unhealthy latch (launch retries
-/// exhausted), how often it latched this run, and the alert engine's
-/// latched rules. One line of text, or one JSON object.
-std::string latch_report(bool csd_healthy, std::uint64_t latches,
-                         const obs::AlertEngine& alerts, bool json) {
-  const std::vector<obs::Alert> active = alerts.active_alerts();
-  const bool critical =
-      std::any_of(active.begin(), active.end(), [](const obs::Alert& alert) {
-        return alert.severity == obs::AlertSeverity::Critical;
-      });
+/// exhausted) and how often it latched this run. One line of text, or one
+/// JSON object. The sample workload always has a host fallback, so it
+/// never defers and carries no alert rules; the alert latch is `top`'s.
+std::string latch_report(bool csd_healthy, std::uint64_t latches, bool json) {
   if (json) {
     JsonWriter writer;
     writer.begin_object();
     writer.field("csd_healthy", csd_healthy);
     writer.field("unhealthy_latches", latches);
-    writer.key("active_alerts").begin_array();
-    for (const obs::Alert& alert : active) writer.value(alert.rule_id);
-    writer.end_array();
-    writer.field("alert_rules", alerts.rule_count());
-    writer.field("critical_alert", critical);
     writer.end_object();
     return writer.str();
   }
   std::ostringstream out;
   out << "health: csd " << (csd_healthy ? "healthy" : "UNHEALTHY (latched)")
-      << ", unhealthy latches " << latches << ", alerts " << active.size()
-      << " active of " << alerts.rule_count() << " rules, "
-      << (critical ? "critical alert latched" : "no critical alert") << "\n";
+      << ", unhealthy latches " << latches << "\n";
   return out.str();
 }
 
@@ -470,25 +456,21 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   SampleRig rig(level, seed, calls, fault_rate);
 
   // The workload runs in slices with a sampler tick between them, so the
-  // final snapshot carries populated tsdb.* / alerts.* series (the same
-  // path the fleet collector thread drives; here the timeline is the
-  // slice index, one synthetic second apart).
+  // final snapshot carries populated tsdb.* series (the same path the
+  // fleet collector thread drives; here the timeline is the slice index,
+  // one synthetic second apart).
   obs::TimeSeriesStore store(obs::TsdbConfig::from_env());
   obs::SnapshotSampler sampler({
       {"stats.classified.delta", obs::SampleSpec::Kind::CounterDelta,
        "detector.classifications"},
-      {"stats.deferred.delta", obs::SampleSpec::Kind::CounterDelta,
-       "detector.degraded_classifications"},
       {"stats.p99_us", obs::SampleSpec::Kind::HistP99,
        "detector.inference_us"},
   });
-  obs::AlertEngine alerts;
   constexpr std::size_t kSlices = 4;
   for (std::size_t slice = 0; slice < kSlices; ++slice) {
     rig.run(slice * calls / kSlices, (slice + 1) * calls / kSlices);
     const auto t_us = static_cast<std::int64_t>(slice + 1) * 1'000'000;
     sampler.sample(t_us, obs::registry().snapshot(), &store);
-    alerts.evaluate(store, t_us);
   }
   rig.forget_all();
   store.publish_gauges();
@@ -503,8 +485,7 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   }
   const std::string health = latch_report(
       rig.detector().csd_healthy(),
-      obs::registry().counter_value("engine.marked_unhealthy"), alerts,
-      flags.has("json"));
+      obs::registry().counter_value("engine.marked_unhealthy"), flags.has("json"));
   if (flags.has("json")) {
     out << (flags.has("health") ? health : snapshot.to_json()) << "\n";
     return 0;
@@ -531,8 +512,6 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   const obs::TimeSeriesStore::Totals totals = store.totals();
   out << "time series: " << totals.series << " series, " << totals.samples
       << " samples, " << totals.promotions << " tier promotions\n";
-  out << "alerts: " << alerts.active_count() << " active ("
-      << alerts.rule_count() << " rules)\n";
 
   if (flags.has("health")) out << "\n" << health;
   if (trace_out.has_value()) {

@@ -1,6 +1,5 @@
 #include "kernels/engine.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -70,37 +69,6 @@ std::vector<std::uint8_t> weight_image(const nn::LstmParams& params) {
   return bytes;
 }
 
-/// Steady-state per-item timings of the three kernels under `model`.
-KernelTimings timings_of(const hls::HlsCostModel& model, const EngineConfig& config,
-                         const hls::KernelSpec& preprocess,
-                         const hls::KernelSpec& gates,
-                         const hls::KernelSpec& hidden_state) {
-  const Frequency clock = model.clock();
-  const hls::KernelReport pre = model.analyze(preprocess);
-  const hls::KernelReport gate = model.analyze(gates);
-  const hls::KernelReport hidden = model.analyze(hidden_state);
-
-  KernelTimings timings;
-  timings.preprocess = clock.duration_of(pre.total);
-
-  // The four gate vectors are computed by `gate_cu_count` parallel CUs; with
-  // fewer CUs than gates, the CUs run ceil(4 / count) rounds.
-  const std::uint32_t rounds =
-      (static_cast<std::uint32_t>(nn::kNumGates) + config.gate_cu_count - 1) /
-      config.gate_cu_count;
-  if (gates_reports_amortized_ii(config.level)) {
-    // Steady state: the fully partitioned pipeline accepts a new item every
-    // II cycles (see specs.hpp).
-    const std::uint64_t ii = gate.loops.empty() ? 1 : gate.loops.front().achieved_ii;
-    timings.gates = clock.duration_of(Cycles{std::max<std::uint64_t>(ii, 1)}) *
-                    static_cast<std::int64_t>(rounds);
-  } else {
-    timings.gates = clock.duration_of(gate.total) * static_cast<std::int64_t>(rounds);
-  }
-  timings.hidden_state = clock.duration_of(hidden.total);
-  return timings;
-}
-
 std::vector<std::uint8_t> sequence_image(const nn::Sequence& sequence) {
   std::vector<std::uint8_t> bytes(sequence.size() * sizeof(nn::TokenId));
   std::memcpy(bytes.data(), sequence.data(), bytes.size());
@@ -147,24 +115,20 @@ CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_co
   check_adoptable(weights.get());
 
   // Build the xclbin: one preprocess kernel, `gate_cu_count` gate CUs, one
-  // hidden-state kernel.
-  const hls::KernelSpec preprocess = make_preprocess_spec(
-      model_config_, config_.level, config_.gate_cu_count, config_.link);
-  const hls::KernelSpec gate =
-      make_gates_spec(model_config_, config_.level, config_.link);
-  const hls::KernelSpec hidden = make_hidden_state_spec(
+  // hidden-state kernel; the timings come from the same specs.
+  const LstmKernelSpecs specs = make_kernel_specs(
       model_config_, config_.level, config_.gate_cu_count, config_.link);
   xrt::Xclbin xclbin;
   xclbin.name = std::string("lstm_") + optimization_name(config_.level);
-  xclbin.kernels["kernel_preprocess"] = preprocess;
+  xclbin.kernels["kernel_preprocess"] = specs.preprocess;
   for (std::uint32_t cu = 0; cu < config_.gate_cu_count; ++cu) {
-    hls::KernelSpec copy = gate;
+    hls::KernelSpec copy = specs.gates;
     copy.name = "kernel_gates_cu" + std::to_string(cu);
     xclbin.kernels[copy.name] = std::move(copy);
   }
-  xclbin.kernels["kernel_hidden_state"] = hidden;
+  xclbin.kernels["kernel_hidden_state"] = specs.hidden_state;
   device_.load_xclbin(xclbin);
-  per_item_timings_ = timings_of(device_.cost_model(), config_, preprocess, gate, hidden);
+  per_item_timings_ = kernel_timings(device_.cost_model(), specs);
 
   // Host program initialisation (Fig. 2): the weight/embedding image moves
   // host -> PCIe -> FPGA DDR before any inference runs.
@@ -372,12 +336,7 @@ InferenceResult CsdLstmEngine::infer(nn::TokenSpan sequence) {
   const double probability = weights_->infer(
       sequence, scratch_[0].float_scratch, scratch_[0].fixed_scratch);
 
-  // Timing: preprocess overlaps the previous item's gate/hidden stage
-  // (Section III-C), so it is exposed once; every item then pays
-  // gates + hidden_state.
-  const auto items = static_cast<std::int64_t>(sequence.size());
-  const Duration steady = per_item.gates + per_item.hidden_state;
-  const Duration total = per_item.preprocess + steady * items;
+  const Duration total = per_item.sequence(sequence.size());
 
   const TimePoint start = device_.now();
   device_.advance_to(start + total);
@@ -385,7 +344,8 @@ InferenceResult CsdLstmEngine::infer(nn::TokenSpan sequence) {
   // span, so trace exports show the Fig. 3 breakdown per classification.
   if (scope.active()) {
     const TimePoint preprocess_done = start + per_item.preprocess;
-    const TimePoint gates_done = preprocess_done + per_item.gates * items;
+    const TimePoint gates_done =
+        preprocess_done + per_item.gates * static_cast<std::int64_t>(sequence.size());
     const obs::SpanId seq_span = spans.begin_span("lstm_sequence", start);
     obs::record_span(spans, "kernel_preprocess", start, preprocess_done);
     obs::record_span(spans, "kernel_gates", preprocess_done, gates_done);
@@ -420,10 +380,10 @@ CsdLstmEngine::BatchResult CsdLstmEngine::infer_batch(
   BatchResult result;
   result.probabilities.resize(sequences.size());
   result.labels.resize(sequences.size());
-  std::int64_t total_items = 0;
+  std::size_t total_items = 0;
   for (const nn::Sequence& sequence : sequences) {
     CSDML_REQUIRE(!sequence.empty(), "empty sequence in batch");
-    total_items += static_cast<std::int64_t>(sequence.size());
+    total_items += sequence.size();
   }
 
   // One availability decision per batch (the whole batch rides one
@@ -448,9 +408,6 @@ CsdLstmEngine::BatchResult CsdLstmEngine::infer_batch(
     return result;
   }
 
-  const KernelTimings& per_item = per_item_timings_;
-  const Duration steady = per_item.gates + per_item.hidden_state;
-
   // Fan the functional forward passes out across the pool; each executor
   // owns one engine-held scratch entry, results land at their sequence
   // index. Every worker reads the version served here: the device lock
@@ -465,7 +422,7 @@ CsdLstmEngine::BatchResult CsdLstmEngine::infer_batch(
         result.probabilities[index] = probability;
         result.labels[index] = probability >= 0.5 ? 1 : 0;
       });
-  result.device_time = per_item.preprocess + steady * total_items;
+  result.device_time = per_item_timings_.sequence(total_items);
 
   const TimePoint start = device_.now();
   device_.advance_to(start + result.device_time);

@@ -108,15 +108,6 @@ class StagedWeights {
   std::vector<std::uint8_t> image_;
 };
 
-/// Per-item kernel timings — the Fig. 3 quantities.
-struct KernelTimings {
-  Duration preprocess;
-  Duration gates;        ///< max over the parallel CUs (steady state)
-  Duration hidden_state;
-
-  Duration total() const { return preprocess + gates + hidden_state; }
-};
-
 struct InferenceResult {
   double probability{0.0};
   int label{0};
@@ -150,8 +141,9 @@ class CsdLstmEngine {
   const EngineConfig& config() const { return config_; }
   const nn::LstmConfig& model_config() const { return model_config_; }
 
-  /// Steady-state per-item kernel timings under the cost model, fixed at
-  /// construction (neither the cost model nor the config can change).
+  /// Steady-state per-item kernel timings under the cost model
+  /// (kernel_timings of the placed specs), fixed at construction (neither
+  /// the cost model nor the config can change).
   const KernelTimings& per_item_timings() const { return per_item_timings_; }
 
   /// Classifies a sequence already resident in FPGA DRAM (the steady-state

@@ -7,43 +7,13 @@
 
 namespace csdml::kernels {
 
-StageDurations stage_durations(const hls::HlsCostModel& model,
-                               const nn::LstmConfig& config,
-                               const PipelineSimConfig& pipeline) {
-  const Frequency clock = model.clock();
-  StageDurations stages;
-  stages.preprocess =
-      clock.duration_of(model.analyze(make_preprocess_spec(
-                                          config, pipeline.level,
-                                          pipeline.gate_cu_count, pipeline.link))
-                            .total);
-  const hls::KernelReport gates = model.analyze(
-      make_gates_spec(config, pipeline.level, pipeline.link));
-  const std::uint32_t rounds =
-      (static_cast<std::uint32_t>(nn::kNumGates) + pipeline.gate_cu_count - 1) /
-      pipeline.gate_cu_count;
-  if (gates_reports_amortized_ii(pipeline.level)) {
-    const std::uint64_t ii =
-        gates.loops.empty() ? 1 : gates.loops.front().achieved_ii;
-    stages.gates = clock.duration_of(Cycles{std::max<std::uint64_t>(ii, 1)}) *
-                   static_cast<std::int64_t>(rounds);
-  } else {
-    stages.gates =
-        clock.duration_of(gates.total) * static_cast<std::int64_t>(rounds);
-  }
-  stages.hidden = clock.duration_of(
-      model.analyze(make_hidden_state_spec(config, pipeline.level,
-                                           pipeline.gate_cu_count, pipeline.link))
-          .total);
-  return stages;
-}
-
 PipelineSimResult simulate_pipeline(const hls::HlsCostModel& model,
                                     const nn::LstmConfig& config,
                                     const PipelineSimConfig& pipeline,
                                     std::size_t items) {
   CSDML_REQUIRE(items > 0, "need at least one item");
-  const StageDurations stages = stage_durations(model, config, pipeline);
+  const KernelTimings stages = kernel_timings(
+      model, config, pipeline.level, pipeline.gate_cu_count, pipeline.link);
 
   sim::Simulation simulation;
   PipelineSimResult result;
@@ -70,7 +40,7 @@ PipelineSimResult simulate_pipeline(const hls::HlsCostModel& model,
     simulation.schedule_after(stages.gates, [&, i, start] {
       result.spans.push_back({"gates", start, simulation.now()});
       const TimePoint hidden_start = simulation.now();
-      simulation.schedule_after(stages.hidden, [&, i, hidden_start] {
+      simulation.schedule_after(stages.hidden_state, [&, i, hidden_start] {
         hidden_done[i] = true;
         result.spans.push_back(
             {"hidden_state", hidden_start, simulation.now()});

@@ -1,9 +1,9 @@
 // Event-driven simulation of the Fig. 2 kernel pipeline.
 //
 // The engine computes sequence latency with a closed-form overlap formula
-// (preprocess exposed once, then gates+hidden per item). This module
-// replays the same pipeline through the discrete-event core with explicit
-// dependencies —
+// (KernelTimings::sequence: preprocess exposed once, then gates+hidden per
+// item). This module replays the same pipeline through the discrete-event
+// core with explicit dependencies —
 //
 //   preprocess[i]  needs: preprocess[i-1] done, x-buffer free (gates[i-1]
 //                         started)
@@ -34,29 +34,13 @@ struct PipelineSimResult {
   Duration total;            ///< completion time of the last hidden stage
   std::size_t items{0};
   std::vector<sim::Span> spans;  ///< preprocess[i], gates[i], hidden_state[i]
-
-  Duration per_item_steady() const {
-    return items > 1 ? Duration{(total.picos) / static_cast<std::int64_t>(items)}
-                     : total;
-  }
 };
 
-/// Runs `items` sequence items through the event-driven pipeline using the
-/// cost model's per-kernel durations.
+/// Runs `items` sequence items through the event-driven pipeline, each
+/// stage taking its kernel_timings duration.
 PipelineSimResult simulate_pipeline(const hls::HlsCostModel& model,
                                     const nn::LstmConfig& config,
                                     const PipelineSimConfig& pipeline,
                                     std::size_t items);
-
-/// Same engine-style stage durations the simulation uses (exposed for the
-/// cross-validation tests).
-struct StageDurations {
-  Duration preprocess;
-  Duration gates;
-  Duration hidden;
-};
-StageDurations stage_durations(const hls::HlsCostModel& model,
-                               const nn::LstmConfig& config,
-                               const PipelineSimConfig& pipeline);
 
 }  // namespace csdml::kernels

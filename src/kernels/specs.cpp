@@ -1,5 +1,7 @@
 #include "kernels/specs.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace csdml::kernels {
@@ -228,6 +230,48 @@ KernelSpec make_hidden_state_spec(const nn::LstmConfig& config,
 
 bool gates_reports_amortized_ii(OptimizationLevel level) {
   return level == OptimizationLevel::FixedPoint;
+}
+
+LstmKernelSpecs make_kernel_specs(const nn::LstmConfig& config,
+                                  OptimizationLevel level,
+                                  std::uint32_t gate_cu_count, KernelLink link) {
+  return LstmKernelSpecs{
+      .level = level,
+      .gate_cu_count = gate_cu_count,
+      .preprocess = make_preprocess_spec(config, level, gate_cu_count, link),
+      .gates = make_gates_spec(config, level, link),
+      .hidden_state = make_hidden_state_spec(config, level, gate_cu_count, link)};
+}
+
+KernelTimings kernel_timings(const hls::HlsCostModel& model,
+                             const LstmKernelSpecs& specs) {
+  const Frequency clock = model.clock();
+  KernelTimings timings;
+  timings.preprocess = clock.duration_of(model.analyze(specs.preprocess).total);
+
+  // The four gate vectors are computed by `gate_cu_count` parallel CUs; with
+  // fewer CUs than gates, the CUs run ceil(4 / count) rounds.
+  const std::uint32_t rounds =
+      (static_cast<std::uint32_t>(nn::kNumGates) + specs.gate_cu_count - 1) /
+      specs.gate_cu_count;
+  const hls::KernelReport gates = model.analyze(specs.gates);
+  if (gates_reports_amortized_ii(specs.level)) {
+    // Steady state: the fully partitioned pipeline accepts a new item every
+    // II cycles (see specs.hpp).
+    const std::uint64_t ii = gates.loops.empty() ? 1 : gates.loops.front().achieved_ii;
+    timings.gates = clock.duration_of(Cycles{std::max<std::uint64_t>(ii, 1)}) *
+                    static_cast<std::int64_t>(rounds);
+  } else {
+    timings.gates = clock.duration_of(gates.total) * static_cast<std::int64_t>(rounds);
+  }
+  timings.hidden_state = clock.duration_of(model.analyze(specs.hidden_state).total);
+  return timings;
+}
+
+KernelTimings kernel_timings(const hls::HlsCostModel& model,
+                             const nn::LstmConfig& config, OptimizationLevel level,
+                             std::uint32_t gate_cu_count, KernelLink link) {
+  return kernel_timings(model, make_kernel_specs(config, level, gate_cu_count, link));
 }
 
 }  // namespace csdml::kernels

@@ -14,6 +14,7 @@
 //                 piecewise-linear form and tanh was already softsign.
 #pragma once
 
+#include "hls/cost_model.hpp"
 #include "hls/kernel_spec.hpp"
 #include "nn/lstm.hpp"
 
@@ -59,5 +60,48 @@ hls::KernelSpec make_hidden_state_spec(const nn::LstmConfig& config,
 /// the quantity the Vitis profile reports, and why the paper's fixed-point
 /// gates bar reads 0.00333 us = exactly one 300 MHz cycle).
 bool gates_reports_amortized_ii(OptimizationLevel level);
+
+/// The three kernels of one build (Fig. 2), and what they were built for.
+/// An xclbin places `gate_cu_count` copies of `gates`.
+struct LstmKernelSpecs {
+  OptimizationLevel level;
+  std::uint32_t gate_cu_count;
+  hls::KernelSpec preprocess;
+  hls::KernelSpec gates;
+  hls::KernelSpec hidden_state;
+};
+
+/// The three specs above for one configuration.
+LstmKernelSpecs make_kernel_specs(const nn::LstmConfig& config,
+                                  OptimizationLevel level,
+                                  std::uint32_t gate_cu_count,
+                                  KernelLink link = KernelLink::AxiMemory);
+
+/// Per-item kernel timings — the Fig. 3 quantities.
+struct KernelTimings {
+  Duration preprocess;
+  Duration gates;        ///< all four gate vectors over the parallel CUs
+  Duration hidden_state;
+
+  Duration total() const { return preprocess + gates + hidden_state; }
+
+  /// Device time of `items` items streamed back-to-back: preprocess runs
+  /// one item ahead of the gate/hidden pipeline (Section III-C), so it is
+  /// exposed once; every item then pays gates + hidden_state.
+  Duration sequence(std::size_t items) const {
+    return preprocess + (gates + hidden_state) * static_cast<std::int64_t>(items);
+  }
+};
+
+/// Steady-state per-item timings of `specs` under `model`. The one place
+/// the amortized-II rule and the ceil(4 / CUs) gate rounds live.
+KernelTimings kernel_timings(const hls::HlsCostModel& model,
+                             const LstmKernelSpecs& specs);
+
+/// Builds the specs for one configuration, then times them.
+KernelTimings kernel_timings(const hls::HlsCostModel& model,
+                             const nn::LstmConfig& config,
+                             OptimizationLevel level, std::uint32_t gate_cu_count,
+                             KernelLink link = KernelLink::AxiMemory);
 
 }  // namespace csdml::kernels

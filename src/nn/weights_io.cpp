@@ -47,6 +47,16 @@ void read_values(std::istream& in, double* values, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) values[i] = read_value(in, what);
 }
 
+/// The last value must end the file: anything but whitespace after
+/// `dense_bias` (`junk` appended, or `0junk` as the last value) means the
+/// file is not one this format wrote.
+void expect_end(std::istream& in) {
+  in >> std::ws;
+  if (in.peek() != std::istream::traits_type::eof()) {
+    throw ParseError("weight file: trailing content");
+  }
+}
+
 /// Most parameters a weight file may declare: 2^21 doubles, 16 MiB per
 /// copy, about 280x the paper's 7,472-parameter model. The loader
 /// allocates every tensor the header names before it reads a value, so
@@ -158,6 +168,7 @@ ModelSnapshot load_weights(std::istream& in) {
   read_values(in, params.dense_w.data(), params.dense_w.size(), "dense");
   expect_keyword(in, "dense_bias");
   params.dense_b = read_value(in, "dense_bias");
+  expect_end(in);
 
   return ModelSnapshot{config, std::move(params)};
 }
@@ -226,6 +237,7 @@ GruModelSnapshot load_gru_weights(std::istream& in) {
   read_values(in, params.dense_w.data(), params.dense_w.size(), "dense");
   expect_keyword(in, "dense_bias");
   params.dense_b = read_value(in, "dense_bias");
+  expect_end(in);
   return GruModelSnapshot{config, std::move(params)};
 }
 

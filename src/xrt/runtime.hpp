@@ -2,9 +2,10 @@
 //
 // The paper's host program follows the standard XRT flow: open the device,
 // load the .xclbin, allocate buffer objects on DDR banks, sync them, and
-// launch kernels. This module reproduces that flow (device / xclbin /
-// buffer / kernel / run) with simulated time instead of real hardware, so
-// host code written against it reads like real XRT host code.
+// launch kernels. This module reproduces the device / xclbin / buffer part
+// of that flow with simulated time instead of real hardware, so host code
+// written against it reads like real XRT host code; the engine charges the
+// kernels' own time from their cost-model timings (kernels/specs.hpp).
 #pragma once
 
 #include <cstdint>
@@ -62,32 +63,6 @@ class BufferObject {
   std::vector<std::uint8_t> host_;
 };
 
-/// Handle to one loaded kernel; launching charges its modelled latency.
-class Kernel {
- public:
-  const std::string& name() const { return spec_.name; }
-  const hls::KernelSpec& spec() const { return spec_; }
-  hls::KernelSpec& mutable_spec() { return spec_; }
-
-  /// Latency of one invocation under the device's cost model.
-  Duration latency() const;
-  /// Full analysis (per-loop cycles, AXI split).
-  hls::KernelReport analyze() const;
-
-  /// Launches at `at` (defaults to device-now); returns completion time
-  /// and records a trace span named after the kernel.
-  TimePoint launch(TimePoint at);
-  TimePoint launch();
-
- private:
-  friend class Device;
-  Kernel(Device* device, hls::KernelSpec spec)
-      : device_(device), spec_(std::move(spec)) {}
-
-  Device* device_;
-  hls::KernelSpec spec_;
-};
-
 /// The opened SmartSSD seen through the runtime.
 class Device {
  public:
@@ -102,23 +77,18 @@ class Device {
   void advance_to(TimePoint t);
 
   /// Loads an xclbin: places its resources on the FPGA (throws
-  /// ResourceError if it does not fit) and makes its kernels available.
+  /// ResourceError if it does not fit).
   void load_xclbin(const Xclbin& xclbin);
 
   /// Allocates a buffer object on `bank` (bump allocation).
   BufferObject alloc_bo(std::size_t size, std::uint32_t bank);
 
-  /// Looks up a kernel by name from the loaded xclbin.
-  Kernel kernel(const std::string& name) const;
-
  private:
   friend class BufferObject;
-  friend class Kernel;
 
   csd::SmartSsd& board_;
   hls::HlsCostModel model_;
   TimePoint now_{};
-  std::map<std::string, hls::KernelSpec> kernels_;
   std::vector<std::uint64_t> bank_cursor_;
 };
 

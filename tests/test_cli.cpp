@@ -156,19 +156,16 @@ TEST(Cli, StatsRendersRequestSpansAndHealth) {
   EXPECT_EQ(result.out.find("request spans:", table + 1), std::string::npos);
   EXPECT_NE(result.out.find("detector.classify"), std::string::npos);
   EXPECT_NE(result.out.find("engine.infer"), std::string::npos);
-  // Both latches clear: the engine never exhausted its launch retries,
-  // and the command's alert engine (no rules) holds no latched alert.
-  EXPECT_NE(result.out.find("health: csd healthy, unhealthy latches 0, "
-                            "alerts 0 active of 0 rules, no critical alert\n"),
+  // The engine never exhausted its launch retries. The sample workload
+  // carries no alert engine: with a host fallback it can never defer.
+  EXPECT_NE(result.out.find("health: csd healthy, unhealthy latches 0\n"),
             std::string::npos)
       << result.out;
+  EXPECT_EQ(result.out.find("\nalerts: "), std::string::npos) << result.out;
 
   const CliRun json = run({"stats", "--calls", "300", "--json", "--health"});
   ASSERT_EQ(json.code, 0) << json.err;
-  EXPECT_EQ(json.out,
-            "{\"csd_healthy\":true,\"unhealthy_latches\":0,"
-            "\"active_alerts\":[],\"alert_rules\":0,"
-            "\"critical_alert\":false}\n");
+  EXPECT_EQ(json.out, "{\"csd_healthy\":true,\"unhealthy_latches\":0}\n");
 }
 
 TEST(Cli, StatsHealthShowsTheStormLatch) {
@@ -177,16 +174,14 @@ TEST(Cli, StatsHealthShowsTheStormLatch) {
   const CliRun storm = run({"stats", "--calls", "300", "--fault-rate", "0.9",
                             "--seed", "7", "--health"});
   ASSERT_EQ(storm.code, 0) << storm.err;
-  EXPECT_NE(storm.out.find("health: csd UNHEALTHY (latched), unhealthy latches 1,"),
+  EXPECT_NE(storm.out.find("health: csd UNHEALTHY (latched), unhealthy latches 1\n"),
             std::string::npos)
       << storm.out;
 
   const CliRun json = run({"stats", "--calls", "300", "--fault-rate", "0.9",
                            "--seed", "7", "--health", "--json"});
   ASSERT_EQ(json.code, 0) << json.err;
-  EXPECT_NE(json.out.find("\"csd_healthy\":false,\"unhealthy_latches\":1,"),
-            std::string::npos)
-      << json.out;
+  EXPECT_EQ(json.out, "{\"csd_healthy\":false,\"unhealthy_latches\":1}\n");
 }
 
 TEST(Cli, StatsPrometheusExposition) {

@@ -38,16 +38,14 @@ TEST_P(PipelineSimTest, EventDrivenMatchesClosedForm) {
   const SimCase param = GetParam();
   const nn::LstmConfig config;
   const PipelineSimConfig pipeline{param.level, param.cus, param.link};
-  const StageDurations stages = stage_durations(model(), config, pipeline);
+  const KernelTimings timings =
+      kernel_timings(model(), config, param.level, param.cus, param.link);
   // Precondition of the closed form (holds for every shipped config):
-  ASSERT_LE(stages.preprocess.picos, (stages.gates + stages.hidden).picos);
+  ASSERT_LE(timings.preprocess.picos, (timings.gates + timings.hidden_state).picos);
 
   const PipelineSimResult sim = simulate_pipeline(model(), config, pipeline,
                                                   param.items);
-  const Duration closed_form =
-      stages.preprocess +
-      (stages.gates + stages.hidden) * static_cast<std::int64_t>(param.items);
-  EXPECT_EQ(sim.total.picos, closed_form.picos);
+  EXPECT_EQ(sim.total.picos, timings.sequence(param.items).picos);
 }
 
 TEST_P(PipelineSimTest, TraceHasOneSpanPerStagePerItem) {
@@ -111,10 +109,10 @@ TEST(PipelineSim, SingleItemHasNoOverlapBenefit) {
   const nn::LstmConfig config;
   const PipelineSimConfig pipeline{OptimizationLevel::FixedPoint, 4,
                                    KernelLink::AxiMemory};
-  const StageDurations stages = stage_durations(model(), config, pipeline);
+  const KernelTimings timings = kernel_timings(
+      model(), config, pipeline.level, pipeline.gate_cu_count, pipeline.link);
   const PipelineSimResult sim = simulate_pipeline(model(), config, pipeline, 1);
-  EXPECT_EQ(sim.total.picos,
-            (stages.preprocess + stages.gates + stages.hidden).picos);
+  EXPECT_EQ(sim.total.picos, timings.total().picos);
 }
 
 TEST(PipelineSim, Guards) {

@@ -12,24 +12,8 @@ namespace {
 const nn::LstmConfig kConfig;
 
 double total_us(OptimizationLevel level, KernelLink link) {
-  const hls::HlsCostModel model = hls::HlsCostModel::ultrascale_default();
-  const Frequency clock = model.clock();
-  double total = clock
-                     .duration_of(model.analyze(
-                                       make_preprocess_spec(kConfig, level, 4, link))
-                                      .total)
-                     .as_microseconds();
-  const auto gates = model.analyze(make_gates_spec(kConfig, level, link));
-  total += gates_reports_amortized_ii(level)
-               ? clock.duration_of(Cycles{gates.loops.front().achieved_ii})
-                     .as_microseconds()
-               : clock.duration_of(gates.total).as_microseconds();
-  total += clock
-               .duration_of(model.analyze(
-                                 make_hidden_state_spec(kConfig, level, 4, link))
-                                .total)
-               .as_microseconds();
-  return total;
+  static const hls::HlsCostModel model = hls::HlsCostModel::ultrascale_default();
+  return kernel_timings(model, kConfig, level, 4, link).total().as_microseconds();
 }
 
 class StreamLevelTest : public ::testing::TestWithParam<OptimizationLevel> {};

@@ -240,6 +240,45 @@ TEST(GruWeightsIo, UntrustedDimensionsFailBeforeAllocating) {
   EXPECT_THROW(load_gru_weights(fractional), PreconditionError);
 }
 
+/// The two trailing-content cases for a saved weight file: a junk line
+/// appended after `dense_bias`, and `0junk` as the last value. Whitespace
+/// after the last value stays legal.
+template <typename Load>
+void expect_trailing_content_rejected(const std::string& saved, Load load) {
+  {
+    std::stringstream buffer(saved + "junk 1 2 3 kernel\n");
+    EXPECT_THROW(load(buffer), ParseError);
+  }
+  {
+    const std::size_t last = saved.rfind("dense_bias\n");
+    ASSERT_NE(last, std::string::npos);
+    std::stringstream buffer(saved.substr(0, last) + "dense_bias\n0junk\n");
+    EXPECT_THROW(load(buffer), ParseError);
+  }
+  {
+    std::stringstream buffer(saved + "\n \t\n");
+    EXPECT_NO_THROW(load(buffer));
+  }
+}
+
+TEST(WeightsIo, TrailingContentIsRejected) {
+  LstmConfig config{.vocab_size = 4, .embed_dim = 2, .hidden_dim = 3};
+  Rng rng(17);
+  std::stringstream saved;
+  save_weights(saved, config, LstmParams::glorot(config, rng));
+  expect_trailing_content_rejected(saved.str(),
+                                   [](std::istream& in) { return load_weights(in); });
+}
+
+TEST(GruWeightsIo, TrailingContentIsRejected) {
+  GruConfig config{.vocab_size = 4, .embed_dim = 2, .hidden_dim = 3};
+  Rng rng(19);
+  std::stringstream saved;
+  save_gru_weights(saved, config, GruParams::glorot(config, rng));
+  expect_trailing_content_rejected(
+      saved.str(), [](std::istream& in) { return load_gru_weights(in); });
+}
+
 TEST(GruWeightsIo, RoundTripIsExact) {
   GruConfig config{.vocab_size = 9, .embed_dim = 3, .hidden_dim = 5};
   Rng rng(5);

@@ -24,16 +24,14 @@ struct Fixture {
   Device device{board};
 };
 
-TEST(Xrt, LoadXclbinExposesKernels) {
+TEST(Xrt, LoadXclbinPlacesItsResources) {
   Fixture f;
+  EXPECT_EQ(f.board.fpga().utilization(), 0.0);
   Xclbin xclbin;
   xclbin.name = "bin";
   xclbin.kernels["k1"] = tiny_kernel("k1");
   xclbin.kernels["k2"] = tiny_kernel("k2");
   f.device.load_xclbin(xclbin);
-  EXPECT_EQ(f.device.kernel("k1").name(), "k1");
-  EXPECT_EQ(f.device.kernel("k2").name(), "k2");
-  EXPECT_THROW(f.device.kernel("missing"), PreconditionError);
   EXPECT_GT(f.board.fpga().utilization(), 0.0);
 }
 
@@ -45,43 +43,6 @@ TEST(Xrt, XclbinResourcesAreSummed) {
   xclbin.kernels["k2"] = tiny_kernel("k2");
   const auto two = xclbin.total_resources();
   EXPECT_GT(two.luts, one.luts);
-}
-
-TEST(Xrt, KernelLaunchAdvancesTimeAndTraces) {
-  Fixture f;
-  Xclbin xclbin;
-  xclbin.name = "bin";
-  xclbin.kernels["k"] = tiny_kernel("k");
-  f.device.load_xclbin(xclbin);
-
-  Kernel kernel = f.device.kernel("k");
-  const Duration latency = kernel.latency();
-  EXPECT_GT(latency.picos, 0);
-
-  // The launch is recorded once, inside the open trace.
-  obs::SpanTrace& spans = f.board.span_trace();
-  const obs::TraceId id = spans.begin_trace();
-  const TimePoint before = f.device.now();
-  const TimePoint end = kernel.launch();
-  spans.end_trace();
-  EXPECT_EQ((end - before).picos, latency.picos);
-  EXPECT_EQ(f.device.now().picos, end.picos);
-  const auto recorded = spans.trace_spans(id);
-  ASSERT_EQ(recorded.size(), 1u);
-  EXPECT_EQ(recorded[0]->name, "k");
-  EXPECT_EQ(recorded[0]->start.picos, before.picos);
-  EXPECT_EQ(recorded[0]->end.picos, end.picos);
-}
-
-TEST(Xrt, KernelAnalyzeReportsLoops) {
-  Fixture f;
-  Xclbin xclbin;
-  xclbin.name = "bin";
-  xclbin.kernels["k"] = tiny_kernel("k");
-  f.device.load_xclbin(xclbin);
-  const hls::KernelReport report = f.device.kernel("k").analyze();
-  ASSERT_EQ(report.loops.size(), 1u);
-  EXPECT_GT(report.total.count, 0u);
 }
 
 TEST(Xrt, BufferSyncMovesDataAndTime) {
