@@ -1,5 +1,5 @@
 // Hardened parsing for numeric environment knobs (CSDML_FLIGHT_EVENTS,
-// CSDML_FUZZ_ITERS, CSDML_TSDB_*, ...).
+// CSDML_FUZZ_ITERS, ...).
 //
 // An operator fat-fingering `CSDML_FLIGHT_EVENTS=1O24` should get a loud
 // one-line warning and the documented default, not a silently

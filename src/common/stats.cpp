@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <numeric>
-#include <utility>
 
 #include "common/error.hpp"
 
@@ -128,11 +127,8 @@ double percentile(std::vector<double> samples, double p) {
   return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
-namespace {
-
-/// Validates a histogram pair; returns each side's total mass.
-std::pair<double, double> histogram_masses(std::span<const double> expected,
-                                           std::span<const double> observed) {
+double population_stability_index(std::span<const double> expected,
+                                  std::span<const double> observed) {
   CSDML_REQUIRE(expected.size() == observed.size(),
                 "histograms must have the same number of bins");
   const double expected_mass =
@@ -141,15 +137,6 @@ std::pair<double, double> histogram_masses(std::span<const double> expected,
       std::accumulate(observed.begin(), observed.end(), 0.0);
   CSDML_REQUIRE(expected_mass > 0.0 && observed_mass > 0.0,
                 "histograms need positive mass on both sides");
-  return {expected_mass, observed_mass};
-}
-
-}  // namespace
-
-double population_stability_index(std::span<const double> expected,
-                                  std::span<const double> observed) {
-  const auto [expected_mass, observed_mass] =
-      histogram_masses(expected, observed);
   // Laplace-style floor keeps log(o/e) finite when a bin is empty on one
   // side only.
   constexpr double kFloor = 1e-6;
@@ -160,21 +147,6 @@ double population_stability_index(std::span<const double> expected,
     psi += (o - e) * std::log(o / e);
   }
   return psi;
-}
-
-double ks_statistic(std::span<const double> expected,
-                    std::span<const double> observed) {
-  const auto [expected_mass, observed_mass] =
-      histogram_masses(expected, observed);
-  double expected_cdf = 0.0;
-  double observed_cdf = 0.0;
-  double gap = 0.0;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    expected_cdf += expected[i] / expected_mass;
-    observed_cdf += observed[i] / observed_mass;
-    gap = std::max(gap, std::abs(expected_cdf - observed_cdf));
-  }
-  return gap;
 }
 
 }  // namespace csdml

@@ -2,9 +2,9 @@
 //
 // Table I of the paper reports execution-time means with 95% confidence
 // intervals; ConfidenceInterval reproduces that computation (Student-t,
-// two-sided) exactly. The PSI and KS statistics are the one drift
-// primitive shared by the API-category monitor (detect::DriftMonitor) and
-// the verdict-score monitor (obs::ScoreDrift).
+// two-sided) exactly. The Population Stability Index is the one drift
+// primitive; the API-category monitor (detect::DriftMonitor) is its
+// caller.
 #pragma once
 
 #include <cstddef>
@@ -64,10 +64,5 @@ double percentile(std::vector<double> samples, double p);
 /// positive mass.
 double population_stability_index(std::span<const double> expected,
                                   std::span<const double> observed);
-
-/// Kolmogorov-Smirnov statistic: the largest gap between the two
-/// histograms' CDFs, under the same preconditions as the PSI.
-double ks_statistic(std::span<const double> expected,
-                    std::span<const double> observed);
 
 }  // namespace csdml

@@ -422,6 +422,27 @@ int cmd_classify(const Flags& flags, std::ostream& out) {
   return 0;
 }
 
+/// Extremes and mean of a series' retained points (zeros when empty).
+struct PointRange {
+  double min{0.0};
+  double mean{0.0};
+  double max{0.0};
+};
+
+PointRange point_range(const std::vector<obs::TsPoint>& points) {
+  PointRange range;
+  if (points.empty()) return range;
+  range.min = range.max = points.front().value;
+  double sum = 0.0;
+  for (const obs::TsPoint& point : points) {
+    range.min = std::min(range.min, point.value);
+    range.max = std::max(range.max, point.value);
+    sum += point.value;
+  }
+  range.mean = sum / static_cast<double>(points.size());
+  return range;
+}
+
 /// `stats --health`: the engine's unhealthy latch (launch retries
 /// exhausted) and how often it latched this run. One line of text, or one
 /// JSON object. The sample workload always has a host fallback, so it
@@ -459,7 +480,7 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   // final snapshot carries populated tsdb.* series (the same path the
   // fleet collector thread drives; here the timeline is the slice index,
   // one synthetic second apart).
-  obs::TimeSeriesStore store(obs::TsdbConfig::from_env());
+  obs::TimeSeriesStore store;
   obs::SnapshotSampler sampler({
       {"stats.classified.delta", obs::SampleSpec::Kind::CounterDelta,
        "detector.classifications"},
@@ -498,20 +519,17 @@ int cmd_stats(const Flags& flags, std::ostream& out) {
   out << "\n";
   TextTable series_table({"series", "samples", "min", "mean", "max", "last"});
   for (const std::string& name : store.names()) {
-    obs::TsBucket total;
-    for (const obs::TsBucket& bucket : store.buckets(name)) {
-      total.absorb(bucket);
-    }
+    const PointRange range = point_range(store.points(name));
     series_table.add_row({name, std::to_string(store.samples(name)),
-                          TextTable::num(total.min, 2),
-                          TextTable::num(total.mean(), 2),
-                          TextTable::num(total.max, 2),
+                          TextTable::num(range.min, 2),
+                          TextTable::num(range.mean, 2),
+                          TextTable::num(range.max, 2),
                           TextTable::num(store.last(name), 2)});
   }
   series_table.print(out);
   const obs::TimeSeriesStore::Totals totals = store.totals();
   out << "time series: " << totals.series << " series, " << totals.samples
-      << " samples, " << totals.promotions << " tier promotions\n";
+      << " samples\n";
 
   if (flags.has("health")) out << "\n" << health;
   if (trace_out.has_value()) {
@@ -696,27 +714,25 @@ int cmd_serve(const Flags& flags, std::ostream& out) {
   return conservation && resolved && drilled ? 0 : 1;
 }
 
-/// Eight-level unicode sparkline over the retained raw buckets of one
-/// series (newest up to `width` buckets, bucket means, scaled to range).
+/// Eight-level unicode sparkline over the retained points of one series
+/// (newest up to `width` points, scaled to their range).
 std::string sparkline(const obs::TimeSeriesStore& store,
                       const std::string& series, std::size_t width = 16) {
   static const char* kBlocks[] = {"▁", "▂", "▃", "▄",
                                   "▅", "▆", "▇", "█"};
-  std::vector<obs::TsBucket> buckets = store.buckets(series);
-  if (buckets.empty()) return "-";
-  if (buckets.size() > width) {
-    buckets.erase(buckets.begin(),
-                  buckets.end() - static_cast<std::ptrdiff_t>(width));
+  std::vector<obs::TsPoint> points = store.points(series);
+  if (points.empty()) return "-";
+  if (points.size() > width) {
+    points.erase(points.begin(),
+                 points.end() - static_cast<std::ptrdiff_t>(width));
   }
-  double lo = buckets.front().mean();
-  double hi = lo;
-  for (const obs::TsBucket& bucket : buckets) {
-    lo = std::min(lo, bucket.mean());
-    hi = std::max(hi, bucket.mean());
-  }
+  const PointRange range = point_range(points);
   std::string line;
-  for (const obs::TsBucket& bucket : buckets) {
-    const double norm = hi > lo ? (bucket.mean() - lo) / (hi - lo) : 0.0;
+  for (const obs::TsPoint& point : points) {
+    const double norm =
+        range.max > range.min
+            ? (point.value - range.min) / (range.max - range.min)
+            : 0.0;
     line += kBlocks[std::min<std::size_t>(
         7, static_cast<std::size_t>(norm * 8.0))];
   }
@@ -821,17 +837,14 @@ int cmd_top(const Flags& flags, std::ostream& out) {
     for (std::size_t k = 0; k < boards; ++k) {
       const std::string prefix = "fleet.b" + std::to_string(k);
       const auto board = fleet.board_stats(k);
-      obs::TsBucket rate;
-      for (const obs::TsBucket& bucket :
-           store.buckets(prefix + ".throughput")) {
-        rate.absorb(bucket);
-      }
+      const double throughput =
+          point_range(store.points(prefix + ".throughput")).mean;
       std::size_t active = 0;
       for (const obs::Alert& alert : alerts.active_alerts()) {
         if (alert.board == static_cast<int>(k)) ++active;
       }
       rows.push_back({fleet.board_healthy(k), board.verdicts, board.shed,
-                      board.deferred, rate.mean(),
+                      board.deferred, throughput,
                       store.last(prefix + ".p95_us"),
                       store.last(prefix + ".p99_us"), active});
     }
@@ -968,7 +981,6 @@ int cmd_top(const Flags& flags, std::ostream& out) {
     writer.begin_object();
     writer.field("series", static_cast<std::uint64_t>(totals.series));
     writer.field("samples", totals.samples);
-    writer.field("promotions", totals.promotions);
     writer.end_object();
     writer.end_object();
     out << writer.str() << "\n";
@@ -978,8 +990,7 @@ int cmd_top(const Flags& flags, std::ostream& out) {
         << " build)\n\n";
     print_table(rows);
     out << "\ntime series: " << totals.series << " series, " << totals.samples
-        << " samples, " << totals.promotions << " tier promotions over "
-        << collector.ticks() << " ticks\n";
+        << " samples over " << collector.ticks() << " ticks\n";
     for (const obs::Alert& alert : all_alerts) {
       if (alert.fire_count == 0) continue;
       out << "alert " << alert.rule_id << " ["

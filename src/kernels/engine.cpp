@@ -15,6 +15,13 @@ namespace csdml::kernels {
 
 namespace {
 
+/// Bank assignment: even CUs + preprocess on bank 0, odd CUs + hidden on
+/// bank 1 ("a conservative two DDR banks", Section III-C). The weight
+/// image and every sequence buffer live on bank 0.
+constexpr std::uint32_t kSequenceBank = 0;
+/// First launch-retry backoff; doubles per retry.
+constexpr Duration kBaseBackoff = Duration::microseconds(50);
+
 /// Request-scoped span covering one engine entry point. If no trace is open
 /// (direct engine use, no detector in front) it opens one so the span tree
 /// is never orphaned, and closes it again on scope exit — including the
@@ -132,7 +139,7 @@ CsdLstmEngine::CsdLstmEngine(xrt::Device& device, const nn::LstmConfig& model_co
 
   // Host program initialisation (Fig. 2): the weight/embedding image moves
   // host -> PCIe -> FPGA DDR before any inference runs.
-  weights_bo_.emplace(device_.alloc_bo(weights->image().size(), config_.sequence_bank));
+  weights_bo_.emplace(device_.alloc_bo(weights->image().size(), kSequenceBank));
   adopt(std::move(weights));
 }
 
@@ -198,7 +205,7 @@ bool CsdLstmEngine::attempt_launch() {
       // Exponential backoff before the next attempt, charged to the
       // simulated clock like any other device-side wait.
       const Duration backoff =
-          config_.retry.base_backoff * static_cast<std::int64_t>(1u << attempt);
+          kBaseBackoff * static_cast<std::int64_t>(1u << attempt);
       device_.advance_to(device_.now() + backoff);
       metrics.add_counter("engine.retries");
       metrics.observe("engine.retry_backoff_us", backoff.as_microseconds());
@@ -308,7 +315,7 @@ void CsdLstmEngine::adopt(std::shared_ptr<const StagedWeights> weights) {
   CSDML_LOG_INFO("engine") << "adopted weight image"
                            << kv("update", update_number)
                            << kv("bytes", weights_->image().size())
-                           << kv("bank", config_.sequence_bank);
+                           << kv("bank", kSequenceBank);
 }
 
 void CsdLstmEngine::update_weights(const nn::LstmParams& params) {
@@ -456,8 +463,8 @@ CsdLstmEngine::SsdInferenceResult CsdLstmEngine::infer_from_ssd(
   board.ssd().write(lba, sequence_image(sequence), start);
 
   const csd::TransferResult transfer =
-      p2p ? board.p2p_read_to_fpga(lba, block_count, config_.sequence_bank, 0, start)
-          : board.host_read_to_fpga(lba, block_count, config_.sequence_bank, 0,
+      p2p ? board.p2p_read_to_fpga(lba, block_count, kSequenceBank, 0, start)
+          : board.host_read_to_fpga(lba, block_count, kSequenceBank, 0,
                                     start);
   device_.advance_to(transfer.done);
 

@@ -38,12 +38,11 @@ class HostBaseline;
 namespace csdml::kernels {
 
 /// How the engine reacts to injected kernel-launch failures: bounded
-/// retries with exponential backoff (charged to simulated device time),
-/// then mark the CSD unhealthy and serve from the host fallback until a
-/// periodic recovery probe succeeds.
+/// retries with exponential backoff from 50 us (charged to simulated
+/// device time), then mark the CSD unhealthy and serve from the host
+/// fallback until a periodic recovery probe succeeds.
 struct RetryPolicy {
   std::uint32_t max_attempts{3};
-  Duration base_backoff{Duration::microseconds(50)};  ///< doubles per retry
   /// While unhealthy, re-probe the pipeline every Nth degraded serve
   /// (0 disables probing: once unhealthy, always degraded).
   std::uint32_t recovery_probe_interval{8};
@@ -53,9 +52,6 @@ struct EngineConfig {
   OptimizationLevel level{OptimizationLevel::FixedPoint};
   std::uint32_t gate_cu_count{4};  ///< the paper uses four
   std::int64_t fixed_scale{fixedpt::kPaperScale};
-  /// Bank assignment: even CUs + preprocess on bank 0, odd CUs + hidden on
-  /// bank 1 ("a conservative two DDR banks", Section III-C).
-  std::uint32_t sequence_bank{0};
   /// Inter-kernel data movement; Stream is the paper's "streaming can be
   /// easily ported ... for additional acceleration" variant.
   KernelLink link{KernelLink::AxiMemory};

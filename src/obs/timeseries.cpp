@@ -3,90 +3,31 @@
 #include <algorithm>
 #include <chrono>
 
-#include "common/env.hpp"
 #include "obs/anomaly.hpp"
 
 namespace csdml::obs {
 
-TsdbConfig TsdbConfig::from_env() {
-  TsdbConfig config;
-  config.capacity = static_cast<std::size_t>(
-      env_u64("CSDML_TSDB_CAPACITY", config.capacity, 8, 1u << 20));
-  config.downsample_factor = static_cast<std::size_t>(
-      env_u64("CSDML_TSDB_FACTOR", config.downsample_factor, 2, 64));
-  config.tiers =
-      static_cast<std::size_t>(env_u64("CSDML_TSDB_TIERS", config.tiers, 1, 6));
-  config.interval_us =
-      env_u64("CSDML_TSDB_INTERVAL_MS", config.interval_us / 1000, 1, 60'000) *
-      1000;
-  return config;
-}
-
-void TsBucket::absorb(const TsBucket& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    *this = other;
-    return;
-  }
-  start_us = std::min(start_us, other.start_us);
-  end_us = std::max(end_us, other.end_us);
-  min = std::min(min, other.min);
-  max = std::max(max, other.max);
-  sum += other.sum;
-  count += other.count;
-}
-
-TsSeries::TsSeries(const TsdbConfig& config)
-    : factor_(std::max<std::size_t>(config.downsample_factor, 2)) {
-  const std::size_t capacity = std::max<std::size_t>(config.capacity, 1);
-  const std::size_t tiers = std::max<std::size_t>(config.tiers, 1);
-  tiers_.resize(tiers);
-  for (auto& tier : tiers_) tier.ring.resize(capacity);
-}
+TsSeries::TsSeries(std::size_t capacity)
+    : ring_(std::max<std::size_t>(capacity, 1)) {}
 
 void TsSeries::append(std::int64_t t_us, double value) {
+  ring_[samples_ % ring_.size()] = TsPoint{t_us, value};
   ++samples_;
-  last_ = value;
-  last_t_us_ = t_us;
-  TsBucket raw;
-  raw.start_us = raw.end_us = t_us;
-  raw.min = raw.max = raw.sum = value;
-  raw.count = 1;
-  push(0, raw);
 }
 
-void TsSeries::push(std::size_t tier, const TsBucket& bucket) {
-  Tier& t = tiers_[tier];
-  t.ring[t.appended % t.ring.size()] = bucket;
-  ++t.appended;
-  if (tier + 1 >= tiers_.size()) return;
-  t.pending.absorb(bucket);
-  if (++t.pending_fill < factor_) return;
-  const TsBucket closed = t.pending;
-  t.pending = TsBucket{};
-  t.pending_fill = 0;
-  ++promotions_;
-  push(tier + 1, closed);
-}
-
-std::vector<TsBucket> TsSeries::buckets(std::size_t tier) const {
-  std::vector<TsBucket> out;
-  if (tier >= tiers_.size()) return out;
-  const Tier& t = tiers_[tier];
-  const std::size_t capacity = t.ring.size();
-  const std::size_t retained = std::min<std::uint64_t>(t.appended, capacity);
+std::vector<TsPoint> TsSeries::points() const {
+  const std::uint64_t retained =
+      std::min<std::uint64_t>(samples_, ring_.size());
+  std::vector<TsPoint> out;
   out.reserve(retained);
-  const std::uint64_t first = t.appended - retained;
-  for (std::uint64_t i = first; i < t.appended; ++i) {
-    out.push_back(t.ring[i % capacity]);
+  for (std::uint64_t i = samples_ - retained; i < samples_; ++i) {
+    out.push_back(ring_[i % ring_.size()]);
   }
   return out;
 }
 
-TsBucket TsSeries::aggregate(std::size_t tier) const {
-  TsBucket total;
-  for (const TsBucket& bucket : buckets(tier)) total.absorb(bucket);
-  return total;
+double TsSeries::last() const {
+  return samples_ == 0 ? 0.0 : ring_[(samples_ - 1) % ring_.size()].value;
 }
 
 TimeSeriesStore::TimeSeriesStore(TsdbConfig config)
@@ -98,7 +39,9 @@ void TimeSeriesStore::record(const std::string& series, std::int64_t t_us,
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = series_.find(series);
     if (it == series_.end()) {
-      it = series_.emplace(series, std::make_unique<TsSeries>(config_)).first;
+      it = series_
+               .emplace(series, std::make_unique<TsSeries>(config_.capacity))
+               .first;
     }
     it->second->append(t_us, value);
   }
@@ -118,12 +61,11 @@ bool TimeSeriesStore::has(const std::string& series) const {
   return series_.count(series) != 0;
 }
 
-std::vector<TsBucket> TimeSeriesStore::buckets(const std::string& series,
-                                               std::size_t tier) const {
+std::vector<TsPoint> TimeSeriesStore::points(const std::string& series) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = series_.find(series);
   if (it == series_.end()) return {};
-  return it->second->buckets(tier);
+  return it->second->points();
 }
 
 double TimeSeriesStore::last(const std::string& series) const {
@@ -144,7 +86,6 @@ TimeSeriesStore::Totals TimeSeriesStore::totals() const {
   totals.series = series_.size();
   for (const auto& [_, series] : series_) {
     totals.samples += series->samples();
-    totals.promotions += series->promotions();
   }
   return totals;
 }
@@ -152,8 +93,6 @@ TimeSeriesStore::Totals TimeSeriesStore::totals() const {
 void TimeSeriesStore::publish_gauges() const {
   const Totals totals = this->totals();
   registry().set_gauge("tsdb.series", static_cast<double>(totals.series));
-  registry().set_gauge("tsdb.promotions",
-                       static_cast<double>(totals.promotions));
 }
 
 SnapshotSampler::SnapshotSampler(std::vector<SampleSpec> specs)
@@ -161,29 +100,10 @@ SnapshotSampler::SnapshotSampler(std::vector<SampleSpec> specs)
 
 namespace {
 
-double histogram_stat(const MetricsSnapshot& snapshot, const std::string& name,
-                      SampleSpec::Kind kind) {
+double histogram_percentile(const MetricsSnapshot& snapshot,
+                            const std::string& name, double p) {
   for (const HistogramSnapshot& hist : snapshot.histograms) {
-    if (hist.name != name) continue;
-    switch (kind) {
-      case SampleSpec::Kind::HistP50:
-        return hist.percentile(0.50);
-      case SampleSpec::Kind::HistP95:
-        return hist.percentile(0.95);
-      case SampleSpec::Kind::HistP99:
-        return hist.percentile(0.99);
-      case SampleSpec::Kind::HistCount:
-        return static_cast<double>(hist.count);
-      default:
-        return 0.0;
-    }
-  }
-  return 0.0;
-}
-
-double gauge_value(const MetricsSnapshot& snapshot, const std::string& name) {
-  for (const auto& [gauge, value] : snapshot.gauges) {
-    if (gauge == name) return value;
+    if (hist.name == name) return hist.percentile(p);
   }
   return 0.0;
 }
@@ -228,14 +148,11 @@ std::map<std::string, double> SnapshotSampler::sample(
         }
         break;
       }
-      case SampleSpec::Kind::Gauge:
-        value = gauge_value(snapshot, spec.metric);
-        break;
-      case SampleSpec::Kind::HistP50:
       case SampleSpec::Kind::HistP95:
+        value = histogram_percentile(snapshot, spec.metric, 0.95);
+        break;
       case SampleSpec::Kind::HistP99:
-      case SampleSpec::Kind::HistCount:
-        value = histogram_stat(snapshot, spec.metric, spec.kind);
+        value = histogram_percentile(snapshot, spec.metric, 0.99);
         break;
     }
     frame[spec.series] = value;

@@ -2,25 +2,20 @@
 // observability stack (metrics snapshots, spans, flight recorder) lacks.
 //
 // A deployed CSD detector fails slowly as often as it fails loudly: a p99
-// creeping up over minutes, a board quietly shedding more each sweep, a
-// verdict-score distribution drifting off its calibration. Catching those
-// needs *history*, kept on-device at bounded cost:
+// creeping up over minutes, a board quietly shedding more each sweep.
+// Catching those needs *history*, kept on-device at bounded cost:
 //
 //   collector thread ──every interval──> registry().snapshot()
 //        │                                    │
 //        │   SnapshotSampler (counter deltas, rates, histogram tails)
 //        ▼                                    ▼
-//   TimeSeriesStore: one TsSeries per derived metric
-//        raw tier   ── every `downsample_factor` samples promote ──▶
-//        tier 1     ── every `downsample_factor` buckets promote ──▶
-//        tier 2 ...
+//   TimeSeriesStore: one TsSeries per derived metric, each a
+//   fixed-capacity ring of raw (t_us, value) points
 //
-// Each tier is a fixed-capacity ring of buckets carrying min/max/sum/count,
-// so promotion loses resolution but never mass: the sum and count of a
-// tier-1 bucket equal the sums and counts of the raw samples it absorbed,
-// and the extremes survive verbatim (the property test_timeseries pins).
-// Timestamps are injected, never read from a global clock, so every test
-// and the alert-latency bench run on a deterministic timeline.
+// Retention is capacity x interval: the default 240 points at 100 ms
+// cover the last ~24 s, which is all the alert rules and `csdml top`
+// read. Timestamps are injected, never read from a global clock, so every
+// test and the alert-latency bench run on a deterministic timeline.
 //
 // The collector thread is owned by whoever operates the fleet (BoardFleet
 // by default); its per-tick cost is one registry snapshot plus a handful
@@ -44,74 +39,36 @@
 namespace csdml::obs {
 
 struct TsdbConfig {
-  /// Buckets retained per tier (every tier uses the same ring size).
+  /// Points retained per series.
   std::size_t capacity{240};
-  /// Buckets of tier k merged into one bucket of tier k+1.
-  std::size_t downsample_factor{8};
-  /// Total tiers including raw (1 = raw only, no downsampling).
-  std::size_t tiers{3};
   /// Collector sampling period (wall time, microseconds).
   std::uint64_t interval_us{100'000};
-
-  /// Environment overrides with hardened parsing (invalid values warn and
-  /// fall back; see common/env.hpp): CSDML_TSDB_CAPACITY [8, 1048576],
-  /// CSDML_TSDB_FACTOR [2, 64], CSDML_TSDB_TIERS [1, 6],
-  /// CSDML_TSDB_INTERVAL_MS [1, 60000].
-  static TsdbConfig from_env();
 };
 
-/// One aggregation bucket. A raw sample is a bucket with count == 1.
-struct TsBucket {
-  std::int64_t start_us{0};  ///< timestamp of the first absorbed sample
-  std::int64_t end_us{0};    ///< timestamp of the last absorbed sample
-  double min{0.0};
-  double max{0.0};
-  double sum{0.0};
-  std::uint64_t count{0};
-
-  double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
-  /// Folds `other` in: extremes, mass and the covered time range.
-  void absorb(const TsBucket& other);
+/// One raw sample.
+struct TsPoint {
+  std::int64_t t_us{0};
+  double value{0.0};
 };
 
-/// Multi-resolution ring for one metric. Not thread-safe on its own; the
-/// store serialises access.
+/// Fixed-capacity ring of raw points for one metric; the newest
+/// `capacity` survive. Not thread-safe on its own; the store serialises
+/// access.
 class TsSeries {
  public:
-  explicit TsSeries(const TsdbConfig& config);
+  explicit TsSeries(std::size_t capacity);
 
-  /// Appends one raw sample; cascades tier promotions when a tier's
-  /// accumulation window fills.
   void append(std::int64_t t_us, double value);
 
-  std::size_t tier_count() const { return tiers_.size(); }
-  /// Retained buckets of one tier, oldest first (partial accumulation
-  /// windows are not included — they surface once promoted).
-  std::vector<TsBucket> buckets(std::size_t tier) const;
-  /// One bucket folding everything a tier retains.
-  TsBucket aggregate(std::size_t tier) const;
-
+  /// Retained points, oldest first.
+  std::vector<TsPoint> points() const;
   std::uint64_t samples() const { return samples_; }
-  std::uint64_t promotions() const { return promotions_; }
-  double last() const { return last_; }
-  std::int64_t last_t_us() const { return last_t_us_; }
+  /// Most recent value (0 before the first append).
+  double last() const;
 
  private:
-  void push(std::size_t tier, const TsBucket& bucket);
-
-  struct Tier {
-    std::vector<TsBucket> ring;
-    std::uint64_t appended{0};  ///< buckets ever closed into this tier
-    TsBucket pending{};         ///< accumulating toward the next tier
-    std::size_t pending_fill{0};
-  };
-
-  std::size_t factor_;
-  std::vector<Tier> tiers_;
-  std::uint64_t samples_{0};
-  std::uint64_t promotions_{0};
-  double last_{0.0};
-  std::int64_t last_t_us_{0};
+  std::vector<TsPoint> ring_;
+  std::uint64_t samples_{0};  ///< points ever appended
 };
 
 /// Thread-safe name-keyed series. Creation is implicit on first record,
@@ -125,21 +82,19 @@ class TimeSeriesStore {
 
   std::vector<std::string> names() const;
   bool has(const std::string& series) const;
-  /// Copies of one series' retained buckets (empty vector for unknown
-  /// names or tiers — readers render what exists, they don't throw).
-  std::vector<TsBucket> buckets(const std::string& series,
-                                std::size_t tier = 0) const;
-  /// Most recent raw value (0 when the series is unknown).
+  /// Copies of one series' retained points, oldest first (empty for
+  /// unknown names — readers render what exists, they don't throw).
+  std::vector<TsPoint> points(const std::string& series) const;
+  /// Most recent value (0 when the series is unknown).
   double last(const std::string& series) const;
   std::uint64_t samples(const std::string& series) const;
 
   struct Totals {
     std::size_t series{0};
     std::uint64_t samples{0};
-    std::uint64_t promotions{0};
   };
   Totals totals() const;
-  /// Publishes tsdb.series / tsdb.promotions gauges from totals().
+  /// Publishes the tsdb.series gauge from totals().
   void publish_gauges() const;
 
   const TsdbConfig& config() const { return config_; }
@@ -155,20 +110,16 @@ struct SampleSpec {
   enum class Kind {
     CounterDelta,  ///< counter increase since the previous tick
     CounterRate,   ///< increase per second of timeline (0 on first tick)
-    Gauge,         ///< gauge value verbatim
-    HistP50,
     HistP95,
     HistP99,
-    HistCount,
   };
   std::string series;  ///< output series name in the store
   Kind kind{Kind::CounterDelta};
-  std::string metric;  ///< source counter/gauge/histogram in the snapshot
+  std::string metric;  ///< source counter or histogram in the snapshot
 };
 
 /// Turns consecutive MetricsSnapshots into time-series points: counter
-/// deltas and rates between ticks, gauge levels, histogram tail
-/// percentiles. Owns the previous-tick state, so one sampler per timeline.
+/// deltas and rates between ticks and histogram tail percentiles. Owns the previous-tick state, so one sampler per timeline.
 /// Callers (the fleet collector behind `csdml top`, `csdml stats`) share
 /// it instead of hand-rolling snapshot-delta loops.
 class SnapshotSampler {

@@ -1,8 +1,11 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -52,6 +55,34 @@ bool benign_profile_exists(const std::string& name) {
                    what);
 }
 
+/// `text` as an unsigned decimal: digits only, so `-1` (which std::stoull
+/// wraps to 2^64 - 1), `+5`, ` 5` and `5x` are not counts. Empty when it
+/// is not one or does not fit 64 bits.
+std::optional<std::uint64_t> parse_digits(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+/// The remaining argument of a positional line (`seed <u64>`,
+/// `boards <n>`), parsed as a count; fails with `expected` when the line
+/// has no argument or more than one, and with `what` when it is not a
+/// count.
+std::uint64_t positional_count(const std::string& raw,
+                               const std::string& origin, std::size_t number,
+                               const std::string& expected,
+                               const std::string& what) {
+  std::istringstream in(raw);
+  std::string keyword, value, extra;
+  in >> keyword >> value;
+  if (value.empty() || (in >> extra)) parse_fail(origin, number, expected);
+  const std::optional<std::uint64_t> count = parse_digits(value);
+  if (!count) parse_fail(origin, number, "`" + value + "` is not " + what);
+  return *count;
+}
+
 /// One parsed spec line: a keyword plus key=value fields.
 struct Line {
   std::string keyword;
@@ -96,20 +127,26 @@ class FieldReader {
     return it->second;
   }
 
-  std::uint64_t u64(const std::string& key) {
+  /// An unsigned decimal no larger than `max`.
+  std::uint64_t u64(const std::string& key,
+                    std::uint64_t max =
+                        std::numeric_limits<std::uint64_t>::max()) {
     const std::string value = str(key);
-    std::uint64_t out = 0;
-    std::size_t used = 0;
-    try {
-      out = std::stoull(value, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used != value.size()) {
+    const std::optional<std::uint64_t> out = parse_digits(value);
+    if (!out) {
       parse_fail(origin_, number_,
                  "`" + key + "=" + value + "` is not an unsigned integer");
     }
-    return out;
+    if (*out > max) {
+      parse_fail(origin_, number_,
+                 "`" + key + "=" + value + "` exceeds " + std::to_string(max));
+    }
+    return *out;
+  }
+
+  std::uint32_t u32(const std::string& key) {
+    return static_cast<std::uint32_t>(
+        u64(key, std::numeric_limits<std::uint32_t>::max()));
   }
 
   double real(const std::string& key) {
@@ -283,7 +320,9 @@ void validate_scenario(const Scenario& scenario) {
                 "scenario: name must not contain whitespace");
   CSDML_REQUIRE(scenario.boards >= 1 && scenario.boards <= 16,
                 "scenario: boards must be in [1, 16]");
-  CSDML_REQUIRE(scenario.window > 0, "scenario: window must be positive");
+  CSDML_REQUIRE(scenario.window > 0 && scenario.window <= kMaxScenarioWindow,
+                "scenario: window must be in [1, " +
+                    std::to_string(kMaxScenarioWindow) + "]");
   CSDML_REQUIRE(scenario.hop > 0 && scenario.hop <= scenario.window,
                 "scenario: hop must be in [1, window]");
   CSDML_REQUIRE(scenario.debounce >= 1, "scenario: debounce must be >= 1");
@@ -302,6 +341,11 @@ void validate_scenario(const Scenario& scenario) {
     CSDML_REQUIRE(process.calls > 0,
                   "scenario: process " + std::to_string(process.pid) +
                       " has zero calls");
+    CSDML_REQUIRE(process.start <= kMaxScenarioCalls &&
+                      process.calls <= kMaxScenarioCalls,
+                  "scenario: process " + std::to_string(process.pid) +
+                      " start and calls must each be at most " +
+                      std::to_string(kMaxScenarioCalls));
     CSDML_REQUIRE(process.noise >= 0.0 && process.noise < 1.0,
                   "scenario: noise rate must be in [0, 1)");
     if (process.attack) {
@@ -431,39 +475,16 @@ Scenario parse_scenario(const std::string& text, const std::string& origin) {
       continue;
     }
     if (keyword == "seed") {
-      // `seed <u64>` is also positional.
-      std::istringstream seed_in(raw);
-      std::string keyword, value;
-      seed_in >> keyword >> value;
-      std::string extra;
-      if (value.empty() || (seed_in >> extra)) {
-        parse_fail(origin, number, "expected `seed <u64>`");
-      }
-      try {
-        std::size_t used = 0;
-        scenario.seed = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        parse_fail(origin, number, "`" + value + "` is not a seed");
-      }
+      // `seed <u64>` and `boards <n>` are also positional.
+      scenario.seed = positional_count(raw, origin, number,
+                                       "expected `seed <u64>`", "a seed");
     } else if (keyword == "boards") {
-      std::istringstream boards_in(raw);
-      std::string keyword, value;
-      boards_in >> keyword >> value;
-      std::string extra;
-      if (value.empty() || (boards_in >> extra)) {
-        parse_fail(origin, number, "expected `boards <n>`");
-      }
-      try {
-        std::size_t used = 0;
-        scenario.boards = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        parse_fail(origin, number, "`" + value + "` is not a board count");
-      }
+      scenario.boards = positional_count(raw, origin, number,
+                                         "expected `boards <n>`",
+                                         "a board count");
     } else if (keyword == "detector") {
       FieldReader fields(tokenize(raw, origin, number), origin, number);
-      scenario.window = fields.u64("window");
+      scenario.window = fields.u64("window", kMaxScenarioWindow);
       scenario.hop = fields.u64("hop");
       scenario.debounce = fields.u64("debounce");
       scenario.threshold = fields.real("threshold");
@@ -472,13 +493,13 @@ Scenario parse_scenario(const std::string& text, const std::string& origin) {
       FieldReader fields(tokenize(raw, origin, number), origin, number);
       ProcessSpec process;
       process.attack = keyword == "attack";
-      process.pid = static_cast<detect::ProcessId>(fields.u64("pid"));
+      process.pid = fields.u32("pid");
       process.profile =
           process.attack ? fields.str("family") : fields.str("profile");
-      process.variant = static_cast<std::uint32_t>(
-          process.attack ? fields.u64("variant") : fields.u64("session"));
-      process.start = fields.u64("start");
-      process.calls = fields.u64("calls");
+      process.variant =
+          process.attack ? fields.u32("variant") : fields.u32("session");
+      process.start = fields.u64("start", kMaxScenarioCalls);
+      process.calls = fields.u64("calls", kMaxScenarioCalls);
       process.noise = fields.real_or("noise", kDefaultNoiseRate);
       fields.done();
       scenario.processes.push_back(std::move(process));
@@ -499,7 +520,7 @@ Scenario parse_scenario(const std::string& text, const std::string& origin) {
         event.board = event_fields.u64("board");
       } else if (kind == "kill-owner") {
         event.kind = EventSpec::Kind::KillOwner;
-        event.pid = static_cast<detect::ProcessId>(event_fields.u64("pid"));
+        event.pid = event_fields.u32("pid");
       } else if (kind == "rollout") {
         event.kind = EventSpec::Kind::Rollout;
       } else {

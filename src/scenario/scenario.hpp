@@ -129,8 +129,14 @@ class ScenarioBuilder {
   Scenario scenario_;
 };
 
+/// Bounds on one process's `start` and `calls` and on the detector
+/// window. They keep every horizon and trace length far from integer
+/// wrap; the parser rejects a larger value as a ParseError naming its key.
+inline constexpr std::uint64_t kMaxScenarioCalls = 1'000'000;
+inline constexpr std::uint64_t kMaxScenarioWindow = 10'000;
+
 /// Throws common::PreconditionError describing the first problem: bad
-/// geometry, duplicate/zero pids, unknown family or benign profile,
+/// geometry, start/calls/window beyond their bounds, duplicate/zero pids, unknown family or benign profile,
 /// event targets out of range, out-of-order budget values.
 void validate_scenario(const Scenario& scenario);
 

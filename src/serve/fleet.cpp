@@ -66,9 +66,6 @@ BoardFleet::BoardFleet(const nn::LstmConfig& model,
     for (const obs::AlertRule& rule : config_.telemetry.rules) {
       alerts_->add_rule(rule);
     }
-    if (config_.telemetry.drift) {
-      alerts_->enable_drift(*config_.telemetry.drift);
-    }
   }
 
   boards_.reserve(config_.boards);
@@ -85,9 +82,6 @@ BoardFleet::BoardFleet(const nn::LstmConfig& model,
         [this, k](const Verdict& verdict) {
           Verdict stamped = verdict;
           stamped.board = static_cast<std::uint32_t>(k);
-          // Every served probability feeds the drift monitor, so model-
-          // quality decay is watched fleet-wide, not per board.
-          if (alerts_) alerts_->observe_score(verdict.probability);
           sink_(stamped);
         });
     boards_.push_back(std::move(board));

@@ -89,9 +89,6 @@ struct FleetTelemetryConfig {
   /// drains that board at the next health sweep and holds its readmission
   /// until the alert clears through `clear_for`; other rules only alert.
   std::vector<obs::AlertRule> rules{};
-  /// Enables verdict-score drift monitoring when set (scores stream in
-  /// from every board's verdict sink).
-  std::optional<obs::DriftConfig> drift{};
   /// Injected timeline for deterministic tests; empty = steady clock.
   std::function<std::int64_t()> clock{};
 };

@@ -1,5 +1,6 @@
 // Seeded malformed-input campaign over the text formats that cross the
-// host boundary: LSTM and GRU weight files and sandbox-trace JSONL.
+// host boundary: LSTM and GRU weight files, sandbox-trace JSONL and
+// scenario specs (.scn).
 //
 // Each iteration takes a valid serialization and applies one to three
 // mutations: truncate the text, delete, duplicate or replace a token,
@@ -24,6 +25,7 @@
 #include "fuzz_harness.hpp"
 #include "nn/weights_io.hpp"
 #include "ransomware/trace_io.hpp"
+#include "scenario/scenario.hpp"
 
 namespace csdml {
 namespace {
@@ -222,6 +224,31 @@ TEST(MalformedInput, TraceJsonlLoadsToAFixedPointOrFailsTyped) {
   // first shows after a few thousand iterations.
   const std::size_t accepted =
       run_campaign(valid.str(), ',', resave, 107, fuzz_iterations(20'000));
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(MalformedInput, ScenarioSpecsLoadToAFixedPointOrFailTyped) {
+  // Every line kind and event kind, a non-default noise rate and
+  // multi-digit counts for the number mutations to land on.
+  const std::string valid = scenario::serialize_scenario(
+      scenario::ScenarioBuilder("fuzz-spec")
+          .seed(4242)
+          .boards(3)
+          .detector(100, 25, 2, 0.75)
+          .benign(11, "VLC", 3, 0, 900, 0.05)
+          .attack(12, "Cryptowall", 5, 120, 700)
+          .kill_board(2, 300)
+          .revive_board(2, 600)
+          .kill_owner(12, 260)
+          .rollout(450)
+          .budget(350, 90, 0.25)
+          .build());
+  const Resave resave = [](const std::string& text) {
+    return scenario::serialize_scenario(scenario::parse_scenario(text));
+  };
+  ASSERT_EQ(resave(valid), valid);
+  const std::size_t accepted =
+      run_campaign(valid, ' ', resave, 109, fuzz_iterations(2'000));
   EXPECT_GT(accepted, 0u);
 }
 

@@ -87,6 +87,92 @@ TEST(ScenarioParse, RejectsMalformedText) {
   EXPECT_THROW(parse_scenario("scenario x\nboards 1 2\n"), ParseError);
 }
 
+/// The ParseError message `text` raises, or "" when it parses (or fails
+/// some other way).
+std::string parse_error(const std::string& text) {
+  try {
+    parse_scenario(text);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioParse, RejectsCountsThatWouldWrapOrTruncate) {
+  const std::string header = "scenario x\n";
+  const auto benign = [&](const std::string& fields) {
+    return header + "benign profile=VLC " + fields + "\n";
+  };
+  const auto attack = [&](const std::string& fields) {
+    return header + "attack family=Cryptowall " + fields + "\n";
+  };
+  // Digits only: a sign, a space-free plus or a hex prefix is not a count
+  // (std::stoull read `-1` as 2^64 - 1).
+  EXPECT_NE(parse_error(benign("pid=-1 session=0 start=0 calls=100"))
+                .find("`pid=-1`"),
+            std::string::npos);
+  EXPECT_NE(parse_error(benign("pid=+1 session=0 start=0 calls=100")), "");
+  EXPECT_NE(parse_error(benign("pid=0x1 session=0 start=0 calls=100")), "");
+  EXPECT_NE(parse_error(benign("pid=1 session=0 start=0 calls=-100")), "");
+  // 32-bit fields reject what a cast would have truncated: pid 2^32 + 1
+  // used to become pid 1, variant 2^32 variant 0.
+  EXPECT_NE(parse_error(benign("pid=4294967297 session=0 start=0 calls=100"))
+                .find("`pid=4294967297` exceeds 4294967295"),
+            std::string::npos);
+  EXPECT_NE(parse_error(attack("pid=1 variant=4294967296 start=0 calls=100"))
+                .find("`variant=4294967296`"),
+            std::string::npos);
+  EXPECT_NE(parse_error(benign("pid=1 session=4294967296 start=0 calls=100"))
+                .find("`session="),
+            std::string::npos);
+  EXPECT_NE(parse_error(benign("pid=1 session=0 start=0 calls=100") +
+                        "event kill-owner pid=4294967297 at=10\n")
+                .find("`pid=4294967297`"),
+            std::string::npos);
+  // start and calls stop at kMaxScenarioCalls, window at
+  // kMaxScenarioWindow: calls=2^64-1 once wrapped the runner's trace
+  // length to 63 and sent `start + calls` near 2^64.
+  EXPECT_NE(
+      parse_error(benign("pid=1 session=0 start=0 "
+                         "calls=18446744073709551615"))
+          .find("`calls=18446744073709551615` exceeds 1000000"),
+      std::string::npos);
+  EXPECT_NE(parse_error(benign("pid=1 session=0 start=0 calls=1000001"))
+                .find("`calls="),
+            std::string::npos);
+  EXPECT_NE(parse_error(benign("pid=1 session=0 start=1000001 calls=100"))
+                .find("`start="),
+            std::string::npos);
+  EXPECT_NE(parse_error(benign("pid=1 session=0 start=0 calls=100") +
+                        "detector window=10001 hop=25 debounce=2 "
+                        "threshold=0.5\n")
+                .find("`window=10001` exceeds 10000"),
+            std::string::npos);
+  // Positional counts follow the same rule.
+  EXPECT_NE(parse_error(header + "seed -1\n").find("`-1` is not a seed"),
+            std::string::npos);
+  EXPECT_NE(parse_error(header + "boards +2\n"), "");
+  EXPECT_NE(parse_error(header + "seed 18446744073709551616\n"), "");
+
+  // The bounds themselves are accepted.
+  const Scenario edge = parse_scenario(
+      benign("pid=4294967295 session=4294967295 start=1000000 "
+             "calls=1000000") +
+      "detector window=10000 hop=25 debounce=2 threshold=0.5\n"
+      "seed 18446744073709551615\n");
+  EXPECT_EQ(edge.processes[0].pid, 4294967295u);
+  EXPECT_EQ(edge.processes[0].variant, 4294967295u);
+  EXPECT_EQ(edge.horizon(), 2'000'000u);
+  EXPECT_EQ(edge.window, 10'000u);
+  EXPECT_EQ(edge.seed, 18446744073709551615u);
+
+  // Scenarios built in code meet the same bounds in validate_scenario.
+  EXPECT_THROW(ScenarioBuilder("x")
+                   .benign(1, "VLC", 0, 0, kMaxScenarioCalls + 1)
+                   .build(),
+               PreconditionError);
+}
+
 TEST(ScenarioParse, ValidatesSemantics) {
   const char* header = "scenario x\n";
   // Duplicate pid.

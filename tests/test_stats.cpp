@@ -112,24 +112,13 @@ TEST(DriftStats, PsiFloorsEmptyBinsAtOneInAMillion) {
   EXPECT_NEAR(psi, 0.5435, 1e-3);
 }
 
-TEST(DriftStats, KsIsLargestCdfGap) {
-  // CDFs 0.25/0.50/0.75/1 vs 0/0/0.5/1: the gap peaks at 0.5 in bin 1.
-  EXPECT_DOUBLE_EQ(ks_statistic(Histogram{1, 1, 1, 1}, Histogram{0, 0, 2, 2}),
-                   0.5);
-  EXPECT_DOUBLE_EQ(ks_statistic(Histogram{2, 2}, Histogram{0.5, 0.5}), 0.0);
-  EXPECT_DOUBLE_EQ(ks_statistic(Histogram{1, 0}, Histogram{0, 3}), 1.0);
-}
-
 TEST(DriftStats, RejectsSizeMismatchAndZeroMass) {
   const Histogram two = {1.0, 1.0};
   const Histogram three = {1.0, 1.0, 1.0};
   const Histogram empty_mass = {0.0, 0.0};
   EXPECT_THROW(population_stability_index(two, three), PreconditionError);
-  EXPECT_THROW(ks_statistic(two, three), PreconditionError);
   EXPECT_THROW(population_stability_index(empty_mass, two), PreconditionError);
   EXPECT_THROW(population_stability_index(two, empty_mass), PreconditionError);
-  EXPECT_THROW(ks_statistic(empty_mass, two), PreconditionError);
-  EXPECT_THROW(ks_statistic(two, empty_mass), PreconditionError);
   EXPECT_THROW(population_stability_index(Histogram{}, Histogram{}),
                PreconditionError);
 }

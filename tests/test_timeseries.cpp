@@ -1,14 +1,10 @@
-// Multi-resolution time-series store tests: the promotion invariant
-// (downsampling loses resolution, never mass — sums, counts and extremes
-// survive the tier cascade verbatim), ring wraparound, injected-clock
-// gaps, the snapshot sampler's delta/rate/percentile derivations, the
-// hardened CSDML_TSDB_* env parsing, and the collector in deterministic
-// manual-tick mode.
+// Time-series store tests: raw-ring wraparound, injected-clock gaps, the
+// snapshot sampler's delta/rate/percentile derivations, and the collector
+// in deterministic manual-tick mode.
 #include "obs/timeseries.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,125 +13,44 @@
 namespace csdml::obs {
 namespace {
 
-TsdbConfig tiny_config(std::size_t capacity, std::size_t factor,
-                       std::size_t tiers) {
-  TsdbConfig config;
-  config.capacity = capacity;
-  config.downsample_factor = factor;
-  config.tiers = tiers;
-  return config;
-}
-
-TEST(TsSeries, PromotionConservesMassAndExtremes) {
-  TsSeries series(tiny_config(16, 4, 3));
-  // 16 raw samples 0..15: four tier-1 buckets, one tier-2 bucket.
-  for (int i = 0; i < 16; ++i) {
-    series.append(i * 100, static_cast<double>(i));
-  }
-  EXPECT_EQ(series.samples(), 16u);
-  EXPECT_EQ(series.promotions(), 5u);  // 4 raw->tier1 + 1 tier1->tier2
-
-  const std::vector<TsBucket> tier1 = series.buckets(1);
-  ASSERT_EQ(tier1.size(), 4u);
-  // First tier-1 bucket absorbed raw samples 0..3.
-  EXPECT_EQ(tier1[0].count, 4u);
-  EXPECT_DOUBLE_EQ(tier1[0].sum, 6.0);
-  EXPECT_DOUBLE_EQ(tier1[0].min, 0.0);
-  EXPECT_DOUBLE_EQ(tier1[0].max, 3.0);
-  EXPECT_EQ(tier1[0].start_us, 0);
-  EXPECT_EQ(tier1[0].end_us, 300);
-  // Last tier-1 bucket absorbed raw samples 12..15.
-  EXPECT_DOUBLE_EQ(tier1[3].min, 12.0);
-  EXPECT_DOUBLE_EQ(tier1[3].max, 15.0);
-
-  const std::vector<TsBucket> tier2 = series.buckets(2);
-  ASSERT_EQ(tier2.size(), 1u);
-  EXPECT_EQ(tier2[0].count, 16u);
-  EXPECT_DOUBLE_EQ(tier2[0].sum, 120.0);
-  EXPECT_DOUBLE_EQ(tier2[0].min, 0.0);
-  EXPECT_DOUBLE_EQ(tier2[0].max, 15.0);
-  EXPECT_EQ(tier2[0].start_us, 0);
-  EXPECT_EQ(tier2[0].end_us, 1500);
-
-  // Mass conservation across the whole cascade: aggregating any tier
-  // yields the same sum/count/extremes while the raw ring still holds
-  // everything.
-  const TsBucket raw = series.aggregate(0);
-  const TsBucket t2 = series.aggregate(2);
-  EXPECT_EQ(raw.count, t2.count);
-  EXPECT_DOUBLE_EQ(raw.sum, t2.sum);
-  EXPECT_DOUBLE_EQ(raw.min, t2.min);
-  EXPECT_DOUBLE_EQ(raw.max, t2.max);
-}
-
 TEST(TsSeries, RawRingWrapsOldestOut) {
-  TsSeries series(tiny_config(4, 8, 1));
+  TsSeries series(4);
+  EXPECT_TRUE(series.points().empty());
+  EXPECT_DOUBLE_EQ(series.last(), 0.0);
   for (int i = 0; i < 10; ++i) {
     series.append(i, static_cast<double>(i));
   }
   EXPECT_EQ(series.samples(), 10u);
-  EXPECT_EQ(series.promotions(), 0u);  // single tier: nothing to promote to
-  const std::vector<TsBucket> raw = series.buckets(0);
+  const std::vector<TsPoint> raw = series.points();
   ASSERT_EQ(raw.size(), 4u);  // capacity, not sample count
   // Oldest-first and the oldest six evicted.
-  EXPECT_DOUBLE_EQ(raw[0].sum, 6.0);
-  EXPECT_DOUBLE_EQ(raw[3].sum, 9.0);
+  EXPECT_EQ(raw[0].t_us, 6);
+  EXPECT_DOUBLE_EQ(raw[0].value, 6.0);
+  EXPECT_EQ(raw[3].t_us, 9);
+  EXPECT_DOUBLE_EQ(raw[3].value, 9.0);
   EXPECT_DOUBLE_EQ(series.last(), 9.0);
-  EXPECT_EQ(series.last_t_us(), 9);
-}
-
-TEST(TsSeries, DownsampledTierOutlivesRawWraparound) {
-  // Tier 1 covers factor x capacity raw samples — history the raw ring
-  // has long evicted must still be queryable one tier up.
-  TsSeries series(tiny_config(4, 2, 2));
-  for (int i = 0; i < 12; ++i) {
-    series.append(i, static_cast<double>(i));
-  }
-  const std::vector<TsBucket> tier1 = series.buckets(1);
-  ASSERT_EQ(tier1.size(), 4u);
-  // Retained tier-1 window: raw samples 4..11 (pairs 4+5 .. 10+11); the
-  // raw ring itself only holds 8..11 by now.
-  EXPECT_DOUBLE_EQ(tier1[0].min, 4.0);
-  EXPECT_DOUBLE_EQ(tier1[0].sum, 9.0);
-  EXPECT_DOUBLE_EQ(tier1[3].max, 11.0);
-  EXPECT_EQ(series.buckets(0).size(), 4u);
-  EXPECT_DOUBLE_EQ(series.buckets(0)[0].sum, 8.0);
 }
 
 TEST(TsSeries, ClockGapsStayInBucketTimestamps) {
   // A collector stall (gap in the injected timeline) must not corrupt
-  // bucket time ranges: buckets carry the timestamps they absorbed, and
-  // a promoted bucket spans the gap honestly.
-  TsSeries series(tiny_config(8, 4, 2));
+  // the timeline: each point keeps the timestamp it was appended with,
+  // so the gap stays visible to readers.
+  TsSeries series(8);
   series.append(0, 1.0);
   series.append(100, 2.0);
   series.append(60'000'000, 3.0);  // a minute-long stall
   series.append(60'000'100, 4.0);
-  const std::vector<TsBucket> tier1 = series.buckets(1);
-  ASSERT_EQ(tier1.size(), 1u);
-  EXPECT_EQ(tier1[0].start_us, 0);
-  EXPECT_EQ(tier1[0].end_us, 60'000'100);
-  EXPECT_EQ(tier1[0].count, 4u);
-  EXPECT_DOUBLE_EQ(tier1[0].sum, 10.0);
-}
-
-TEST(TsSeries, PartialAccumulationSurfacesOnlyOncePromoted) {
-  TsSeries series(tiny_config(8, 4, 2));
-  for (int i = 0; i < 6; ++i) {
-    series.append(i, 1.0);
-  }
-  // Six raw samples: one full promotion (4) plus two pending — the
-  // pending pair is not visible in tier 1 yet.
-  ASSERT_EQ(series.buckets(1).size(), 1u);
-  EXPECT_EQ(series.buckets(1)[0].count, 4u);
-  series.append(6, 1.0);
-  series.append(7, 1.0);
-  ASSERT_EQ(series.buckets(1).size(), 2u);
+  const std::vector<TsPoint> raw = series.points();
+  ASSERT_EQ(raw.size(), 4u);
+  EXPECT_EQ(raw[1].t_us, 100);
+  EXPECT_EQ(raw[2].t_us, 60'000'000);
+  EXPECT_EQ(raw[3].t_us, 60'000'100);
+  EXPECT_DOUBLE_EQ(raw[2].value, 3.0);
 }
 
 TEST(TimeSeriesStore, ImplicitCreationAndLookups) {
   registry().reset();
-  TimeSeriesStore store(tiny_config(16, 4, 2));
+  TimeSeriesStore store(TsdbConfig{.capacity = 16});
   store.record("a.p99", 100, 5.0);
   store.record("a.p99", 200, 7.0);
   store.record("b.shed", 200, 1.0);
@@ -146,8 +61,9 @@ TEST(TimeSeriesStore, ImplicitCreationAndLookups) {
   EXPECT_EQ(store.samples("a.p99"), 2u);
   EXPECT_DOUBLE_EQ(store.last("a.p99"), 7.0);
   EXPECT_DOUBLE_EQ(store.last("missing"), 0.0);
-  EXPECT_TRUE(store.buckets("missing").empty());
-  EXPECT_TRUE(store.buckets("a.p99", 99).empty());
+  EXPECT_TRUE(store.points("missing").empty());
+  ASSERT_EQ(store.points("a.p99").size(), 2u);
+  EXPECT_DOUBLE_EQ(store.points("a.p99")[0].value, 5.0);
 
   const TimeSeriesStore::Totals totals = store.totals();
   EXPECT_EQ(totals.series, 2u);
@@ -166,27 +82,26 @@ TEST(TimeSeriesStore, ImplicitCreationAndLookups) {
 TEST(SnapshotSampler, DerivesDeltasRatesAndPercentiles) {
   MetricsRegistry reg;
   reg.add_counter("served", 100);
-  reg.set_gauge("depth", 3.5);
   for (int i = 1; i <= 100; ++i) reg.observe("lat_us", static_cast<double>(i));
 
   SnapshotSampler sampler({
       {"served.delta", SampleSpec::Kind::CounterDelta, "served"},
       {"served.rate", SampleSpec::Kind::CounterRate, "served"},
-      {"depth", SampleSpec::Kind::Gauge, "depth"},
+      {"lat.p95", SampleSpec::Kind::HistP95, "lat_us"},
       {"lat.p99", SampleSpec::Kind::HistP99, "lat_us"},
-      {"lat.count", SampleSpec::Kind::HistCount, "lat_us"},
       {"ghost.delta", SampleSpec::Kind::CounterDelta, "ghost"},
+      {"ghost.p99", SampleSpec::Kind::HistP99, "ghost_us"},
   });
-  TimeSeriesStore store(tiny_config(16, 4, 1));
+  TimeSeriesStore store(TsdbConfig{.capacity = 16});
 
   // First tick: deltas measure against zero, rates have no elapsed time.
   auto frame = sampler.sample(1'000'000, reg.snapshot(), &store);
   EXPECT_DOUBLE_EQ(frame["served.delta"], 100.0);
   EXPECT_DOUBLE_EQ(frame["served.rate"], 0.0);
-  EXPECT_DOUBLE_EQ(frame["depth"], 3.5);
-  EXPECT_GE(frame["lat.p99"], 95.0);
-  EXPECT_DOUBLE_EQ(frame["lat.count"], 100.0);
-  EXPECT_DOUBLE_EQ(frame["ghost.delta"], 0.0);  // absent metric reads 0
+  EXPECT_GE(frame["lat.p95"], 90.0);
+  EXPECT_GE(frame["lat.p99"], frame["lat.p95"]);
+  EXPECT_DOUBLE_EQ(frame["ghost.delta"], 0.0);  // absent metrics read 0
+  EXPECT_DOUBLE_EQ(frame["ghost.p99"], 0.0);
 
   // Second tick two seconds later: 50 more served -> delta 50, rate 25/s.
   reg.add_counter("served", 50);
@@ -217,50 +132,13 @@ TEST(BoardSampleSpecs, CoverTheServingSurface) {
   EXPECT_EQ(specs[5].metric, "fleet.b0.ingest_to_verdict_us");
 }
 
-class TsdbEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    for (const char* name : {"CSDML_TSDB_CAPACITY", "CSDML_TSDB_FACTOR",
-                             "CSDML_TSDB_TIERS", "CSDML_TSDB_INTERVAL_MS"}) {
-      ::unsetenv(name);
-    }
-  }
-};
-
-TEST_F(TsdbEnvTest, ValidOverridesApply) {
-  ::setenv("CSDML_TSDB_CAPACITY", "64", 1);
-  ::setenv("CSDML_TSDB_FACTOR", "4", 1);
-  ::setenv("CSDML_TSDB_TIERS", "2", 1);
-  ::setenv("CSDML_TSDB_INTERVAL_MS", "250", 1);
-  const TsdbConfig config = TsdbConfig::from_env();
-  EXPECT_EQ(config.capacity, 64u);
-  EXPECT_EQ(config.downsample_factor, 4u);
-  EXPECT_EQ(config.tiers, 2u);
-  EXPECT_EQ(config.interval_us, 250'000u);
-}
-
-TEST_F(TsdbEnvTest, InvalidValuesFallBackWithoutClamping) {
-  const TsdbConfig defaults;
-  // Non-numeric, trailing garbage, negative, out-of-range: each knob is
-  // ignored as a whole — never clamped to the nearest bound.
-  ::setenv("CSDML_TSDB_CAPACITY", "1O24", 1);  // letter O, not zero
-  ::setenv("CSDML_TSDB_FACTOR", "100", 1);     // above max 64
-  ::setenv("CSDML_TSDB_TIERS", "-3", 1);
-  ::setenv("CSDML_TSDB_INTERVAL_MS", "250ms", 1);
-  const TsdbConfig config = TsdbConfig::from_env();
-  EXPECT_EQ(config.capacity, defaults.capacity);
-  EXPECT_EQ(config.downsample_factor, defaults.downsample_factor);
-  EXPECT_EQ(config.tiers, defaults.tiers);
-  EXPECT_EQ(config.interval_us, defaults.interval_us);
-}
-
 TEST(TelemetryCollector, ManualTicksOnInjectedClock) {
   registry().reset();
   registry().add_counter("col.events", 7);
 
   std::int64_t sim_us = 0;
   CollectorConfig config;
-  config.tsdb = tiny_config(16, 4, 2);
+  config.tsdb.capacity = 16;
   config.clock = [&sim_us] { return sim_us; };
   config.start_thread = false;  // deterministic: owner drives every tick
   TelemetryCollector collector(
@@ -274,10 +152,10 @@ TEST(TelemetryCollector, ManualTicksOnInjectedClock) {
   EXPECT_EQ(collector.ticks(), 2u);
   EXPECT_EQ(collector.store().samples("col.delta"), 2u);
   EXPECT_DOUBLE_EQ(collector.store().last("col.delta"), 3.0);
-  const std::vector<TsBucket> raw = collector.store().buckets("col.delta");
+  const std::vector<TsPoint> raw = collector.store().points("col.delta");
   ASSERT_EQ(raw.size(), 2u);
-  EXPECT_EQ(raw[0].start_us, 0);
-  EXPECT_EQ(raw[1].start_us, 1'000'000);
+  EXPECT_EQ(raw[0].t_us, 0);
+  EXPECT_EQ(raw[1].t_us, 1'000'000);
   collector.stop();
   collector.stop();  // idempotent
 }
